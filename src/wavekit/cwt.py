@@ -12,8 +12,19 @@ constant
 estimated by ``admissibility`` from an FFT on a padded window. The scale
 grid covers r > 0 only; for a real-valued wavelet the negative-scale half of
 the inversion measure contributes the same amount, so ``icwt`` folds it in
-as a factor 2. ``dyadic_sample`` and ``parseval_ratio`` cover the dyadic
-family psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
+as a factor 2.
+
+When every shift is a sample point of the signal (as with ``shifts = f.xs``
+or any subset of it), each scale of ``cwt`` is one FFT correlation with psi
+sampled at the 2n - 1 sample lags, and ``icwt`` is the matching convolution
+summed in the frequency domain (Torrence & Compo 1998, "A Practical Guide to
+Wavelet Analysis"): O(S n log n) time for S scales and O(n) work memory per
+scale. Any other shift grid takes a dense (shifts x n) kernel per scale,
+O(S shifts n). Both paths evaluate psi through ``_scaled_kernel``, in x, so
+sampled and cascade wavelets need no analytic spectrum.
+
+``dyadic_sample`` and ``parseval_ratio`` cover the dyadic family
+psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
 """
 from __future__ import annotations
 
@@ -250,14 +261,10 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     integrand = power / np.where(w == 0.0, 1.0, np.abs(w))
     integrand[w == 0.0] = 0.0
 
-    neg = w < 0.0
-    pos = w > 0.0
-    order_n = np.argsort(w[neg])
-    order_p = np.argsort(w[pos])
-    total = float(
-        np.trapezoid(integrand[neg][order_n], w[neg][order_n])
-        + np.trapezoid(integrand[pos][order_p], w[pos][order_p])
-    )
+    total = 0.0
+    for half in (w < 0.0, w > 0.0):
+        order = np.argsort(w[half])
+        total += float(integrand[half][order] @ _trapezoid_weights_of(w[half][order]))
     if not np.isfinite(total) or total <= 0.0:
         raise AdmissibilityError(
             f"admissibility quadrature for {psi.name!r} returned {total!r}"
@@ -348,15 +355,41 @@ class CwtCoefficients:
         return self.x_min + self.dx * np.arange(self.n_samples)
 
 
-def _scaled_kernel(
-    psi: AnalyzingWavelet, xs: np.ndarray, shifts: np.ndarray, r: float
-) -> np.ndarray:
-    """Matrix of psi_{r,s}(x) with shifts down the rows, samples across."""
-    return psi.evaluate((xs[None, :] - shifts[:, None]) / r) / math.sqrt(r)
+def _scaled_kernel(psi: AnalyzingWavelet, offsets: np.ndarray, r: float) -> np.ndarray:
+    """psi_{r,s}(x) = psi((x - s)/r)/sqrt(r) at the given offsets x - s."""
+    return psi.evaluate(offsets / r) / math.sqrt(r)
+
+
+def _sample_indices(xs: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray | None:
+    """Index into ``xs`` of every shift, or None if some shift is not a sample."""
+    idx = np.rint((shifts - xs[0]) / dx)
+    if idx[0] < 0 or idx[-1] >= xs.size:
+        return None
+    idx = idx.astype(np.intp)
+    return idx if np.array_equal(xs[idx], shifts) else None
+
+
+def _fft_length(n: int) -> int:
+    """Power of two >= 2n - 1. Convolving n samples with a kernel on the
+    2n - 1 lags at this length wraps only the outputs past 2n - 2, and they
+    land below index n - 1, so the n outputs read from n - 1 on are exact."""
+    return 1 << (2 * n - 2).bit_length()
+
+
+def _fft_pair(*arrays: np.ndarray) -> tuple[Callable, Callable]:
+    """Forward and inverse FFT: the real-input pair when every array is real."""
+    if any(np.iscomplexobj(a) for a in arrays):
+        return np.fft.fft, np.fft.ifft
+    return np.fft.rfft, np.fft.irfft
 
 
 def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoefficients:
     """Trapezoidal <psi_{r,s}|f> for every grid point.
+
+    When every shift is a sample point of f, each scale's row is one FFT
+    correlation of the weighted samples with psi_r sampled at the 2n - 1
+    lags: O(n log n) time and O(n) work memory per scale. Other shift grids
+    take a dense (shifts x n) kernel per scale.
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps (the quadrature cannot see the oscillation).
@@ -369,10 +402,25 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
         )
     weighted = f.values * f.trapezoid_weights()
     xs = f.xs
+    idx = _sample_indices(xs, f.dx, grid.shifts)
     rows = []
-    for r in grid.scales:
-        kernel = _scaled_kernel(psi, xs, grid.shifts, float(r))
-        rows.append(np.conj(kernel) @ weighted)
+    if idx is None:
+        offsets = xs[None, :] - grid.shifts[:, None]
+        for r in grid.scales:
+            rows.append(np.conj(_scaled_kernel(psi, offsets, float(r))) @ weighted)
+    else:
+        n = f.size
+        length = _fft_length(n)
+        # Lags n-1 down to 1-n: the correlation becomes a convolution whose
+        # output n - 1 + m is the coefficient at sample m.
+        offsets = f.dx * np.arange(n - 1, -n, -1)
+        for i, r in enumerate(grid.scales):
+            kernel = np.conj(_scaled_kernel(psi, offsets, float(r)))
+            if i == 0:
+                forward, inverse = _fft_pair(weighted, kernel)
+                spectrum = forward(weighted, length)
+            full = inverse(spectrum * forward(kernel, length), length)
+            rows.append(full[n - 1 + idx])
     return CwtCoefficients(
         matrix=np.stack(rows),
         grid=grid,
@@ -405,17 +453,38 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
     wavelet the omitted negative-scale half contributes exactly the same
     amount. Accuracy is set by the grid; a single-scale grid yields the zero
     function (degenerate quadrature) rather than an error.
+
+    When every shift is a sample point, the weighted coefficients of each
+    scale are spread onto the samples and convolved with psi_r in the
+    frequency domain, summed over scales before one inverse FFT:
+    O(n log n) time and O(n) work memory per scale. Other shift grids take a
+    dense (shifts x n) kernel per scale.
     """
     constant = admissibility(psi)
     xs = c.sample_grid()
     wr = _trapezoid_weights_of(c.scales)
     ws = _trapezoid_weights_of(c.shifts)
-    out = np.zeros(xs.size, dtype=c.matrix.dtype)
-    for i, r in enumerate(c.scales):
-        kernel = _scaled_kernel(psi, xs, c.shifts, float(r))
-        out += (wr[i] / (r * r)) * ((c.matrix[i] * ws) @ kernel)
-    out *= 2.0 / constant
-    return SampledFunction(x_min=c.x_min, dx=c.dx, values=out)
+    idx = _sample_indices(xs, c.dx, c.shifts)
+    if idx is None:
+        offsets = xs[None, :] - c.shifts[:, None]
+        out = 0.0
+        for i, r in enumerate(c.scales):
+            kernel = _scaled_kernel(psi, offsets, float(r))
+            out += (wr[i] / (r * r)) * ((c.matrix[i] * ws) @ kernel)
+    else:
+        n = xs.size
+        length = _fft_length(n)
+        offsets = c.dx * np.arange(1 - n, n)
+        spread = np.zeros(n, dtype=np.result_type(c.matrix, ws))
+        total = 0.0
+        for i, r in enumerate(c.scales):
+            kernel = _scaled_kernel(psi, offsets, float(r))
+            spread[idx] = c.matrix[i] * ws
+            if i == 0:
+                forward, inverse = _fft_pair(spread, kernel)
+            total += (wr[i] / (r * r)) * forward(spread, length) * forward(kernel, length)
+        out = inverse(total, length)[n - 1 : 2 * n - 1]
+    return SampledFunction(x_min=c.x_min, dx=c.dx, values=out * (2.0 / constant))
 
 
 def _grid_points(grid) -> tuple[float, float, int]:

@@ -13,6 +13,8 @@ from wavekit.errors import (
     ResolutionError,
 )
 from wavekit.cwt import (
+    AnalyzingWavelet,
+    CwtCoefficients,
     CwtGrid,
     SampledFunction,
     WAVELET_NAMES,
@@ -25,7 +27,9 @@ from wavekit.cwt import (
     parseval_ratio,
     wavelet_from_dyadic,
     wavelet_from_filter,
+    wavelet_from_samples,
 )
+from wavekit.cwt import _scaled_kernel, _trapezoid_weights_of
 from wavekit.filters import builtin_filter
 
 RNG = np.random.default_rng(31415926)
@@ -129,6 +133,14 @@ def test_haar_psi_admissibility_two_log_two():
 def test_gaussian_is_inadmissible():
     with pytest.raises(AdmissibilityError):
         admissibility(named_wavelet("gaussian"))
+
+
+def test_admissibility_needs_no_numpy_trapezoid(monkeypatch):
+    """The half-axis sums use the module's own trapezoid weights, so numpy
+    releases without ``np.trapezoid`` (before 2.0) give the same constant."""
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    c = admissibility(named_wavelet("mexican_hat"))
+    assert c == pytest.approx(6.283162955890356, rel=1e-12)
 
 
 def test_admissibility_refine_validation():
@@ -303,6 +315,133 @@ def test_icwt_preserves_grid():
     assert rec.x_min == f.x_min
     assert rec.dx == f.dx
     assert rec.size == f.size
+
+
+# --- FFT correlation against the dense kernel -------------------------------
+
+
+def dense_cwt_matrix(f, psi, grid):
+    """Reference cwt: one dense (shifts x n) kernel per scale."""
+    weighted = f.values * f.trapezoid_weights()
+    offsets = f.xs[None, :] - grid.shifts[:, None]
+    return np.stack(
+        [np.conj(_scaled_kernel(psi, offsets, float(r))) @ weighted for r in grid.scales]
+    )
+
+
+def dense_icwt_values(c, psi):
+    """Reference icwt: the dense kernel summed scale by scale."""
+    xs = c.sample_grid()
+    wr = _trapezoid_weights_of(c.scales)
+    ws = _trapezoid_weights_of(c.shifts)
+    offsets = xs[None, :] - c.shifts[:, None]
+    out = np.zeros(xs.size, dtype=c.matrix.dtype)
+    for i, r in enumerate(c.scales):
+        out += (wr[i] / (r * r)) * ((c.matrix[i] * ws) @ _scaled_kernel(psi, offsets, float(r)))
+    return out * (2.0 / admissibility(psi))
+
+
+def counting(psi):
+    """The same wavelet, counting the points it is evaluated at."""
+    count = [0]
+
+    def fn(x):
+        count[0] += x.size
+        return psi.fn(x)
+
+    return AnalyzingWavelet(psi.name, psi.support, fn, psi.native_dx), count
+
+
+def morlet_sampled():
+    """A complex wavelet (w0 = 6, mean below the zero-mean gate) given by
+    samples, so it evaluates as a step function."""
+    x = -6.0 + np.arange(12 * 32) / 32.0
+    vals = np.exp(6j * x - 0.5 * x * x)
+    return wavelet_from_samples(SampledFunction(-6.0, 1.0 / 32.0, vals), "morlet")
+
+
+def agreement_case(name):
+    """(signal, wavelet, scales) for one agreement case."""
+    n = 256
+    real = RNG.standard_normal(n)
+    cplx = real + 1j * RNG.standard_normal(n)
+    if name == "mexican_hat":
+        return SampledFunction(0.0, 1.0, real), named_wavelet("mexican_hat"), geometric_scales(0.25, 64.0, 4)
+    if name == "haar_psi":
+        return SampledFunction(0.0, 1.0, real), named_wavelet("haar_psi"), geometric_scales(4.0, 64.0, 4)
+    if name == "cascade_db4":
+        psi = wavelet_from_filter(builtin_filter("db4"), 8)
+        return SampledFunction(0.0, 1.0, real), psi, geometric_scales(2.0, 64.0, 4)
+    if name == "morlet_complex_signal":
+        return SampledFunction(0.0, 1.0, cplx), morlet_sampled(), geometric_scales(0.5, 32.0, 4)
+    if name == "morlet_real_signal":
+        return SampledFunction(0.0, 1.0, real), morlet_sampled(), geometric_scales(0.5, 32.0, 4)
+    assert name == "mexican_hat_dx_0.1"
+    return SampledFunction(-1.7, 0.1, real), named_wavelet("mexican_hat"), geometric_scales(0.05, 6.4, 4)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "mexican_hat",
+        "haar_psi",
+        "cascade_db4",
+        "morlet_complex_signal",
+        "morlet_real_signal",
+        "mexican_hat_dx_0.1",
+    ],
+)
+def test_fft_path_matches_dense_kernel(case, stride):
+    """Shifts on the samples (all of them, or every third from the second)
+    take the FFT correlation, which evaluates psi at the 2n - 1 lags per
+    scale and agrees with the dense kernel to 1e-12 of each row's peak."""
+    f, psi, scales = agreement_case(case)
+    grid = CwtGrid(scales=scales, shifts=f.xs[1::stride] if stride > 1 else f.xs)
+    counted, count = counting(psi)
+    c = cwt(f, counted, grid)
+    assert count[0] == scales.size * (2 * f.size - 1)
+    expect = dense_cwt_matrix(f, psi, grid)
+    assert c.matrix.dtype == expect.dtype
+    complex_input = np.iscomplexobj(f.values) or case.startswith("morlet")
+    assert c.matrix.dtype == (np.complex128 if complex_input else np.float64)
+    peak = np.abs(expect).max(axis=1, keepdims=True)
+    assert np.all(np.abs(c.matrix - expect) <= 1e-12 * peak)
+
+    rec = icwt(c, psi)
+    expect_rec = dense_icwt_values(c, psi)
+    assert rec.values.dtype == expect_rec.dtype
+    assert np.abs(rec.values - expect_rec).max() <= 1e-12 * np.abs(expect_rec).max()
+
+
+@pytest.mark.parametrize("offset", [0.5, 8.0], ids=["half_sample", "past_the_end"])
+def test_unaligned_shifts_keep_dense_kernel(offset):
+    """Shifts between samples, or on the lattice but past the last sample,
+    take the dense kernel: psi is evaluated at every (shift, sample) pair and
+    the values are those of the dense reference, bit for bit."""
+    f = windowed_sine(n=128)
+    psi = named_wavelet("mexican_hat")
+    grid = CwtGrid(scales=geometric_scales(2.0, 16.0, 4), shifts=f.xs + offset * f.dx)
+    counted, count = counting(psi)
+    c = cwt(f, counted, grid)
+    assert count[0] == grid.scales.size * grid.shifts.size * f.size
+    np.testing.assert_array_equal(c.matrix, dense_cwt_matrix(f, psi, grid))
+    np.testing.assert_array_equal(icwt(c, psi).values, dense_icwt_values(c, psi))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])
+def test_icwt_real_coefficients_complex_wavelet(offset):
+    """Either path returns the complex synthesis when only the wavelet is
+    complex, and the two agree."""
+    psi = morlet_sampled()
+    grid = CwtGrid(scales=geometric_scales(0.5, 8.0, 4), shifts=np.arange(64.0) + offset)
+    c = CwtCoefficients(RNG.standard_normal(grid.shape), grid, 0.0, 1.0, 64)
+    rec = icwt(c, psi)
+    assert rec.values.dtype == np.complex128
+    expect = dense_icwt_values(
+        CwtCoefficients(c.matrix.astype(complex), grid, 0.0, 1.0, 64), psi
+    )
+    assert np.abs(rec.values - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # --- dyadic family -----------------------------------------------------------
