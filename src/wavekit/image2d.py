@@ -9,7 +9,9 @@ column (the y direction, axis 0), yielding four quarter-size planes:
     d  high in both            (diagonal detail)
 
 On the 2x2 image [[1, 2], [3, 4]] with the haar filter this gives a=5, h=-1,
-v=-2, d=0, which the tests treat as the orientation contract. Repeating the
+v=-2, d=0, which the tests treat as the orientation contract. Each pass is
+the even/odd-phase kernel of :mod:`wavekit.subband` along one axis: L
+contiguous multiply-adds per band, with no index arrays. Repeating the
 step on ``a`` builds an ``ImagePyramid``; ``quantize``/``dequantize`` snap
 pyramid coefficients to a uniform lattice for storage.
 """
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelError, ParameterError, ShapeError, SizeError
-from .filters import FilterSpec, coefficients_of, derive_highpass
-from .subband import SQRT2
+from .filters import FilterSpec, derive_highpass
+from .subband import _analyze_axis, _synthesize_axis
 
 
 @dataclass(frozen=True)
@@ -101,54 +103,16 @@ class Quantizer:
             raise ParameterError(f"quantizer step must be positive, got {self.step!r}")
 
 
-def _filter_axis_down(
-    a: np.ndarray, c: np.ndarray, start: int, axis: int, scale: float = SQRT2
-) -> np.ndarray:
-    """Filter-and-downsample along one axis with periodic wrap."""
-    n = a.shape[axis]
-    half = n // 2
-    base = 2 * np.arange(half)
-    shape = list(a.shape)
-    shape[axis] = half
-    out = np.zeros(shape, dtype=np.result_type(a.dtype, c.dtype, np.float64))
-    for t in range(c.size):
-        out += np.conj(c[t]) * np.take(a, (base + start + t) % n, axis=axis)
-    out *= scale
-    return out
-
-
-def _filter_axis_up(
-    coeffs: np.ndarray,
-    c: np.ndarray,
-    start: int,
-    axis: int,
-    out: np.ndarray,
-    scale: float = SQRT2,
-) -> np.ndarray:
-    """Upsample-and-filter adjoint of :func:`_filter_axis_down`."""
-    n = out.shape[axis]
-    m = coeffs.shape[axis]
-    base = 2 * np.arange(m)
-    for t in range(c.size):
-        pos = (base + start + t) % n
-        if axis == 0:
-            out[pos, :] += scale * c[t] * coeffs
-        else:
-            out[:, pos] += scale * c[t] * coeffs
-    return out
-
-
 def _checked_image(img, f: FilterSpec) -> np.ndarray:
     arr = np.asarray(img)
     if arr.ndim != 2:
         raise SizeError("images must be 2-d arrays")
-    c, _ = coefficients_of(f)
     for n in arr.shape:
         if n < 2 or n % 2 != 0:
             raise SizeError(f"image dimensions must be even and >= 2, got {arr.shape}")
-        if n < c.size:
+        if n < f.length:
             raise SizeError(
-                f"image dimension {n} is shorter than the filter ({c.size} taps)"
+                f"image dimension {n} is shorter than the filter ({f.length} taps)"
             )
     return arr
 
@@ -162,13 +126,13 @@ def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:
     """
     arr = _checked_image(img, f)
     g = derive_highpass(f)
-    low_x = _filter_axis_down(arr, f.h, f.start, axis=1, scale=1.0)
-    high_x = _filter_axis_down(arr, g.g, g.start, axis=1, scale=1.0)
+    low_x = _analyze_axis(arr, f.h, f.start, 1, 1.0)
+    high_x = _analyze_axis(arr, g.g, g.start, 1, 1.0)
     return QuadDecomp(
-        a=_filter_axis_down(low_x, f.h, f.start, axis=0, scale=2.0),
-        h=_filter_axis_down(high_x, f.h, f.start, axis=0, scale=2.0),
-        v=_filter_axis_down(low_x, g.g, g.start, axis=0, scale=2.0),
-        d=_filter_axis_down(high_x, g.g, g.start, axis=0, scale=2.0),
+        a=_analyze_axis(low_x, f.h, f.start, 0, 2.0),
+        h=_analyze_axis(high_x, f.h, f.start, 0, 2.0),
+        v=_analyze_axis(low_x, g.g, g.start, 0, 2.0),
+        d=_analyze_axis(high_x, g.g, g.start, 0, 2.0),
     )
 
 
@@ -180,16 +144,15 @@ def _synthesis_step2d(quads: QuadDecomp, f: FilterSpec) -> np.ndarray:
     )
     # Undo the column pass (carrying the single exact factor 2).
     low_x = np.zeros((2 * n2, m2), dtype=dtype)
-    _filter_axis_up(quads.a, f.h, f.start, 0, low_x, scale=2.0)
-    _filter_axis_up(quads.v, g.g, g.start, 0, low_x, scale=2.0)
+    _synthesize_axis(low_x, quads.a, f.h, f.start, 0, 2.0)
+    _synthesize_axis(low_x, quads.v, g.g, g.start, 0, 2.0)
     high_x = np.zeros((2 * n2, m2), dtype=dtype)
-    _filter_axis_up(quads.h, f.h, f.start, 0, high_x, scale=2.0)
-    _filter_axis_up(quads.d, g.g, g.start, 0, high_x, scale=2.0)
+    _synthesize_axis(high_x, quads.h, f.h, f.start, 0, 2.0)
+    _synthesize_axis(high_x, quads.d, g.g, g.start, 0, 2.0)
     # Undo the row pass.
     out = np.zeros((2 * n2, 2 * m2), dtype=dtype)
-    _filter_axis_up(low_x, f.h, f.start, 1, out, scale=1.0)
-    _filter_axis_up(high_x, g.g, g.start, 1, out, scale=1.0)
-    return out
+    _synthesize_axis(out, low_x, f.h, f.start, 1, 1.0)
+    return _synthesize_axis(out, high_x, g.g, g.start, 1, 1.0)
 
 
 def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:
@@ -199,8 +162,7 @@ def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:
     shorter than the filter, so the deepest averages plane may reach 1x1
     (unlike the 1-d rule, which keeps the final level at filter length).
     """
-    c, _ = coefficients_of(f)
-    floor = max(c.size, 2)
+    floor = max(f.length, 2)
     lev = 0
     n, m = shape
     while n % 2 == 0 and m % 2 == 0 and n >= floor and m >= floor:
@@ -215,8 +177,7 @@ def dwt2d(img, f: FilterSpec, n_lev: int) -> ImagePyramid:
     arr = _checked_image(img, f)
     if not isinstance(n_lev, (int, np.integer)) or n_lev < 1:
         raise LevelError(f"level count must be a positive integer, got {n_lev!r}")
-    c, _ = coefficients_of(f)
-    floor = max(c.size, 2)
+    floor = max(f.length, 2)
     for n in arr.shape:
         if n % (1 << n_lev) != 0 or (n >> (n_lev - 1)) < floor:
             raise LevelError(

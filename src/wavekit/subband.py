@@ -10,6 +10,14 @@ with g the derived high-pass companion. Synthesis is the adjoint and the two
 compose to the identity whenever the filter passes ``qmf_check``: the
 downsampling operators are isometries with orthogonal ranges summing to the
 whole space, which ``cuntz_check`` verifies on materialized matrices.
+
+One kernel pair, ``_analyze_axis`` and its adjoint ``_synthesize_axis``,
+runs every step here and in :mod:`wavekit.image2d`, along any one axis. It
+works on the even and odd phases x[0::2], x[1::2] (the pyramid algorithm of
+Mallat 1989): sample (2i+s) mod n is phase s mod 2 shifted cyclically by
+floor(s/2), so a band costs L contiguous multiply-adds over half-length
+slices, with no index arrays. ``subband_matrices`` keeps its own index
+formula, so the tests check the kernel against an independent oracle.
 """
 from __future__ import annotations
 
@@ -18,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelError, ParameterError, ShapeError, SizeError
-from .filters import (
-    DerivedFilter,
-    FilterSpec,
-    coefficients_of,
-    derive_highpass,
-)
+from .filters import FilterSpec, derive_highpass
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -120,34 +123,60 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _analyze(x: np.ndarray, c: np.ndarray, start: int) -> np.ndarray:
-    n = x.size
-    half = n // 2
-    idx = (2 * np.arange(half)[:, None] + start + np.arange(c.size)[None, :]) % n
-    return SQRT2 * (x[idx] @ np.conj(c))
+def _analyze_axis(
+    x: np.ndarray, c: np.ndarray, start: int, axis: int, scale: float
+) -> np.ndarray:
+    """scale * sum_t conj(c_t) x_{(2i+start+t) mod n} along ``axis``.
 
-
-def _synthesize_into(out: np.ndarray, coeffs: np.ndarray, c: np.ndarray, start: int):
-    m = coeffs.size
-    n = out.size
-    base = 2 * np.arange(m)
-    for t in range(c.size):
-        pos = (base + start + t) % n
-        # positions are distinct for a fixed tap (stride-2 walk on an even ring)
-        out[pos] += SQRT2 * c[t] * coeffs
+    With s = start + t, sample (2i+s) mod n is entry (i + s//2) mod n/2 of
+    the phase x[s%2::2], so each tap adds that phase shifted cyclically: two
+    contiguous slices, or one when the shift is zero. No index arrays.
+    """
+    xs = x.swapaxes(0, axis)
+    half = xs.shape[0] // 2
+    shape = list(x.shape)
+    shape[axis] = half
+    out = np.zeros(shape, dtype=np.result_type(x.dtype, c.dtype, np.float64))
+    acc = out.swapaxes(0, axis)
+    phases = (xs[0::2], xs[1::2])
+    for t, ct in enumerate(np.conj(c)):
+        phase = phases[(start + t) % 2]
+        k = ((start + t) // 2) % half
+        acc[: half - k] += ct * phase[k:]
+        if k:
+            acc[half - k :] += ct * phase[:k]
+    out *= scale
     return out
 
 
-def _checked_signal(x, length_for: FilterSpec | DerivedFilter) -> np.ndarray:
+def _synthesize_axis(
+    out: np.ndarray, y: np.ndarray, c: np.ndarray, start: int, axis: int, scale: float
+) -> np.ndarray:
+    """Adjoint of :func:`_analyze_axis`: add the upsampled, filtered ``y`` into
+    ``out`` (twice y's length along ``axis``), as scale * c_t * y per tap
+    into the shifted phase out[s%2::2]."""
+    ys = y.swapaxes(0, axis)
+    half = ys.shape[0]
+    acc = out.swapaxes(0, axis)
+    phases = (acc[0::2], acc[1::2])
+    for t, ct in enumerate(c):
+        phase = phases[(start + t) % 2]
+        k = ((start + t) // 2) % half
+        phase[k:] += scale * ct * ys[: half - k]
+        if k:
+            phase[:k] += scale * ct * ys[half - k :]
+    return out
+
+
+def _checked_signal(x, f: FilterSpec) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x))
     if arr.ndim != 1:
         raise SizeError("signals must be 1-d")
-    c, _ = coefficients_of(length_for)
     if arr.size < 2 or arr.size % 2 != 0:
         raise SizeError(f"signal length {arr.size} must be even and at least 2")
-    if arr.size < c.size:
+    if arr.size < f.length:
         raise SizeError(
-            f"signal length {arr.size} is shorter than the filter ({c.size} taps)"
+            f"signal length {arr.size} is shorter than the filter ({f.length} taps)"
         )
     return arr
 
@@ -162,8 +191,8 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
     arr = _checked_signal(x, f)
     g = derive_highpass(f)
     return SubbandPair(
-        y=_analyze(arr, f.h, f.start),
-        z=_analyze(arr, g.g, g.start),
+        y=_analyze_axis(arr, f.h, f.start, 0, SQRT2),
+        z=_analyze_axis(arr, g.g, g.start, 0, SQRT2),
     )
 
 
@@ -175,15 +204,13 @@ def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
         raise ShapeError("cannot synthesize from empty bands")
     dtype = np.result_type(p.y.dtype, p.z.dtype, f.h.dtype, np.float64)
     out = np.zeros(2 * m, dtype=dtype)
-    _synthesize_into(out, np.asarray(p.y), f.h, f.start)
-    _synthesize_into(out, np.asarray(p.z), g.g, g.start)
-    return out
+    _synthesize_axis(out, p.y, f.h, f.start, 0, SQRT2)
+    return _synthesize_axis(out, p.z, g.g, g.start, 0, SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
     """Largest admissible pyramid depth for an n-point signal."""
-    c, _ = coefficients_of(f)
-    floor = max(c.size, 2)
+    floor = max(f.length, 2)
     lev = 0
     while n % 2 == 0 and n // 2 >= floor:
         n //= 2
@@ -194,8 +221,7 @@ def max_levels(n: int, f: FilterSpec) -> int:
 def _check_levels(n: int, f: FilterSpec, n_lev: int):
     if not isinstance(n_lev, (int, np.integer)) or n_lev < 1:
         raise LevelError(f"level count must be a positive integer, got {n_lev!r}")
-    c, _ = coefficients_of(f)
-    floor = max(c.size, 2)
+    floor = max(f.length, 2)
     if n % (1 << n_lev) != 0 or n >> n_lev < floor:
         raise LevelError(
             f"{n_lev} levels need a length divisible by {1 << n_lev} with "

@@ -1,0 +1,35 @@
+import numpy as np
+import pytest
+
+
+def lattice_lowpass(angles) -> np.ndarray:
+    """Real orthogonal low-pass filter of length 2K from K lattice angles,
+    scaled to sum 1.
+
+    Each stage rotates the polyphase pair (even, odd) and delays the odd
+    component by one sample (Vaidyanathan & Hoang 1988); rotations and delays
+    are lossless, so the even-lag autocorrelation vanishes for any angles.
+    Angles summing to pi/4 make the taps sum to sqrt(2) before scaling.
+    """
+    even, odd = np.array([np.cos(angles[0])]), np.array([np.sin(angles[0])])
+    for theta in angles[1:]:
+        even, odd = np.append(even, 0.0), np.insert(odd, 0, 0.0)
+        even, odd = (
+            np.cos(theta) * even - np.sin(theta) * odd,
+            np.sin(theta) * even + np.cos(theta) * odd,
+        )
+    h = np.empty(2 * even.size)
+    h[0::2], h[1::2] = even, odd
+    return h / h.sum()
+
+
+@pytest.fixture(scope="session")
+def lattice_filters() -> list[np.ndarray]:
+    """Five seeded lattice filters for each K = 1..8 (lengths 2..16)."""
+    rng = np.random.default_rng(19880101)
+    out = []
+    for k in range(1, 9):
+        for _ in range(5):
+            free = rng.uniform(0.0, 2.0 * np.pi, size=k - 1)
+            out.append(lattice_lowpass(np.append(free, np.pi / 4 - free.sum())))
+    return out

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavekit.errors import LevelError, ParameterError, ShapeError, SizeError
-from wavekit.filters import builtin_filter
+from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import (
     ImagePyramid,
+    LevelDetail,
     Quantizer,
     dequantize,
     dwt2d,
@@ -16,6 +17,7 @@ from wavekit.image2d import (
     quantize,
     snap_to_lattice,
 )
+from wavekit.subband import subband_matrices
 
 RNG = np.random.default_rng(7041776)
 
@@ -190,3 +192,33 @@ def test_preview_layout_constant_plane_is_mid_gray():
     assert np.all(mosaic[:2, 2:] == 128)
     assert np.all(mosaic[2:, :2] == 128)
     assert np.all(mosaic[2:, 2:] == 128)
+
+
+def test_step_matches_kronecker_form_complex_rectangular():
+    """Each quadrant is A_y X A_x^T with the 1-d analysis matrices for the
+    column (y) and row (x) lengths, for a complex filter and image."""
+    h = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
+    f = FilterSpec("complex", h, -1, normalized=False)
+    img = RNG.standard_normal((10, 6)) + 1j * RNG.standard_normal((10, 6))
+    my, mx = subband_matrices(f, 10), subband_matrices(f, 6)
+    q = dwt2d_step(img, f)
+    for plane, ay, ax in (
+        (q.a, my.analysis_low, mx.analysis_low),
+        (q.h, my.analysis_low, mx.analysis_high),
+        (q.v, my.analysis_high, mx.analysis_low),
+        (q.d, my.analysis_high, mx.analysis_high),
+    ):
+        assert_allclose(plane, ay @ img @ ax.T, rtol=0, atol=1e-12)
+
+
+def test_step_and_synthesis_are_adjoint():
+    """<step(X), Q> = <X, synthesis(Q)> for random complex X and quadrants."""
+    h = RNG.standard_normal(6) + 1j * RNG.standard_normal(6)
+    f = FilterSpec("complex", h, 3, normalized=False)
+    img = RNG.standard_normal((12, 8)) + 1j * RNG.standard_normal((12, 8))
+    planes = [RNG.standard_normal((6, 4)) + 1j * RNG.standard_normal((6, 4)) for _ in range(4)]
+    q = dwt2d_step(img, f)
+    forward = sum(np.vdot(b, a) for a, b in zip((q.a, q.h, q.v, q.d), planes))
+    a, hh, v, d = planes
+    back = idwt2d(ImagePyramid(details=(LevelDetail(h=hh, v=v, d=d),), approx=a), f)
+    assert forward == pytest.approx(np.vdot(back, img), rel=1e-12)

@@ -218,3 +218,57 @@ def test_shift_by_two_commutes_through_analysis():
     p1 = analysis_step(np.roll(x, 2), f)
     assert_allclose(p1.y, np.roll(p0.y, 1), atol=1e-13)
     assert_allclose(p1.z, np.roll(p0.z, 1), atol=1e-13)
+
+
+def _check_steps_against_matrices(f: FilterSpec, n: int):
+    """analysis_step and synthesis_step equal the materialized operators,
+    which subband_matrices builds from its own index formula."""
+    m = subband_matrices(f, n)
+    x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+    p = analysis_step(x, f)
+    assert_allclose(p.y, m.analysis_low @ x, rtol=0, atol=1e-13)
+    assert_allclose(p.z, m.analysis_high @ x, rtol=0, atol=1e-13)
+    y = RNG.standard_normal(n // 2) + 1j * RNG.standard_normal(n // 2)
+    z = RNG.standard_normal(n // 2) + 1j * RNG.standard_normal(n // 2)
+    assert_allclose(
+        synthesis_step(SubbandPair(y=y, z=z), f),
+        m.synthesis_low @ y + m.synthesis_high @ z,
+        rtol=0,
+        atol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("start", (-3, 0, 5))
+def test_steps_match_matrices_on_lattice_filters(lattice_filters, start):
+    """n = L, the shortest signal allowed, is where the most taps wrap."""
+    for h in lattice_filters:
+        f = FilterSpec("lattice", h, start)
+        for n in (h.size, 2 * h.size, 2 * h.size + 6):
+            _check_steps_against_matrices(f, n)
+
+
+def test_steps_match_matrices_odd_length_filter():
+    f = FilterSpec("odd", np.array([0.3, -0.2, 0.7]), start=1, normalized=False)
+    for n in (4, 6, 10):
+        _check_steps_against_matrices(f, n)
+
+
+def test_steps_match_matrices_complex_filter():
+    h = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
+    for start in (-2, 0, 3):
+        f = FilterSpec("complex", h, start, normalized=False)
+        for n in (6, 8, 14):
+            _check_steps_against_matrices(f, n)
+
+
+def test_single_precision_signal_is_filtered_in_double():
+    f = builtin_filter("db4")
+    x = RNG.standard_normal(32).astype(np.float32)
+    p, ref = analysis_step(x, f), analysis_step(x.astype(np.float64), f)
+    assert p.y.dtype == p.z.dtype == np.float64
+    assert np.array_equal(p.y, ref.y) and np.array_equal(p.z, ref.z)
+    pair = SubbandPair(y=p.y.astype(np.float32), z=p.z.astype(np.float32))
+    back = synthesis_step(pair, f)
+    assert back.dtype == np.float64
+    wide = SubbandPair(y=pair.y.astype(np.float64), z=pair.z.astype(np.float64))
+    assert np.array_equal(back, synthesis_step(wide, f))

@@ -114,3 +114,36 @@ def test_format_verdict_lines():
     assert lines[2].startswith("eigs=")
     # three eigenvalues for the 3x3 haar operator
     assert len(lines[2][len("eigs="):].split(";")) == 3
+
+
+def _upsampled(h: np.ndarray, factor: int) -> np.ndarray:
+    out = np.zeros(factor * (h.size - 1) + 1)
+    out[::factor] = h
+    return out
+
+
+def test_svd_rank_matches_pivoted_qr_rank(lattice_filters):
+    """The singular-value rank that decides lawton_test agrees with a
+    column-pivoted QR rank at the same threshold. Lattice filters keep their
+    ONB verdict; upsampling by an odd factor (stretched_haar is haar
+    upsampled by 3) leaves the QMF relations intact but makes eigenvalue 1
+    of the transfer operator degenerate."""
+    linalg = pytest.importorskip("scipy.linalg")
+    cases = [(FilterSpec("lattice", h), "ONB") for h in lattice_filters]
+    cases += [
+        (FilterSpec(f"up{factor}", _upsampled(h, factor)), "NOT_ONB")
+        for h in lattice_filters[:20]
+        for factor in (3, 5)
+    ]
+    cases.append((builtin_filter("stretched_haar"), "NOT_ONB"))
+    for f, verdict in cases:
+        v = lawton_test(f)
+        r_minus_i = build_transfer_matrix(f).matrix - np.eye(2 * f.length - 1)
+        _, r, _ = linalg.qr(r_minus_i, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        qr_rank = np.count_nonzero(diag > v.tolerance * max(1.0, diag.max()))
+        assert v.multiplicity == r_minus_i.shape[0] - qr_rank
+        assert v.multiplicity == v.bucket_multiplicity
+        assert v.verdict == verdict
+        if verdict == "NOT_ONB":
+            assert v.multiplicity >= 2
