@@ -43,8 +43,8 @@ print("------------------------------------------------")
 for name in ("haar", "db4"):
     f = builtin_filter(name)
     g = derive_highpass(f)
-    taps = ", ".join(f"{v:+.6f}" for v in g.g)
-    print(f"{name:>15}: start {g.start}, taps [{taps}], sum {g.g.sum():+.1e}")
+    taps = ", ".join(f"{v:+.6f}" for v in g.h)
+    print(f"{name:>15}: start {g.start}, taps [{taps}], sum {g.h.sum():+.1e}")
 
 print()
 print("symbol values on the unit circle")

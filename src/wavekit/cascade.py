@@ -178,7 +178,7 @@ def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False)
     J = resolution
     x0 = (2.0 - L) / 2.0
     n_vals = (L - 1) * (1 << J) + 1
-    values = np.zeros(n_vals, dtype=np.result_type(phi.values.dtype, g.g.dtype))
+    values = np.zeros(n_vals, dtype=np.result_type(phi.values.dtype, g.h.dtype))
     m = np.arange(n_vals)
     # psi sample m sits at x = x0 + m/2^J; the argument 2x - i lands on phi's
     # level-J grid at index (2*x0 - i - start)*2^J + 2m.
@@ -188,5 +188,5 @@ def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False)
         q = base + 2 * m
         ok = (q >= 0) & (q < phi.values.size)
         if np.any(ok):
-            values[ok] += 2.0 * g.g[t] * phi.values[q[ok]]
+            values[ok] += 2.0 * g.h[t] * phi.values[q[ok]]
     return DyadicFunction(x0=x0, level=J, values=values, kind="psi")

@@ -29,7 +29,8 @@ psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -103,15 +104,17 @@ class SampledFunction:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzingWavelet:
     """A wavelet given by a vectorized evaluator on a known support.
 
     ``support`` is the closed interval outside which the wavelet is zero or
     negligibly small (catalog entries truncate where |psi| drops below
-    1e-10 of its peak). The admissibility constant is computed on demand and
-    cached; inadmissible wavelets (nonzero mean) stay constructible so the
-    failure surfaces where the constant is actually needed.
+    1e-10 of its peak). The wavelet is immutable: ``admissibility`` computes
+    its constant (at ``refine=1``) on first use and keeps it with the wavelet,
+    and ``dataclasses.replace`` gives a new wavelet that computes its own.
+    Inadmissible wavelets (nonzero mean) stay constructible so the failure
+    surfaces where the constant is actually needed.
     """
 
     name: str
@@ -120,13 +123,12 @@ class AnalyzingWavelet:
     #: For step-interpolated (sampled) wavelets, the native sample step;
     #: quadrature grids align to it so piecewise-constant sums stay exact.
     native_dx: float | None = None
-    _c: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.support
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ParameterError(f"support must be a finite interval, got {self.support!r}")
-        self.support = (float(lo), float(hi))
+        object.__setattr__(self, "support", (float(lo), float(hi)))
 
     @property
     def width(self) -> float:
@@ -134,6 +136,12 @@ class AnalyzingWavelet:
 
     def evaluate(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)))
+
+    @cached_property
+    def _admissibility(self) -> float:
+        # Filled on first use by admissibility(psi); not a field, so it
+        # cannot be passed in, and a raised error leaves nothing cached.
+        return _estimate_admissibility(self, 1)
 
 
 def _mexican_hat(x: np.ndarray) -> np.ndarray:
@@ -214,7 +222,7 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     the integrand is trapezoid-summed over the negative and positive
     frequency half-axes separately, excluding the w = 0 bin. ``refine``
     doubles (etc.) the sampling density for stability checks. The result for
-    refine=1 is cached on the wavelet.
+    refine=1 is computed once per wavelet; later calls return the same float.
 
     For sampled (step-interpolated) wavelets the grid is snapped to an
     integer number of points per native step and anchored at the support
@@ -227,9 +235,12 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     """
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ParameterError(f"refine must be a positive integer, got {refine!r}")
-    if psi._c is not None and refine == 1:
-        return psi._c
+    if refine == 1:
+        return psi._admissibility
+    return _estimate_admissibility(psi, refine)
 
+
+def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     lo, hi = psi.support
     width = hi - lo
     target = width / (ADMISSIBILITY_SAMPLES * refine)
@@ -278,9 +289,6 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
             f"spectrum of {psi.name!r} has not decayed at the sampling "
             "Nyquist frequency; refine the grid"
         )
-
-    if refine == 1:
-        psi._c = total
     return total
 
 

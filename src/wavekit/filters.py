@@ -9,10 +9,17 @@ lag-orthogonality conditions
     sum_i conj(h_i) h_{i+2k} = 1/2 * delta_{k,0}
 
 hold. ``qmf_check`` measures exactly those residuals.
+
+The high-pass companion g_k = (-1)^k conj(h_{1-k}) is another finite filter,
+so ``derive_highpass`` returns it as a ``FilterSpec`` (``normalized=False``,
+since its coefficients sum to 0 for an orthogonal pair). Each spec computes
+its companion once and keeps it, so repeated filter-bank steps on one filter
+share one companion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,22 +30,6 @@ SUM_TOLERANCE = 1e-12
 
 #: How far |z| may sit from 1 in ``symbol_eval``.
 UNIT_CIRCLE_TOLERANCE = 1e-9
-
-
-def _frozen_coeffs(values, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values))
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{what} must be a nonempty 1-d sequence")
-    if not np.issubdtype(arr.dtype, np.inexact):
-        arr = arr.astype(np.float64)
-    else:
-        arr = arr.copy()
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} must be finite")
-    if not np.any(arr != 0):
-        raise DomainError(f"{what} must not be identically zero")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,18 @@ class FilterSpec:
     normalized: bool = True
 
     def __post_init__(self):
-        arr = _frozen_coeffs(self.h, "filter coefficients")
+        arr = np.atleast_1d(np.asarray(self.h))
+        if arr.ndim != 1 or arr.size == 0:
+            raise DomainError("filter coefficients must be a nonempty 1-d sequence")
+        if not np.issubdtype(arr.dtype, np.inexact):
+            arr = arr.astype(np.float64)
+        else:
+            arr = arr.copy()
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("filter coefficients must be finite")
+        if not np.any(arr != 0):
+            raise DomainError("filter coefficients must not be identically zero")
+        arr.setflags(write=False)
         object.__setattr__(self, "h", arr)
         object.__setattr__(self, "start", int(self.start))
         if self.normalized and abs(arr.sum() - 1.0) > SUM_TOLERANCE:
@@ -78,26 +80,15 @@ class FilterSpec:
     def indices(self) -> np.ndarray:
         return np.arange(self.start, self.stop)
 
-
-@dataclass(frozen=True)
-class DerivedFilter:
-    """High-pass companion coefficients ``g`` with their starting index."""
-
-    g: np.ndarray
-    start: int
-
-    def __post_init__(self):
-        arr = _frozen_coeffs(self.g, "derived coefficients")
-        object.__setattr__(self, "g", arr)
-        object.__setattr__(self, "start", int(self.start))
-
-    @property
-    def length(self) -> int:
-        return self.g.size
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.g.size
+    @cached_property
+    def _highpass(self) -> FilterSpec:
+        # Filled on first use by derive_highpass; not a field, so it stays out
+        # of __init__, equality and repr, and dataclasses.replace recomputes it.
+        gstart = 2 - self.start - self.length
+        ks = np.arange(gstart, gstart + self.length)
+        # h_{1-k} runs through h in reverse as k increases.
+        g = np.where(ks % 2 == 0, 1.0, -1.0) * np.conj(self.h[::-1])
+        return FilterSpec(f"{self.name}:highpass", g, gstart, normalized=False)
 
 
 @dataclass(frozen=True)
@@ -155,31 +146,19 @@ def builtin_filter(name: str) -> FilterSpec:
         ) from None
 
 
-def coefficients_of(f: FilterSpec | DerivedFilter) -> tuple[np.ndarray, int]:
-    """(coefficients, start) for either a low-pass spec or a derived high-pass."""
-    if isinstance(f, FilterSpec):
-        return f.h, f.start
-    if isinstance(f, DerivedFilter):
-        return f.g, f.start
-    raise ParameterError(f"expected FilterSpec or DerivedFilter, got {type(f).__name__}")
+def derive_highpass(f: FilterSpec) -> FilterSpec:
+    """High-pass companion g_k = (-1)^k conj(h_{1-k}), as a ``FilterSpec``.
 
-
-def derive_highpass(f: FilterSpec | DerivedFilter) -> DerivedFilter:
-    """High-pass companion g_k = (-1)^k conj(h_{1-k}).
-
-    The support of g is ``2 - start - L .. 1 - start``. Applying the
-    reflection twice returns the negated input (the convention is an
+    The companion is named ``"<name>:highpass"``, has ``normalized=False``
+    and is supported on ``2 - start - L .. 1 - start``. It is computed once
+    per spec: every call on the same spec returns the same object. Applying
+    the reflection twice returns the negated input (the convention is an
     involution up to sign), which is exercised in the tests.
     """
-    h, start = coefficients_of(f)
-    gstart = 2 - start - h.size
-    ks = np.arange(gstart, gstart + h.size)
-    # h_{1-k} runs through h in reverse as k increases.
-    g = np.where(ks % 2 == 0, 1.0, -1.0) * np.conj(h[::-1])
-    return DerivedFilter(g, gstart)
+    return f._highpass
 
 
-def qmf_check(f: FilterSpec | DerivedFilter, tol: float = 1e-12) -> QmfReport:
+def qmf_check(f: FilterSpec, tol: float = 1e-12) -> QmfReport:
     """Evaluate the lag-orthogonality residuals of ``f``.
 
     Residuals are reported for every lag k with support overlap, i.e.
@@ -187,7 +166,7 @@ def qmf_check(f: FilterSpec | DerivedFilter, tol: float = 1e-12) -> QmfReport:
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be a nonneg finite float")
-    h, _ = coefficients_of(f)
+    h = f.h
     kmax = (h.size - 1) // 2
     lags = np.arange(-kmax, kmax + 1)
     residuals = np.empty(lags.size, dtype=np.result_type(h, np.complex128))
@@ -208,28 +187,25 @@ def qmf_check(f: FilterSpec | DerivedFilter, tol: float = 1e-12) -> QmfReport:
     )
 
 
-def symbol_eval(f: FilterSpec | DerivedFilter, which: str, z):
+def symbol_eval(f: FilterSpec, which: str, z):
     """Evaluate the frequency symbol sum_k c_k z^k on the unit circle.
 
     ``which`` selects the coefficient set: "low" uses the filter itself,
     "high" its derived high-pass companion. ``z`` may be a complex scalar or
     array; every entry must satisfy ||z| - 1| <= 1e-9.
     """
-    if which == "low":
-        c, start = coefficients_of(f)
-    elif which == "high":
-        d = derive_highpass(f)
-        c, start = d.g, d.start
-    else:
+    if which == "high":
+        f = derive_highpass(f)
+    elif which != "low":
         raise ParameterError(f"which must be 'low' or 'high', got {which!r}")
     zarr = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(np.abs(zarr) - 1.0) > UNIT_CIRCLE_TOLERANCE):
         raise DomainError("symbol_eval is defined on the unit circle only")
     # Horner on descending powers, then shift by the starting index.
     acc = np.zeros_like(zarr)
-    for coeff in c[::-1]:
+    for coeff in f.h[::-1]:
         acc = acc * zarr + coeff
-    acc = acc * zarr**start
+    acc = acc * zarr**f.start
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(acc)
     return acc

@@ -127,12 +127,12 @@ def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:
     arr = _checked_image(img, f)
     g = derive_highpass(f)
     low_x = _analyze_axis(arr, f.h, f.start, 1, 1.0)
-    high_x = _analyze_axis(arr, g.g, g.start, 1, 1.0)
+    high_x = _analyze_axis(arr, g.h, g.start, 1, 1.0)
     return QuadDecomp(
         a=_analyze_axis(low_x, f.h, f.start, 0, 2.0),
         h=_analyze_axis(high_x, f.h, f.start, 0, 2.0),
-        v=_analyze_axis(low_x, g.g, g.start, 0, 2.0),
-        d=_analyze_axis(high_x, g.g, g.start, 0, 2.0),
+        v=_analyze_axis(low_x, g.h, g.start, 0, 2.0),
+        d=_analyze_axis(high_x, g.h, g.start, 0, 2.0),
     )
 
 
@@ -145,14 +145,14 @@ def _synthesis_step2d(quads: QuadDecomp, f: FilterSpec) -> np.ndarray:
     # Undo the column pass (carrying the single exact factor 2).
     low_x = np.zeros((2 * n2, m2), dtype=dtype)
     _synthesize_axis(low_x, quads.a, f.h, f.start, 0, 2.0)
-    _synthesize_axis(low_x, quads.v, g.g, g.start, 0, 2.0)
+    _synthesize_axis(low_x, quads.v, g.h, g.start, 0, 2.0)
     high_x = np.zeros((2 * n2, m2), dtype=dtype)
     _synthesize_axis(high_x, quads.h, f.h, f.start, 0, 2.0)
-    _synthesize_axis(high_x, quads.d, g.g, g.start, 0, 2.0)
+    _synthesize_axis(high_x, quads.d, g.h, g.start, 0, 2.0)
     # Undo the row pass.
     out = np.zeros((2 * n2, 2 * m2), dtype=dtype)
     _synthesize_axis(out, low_x, f.h, f.start, 1, 1.0)
-    return _synthesize_axis(out, high_x, g.g, g.start, 1, 1.0)
+    return _synthesize_axis(out, high_x, g.h, g.start, 1, 1.0)
 
 
 def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:

@@ -192,7 +192,7 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
     g = derive_highpass(f)
     return SubbandPair(
         y=_analyze_axis(arr, f.h, f.start, 0, SQRT2),
-        z=_analyze_axis(arr, g.g, g.start, 0, SQRT2),
+        z=_analyze_axis(arr, g.h, g.start, 0, SQRT2),
     )
 
 
@@ -205,7 +205,7 @@ def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     dtype = np.result_type(p.y.dtype, p.z.dtype, f.h.dtype, np.float64)
     out = np.zeros(2 * m, dtype=dtype)
     _synthesize_axis(out, p.y, f.h, f.start, 0, SQRT2)
-    return _synthesize_axis(out, p.z, g.g, g.start, 0, SQRT2)
+    return _synthesize_axis(out, p.z, g.h, g.start, 0, SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
@@ -270,7 +270,7 @@ def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:
         raise SizeError(f"n must be even and positive, got {n}")
     g = derive_highpass(f)
     hp = _periodized(f.h, f.start, n)
-    gp = _periodized(g.g, g.start, n)
+    gp = _periodized(g.h, g.start, n)
     half = n // 2
     i = np.arange(n)[:, None]
     j = np.arange(half)[None, :]

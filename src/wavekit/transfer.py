@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .filters import DerivedFilter, FilterSpec, coefficients_of, qmf_check
+from .filters import FilterSpec, qmf_check
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ class OnbVerdict:
         return self.verdict == "ONB"
 
 
-def autocorrelation(f: FilterSpec | DerivedFilter) -> Autocorrelation:
+def autocorrelation(f: FilterSpec) -> Autocorrelation:
     """w_k = sum_i conj(h_i) h_{i+k} for |k| <= L-1 (start-independent)."""
-    h, _ = coefficients_of(f)
+    h = f.h
     # numpy cross-correlation: correlate(a, v, "full")[N-1+k] = sum a_{n+k} conj(v_n)
     w = np.correlate(h, h, mode="full")
     if np.isrealobj(h):
@@ -89,10 +89,9 @@ def autocorrelation(f: FilterSpec | DerivedFilter) -> Autocorrelation:
     return Autocorrelation(w=w, min_lag=-(h.size - 1))
 
 
-def build_transfer_matrix(f: FilterSpec | DerivedFilter) -> TransferMatrix:
+def build_transfer_matrix(f: FilterSpec) -> TransferMatrix:
     """Materialize R on the invariant mode window."""
-    h, _ = coefficients_of(f)
-    K = h.size - 1
+    K = f.length - 1
     ac = autocorrelation(f)
     modes = np.arange(-K, K + 1)
     lag = 2 * modes[:, None] - modes[None, :]

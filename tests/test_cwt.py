@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,39 @@ def test_admissibility_refinement_stable():
 def test_admissibility_cached():
     psi = named_wavelet("mexican_hat")
     assert admissibility(psi) is admissibility(psi)  # float identity via cache
+
+
+def test_admissibility_constant_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        AnalyzingWavelet("x", (0.0, 1.0), named_wavelet("haar_psi").fn, _c=42.0)
+
+
+def test_replaced_wavelet_recomputes_admissibility():
+    mex = named_wavelet("mexican_hat")
+    assert admissibility(mex) == pytest.approx(2 * np.pi, rel=0.01)
+    haar = named_wavelet("haar_psi")
+    swapped = dataclasses.replace(mex, fn=haar.fn, support=(0.0, 1.0))
+    assert admissibility(swapped) == admissibility(haar)
+
+
+def test_wavelet_fields_cannot_change_under_cached_constant():
+    psi = named_wavelet("mexican_hat")
+    c = admissibility(psi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.fn = named_wavelet("haar_psi").fn
+    assert admissibility(psi) is c
+
+
+def test_icwt_reuses_cached_admissibility():
+    """Once the constant is known, icwt evaluates psi only for its own
+    correlations (2n - 1 lags per scale)."""
+    f = windowed_sine(n=64)
+    counted, count = counting(named_wavelet("mexican_hat"))
+    admissibility(counted)
+    c = cwt(f, counted, CwtGrid(scales=geometric_scales(1.0, 8.0, 2), shifts=f.xs))
+    before = count[0]
+    icwt(c, counted)
+    assert count[0] - before == c.scales.size * (2 * f.size - 1)
 
 
 def test_haar_psi_admissibility_two_log_two():

@@ -5,10 +5,8 @@ from numpy.testing import assert_allclose
 from wavekit.errors import CatalogError, DomainError, ParameterError
 from wavekit.filters import (
     BUILTIN_NAMES,
-    DerivedFilter,
     FilterSpec,
     builtin_filter,
-    coefficients_of,
     derive_highpass,
     qmf_check,
     symbol_eval,
@@ -99,7 +97,7 @@ def test_qmf_bad_tol():
 def test_highpass_haar():
     g = derive_highpass(builtin_filter("haar"))
     assert g.start == 0
-    assert_allclose(g.g, [0.5, -0.5], rtol=0, atol=0)
+    assert_allclose(g.h, [0.5, -0.5], rtol=0, atol=0)
 
 
 def test_highpass_db4():
@@ -107,33 +105,45 @@ def test_highpass_db4():
     f = builtin_filter("db4")
     g = derive_highpass(f)
     assert g.start == -2
-    assert_allclose(g.g, [f.h[3], -f.h[2], f.h[1], -f.h[0]], rtol=0, atol=0)
-    assert abs(g.g.sum()) < 1e-15
+    assert_allclose(g.h, [f.h[3], -f.h[2], f.h[1], -f.h[0]], rtol=0, atol=0)
+    assert abs(g.h.sum()) < 1e-15
 
 
 def test_highpass_delta():
     g = derive_highpass(FilterSpec("delta", np.array([1.0, 0.0]), 0))
     assert g.start == 0
-    assert_allclose(g.g, [0.0, -1.0], rtol=0, atol=0)
+    assert_allclose(g.h, [0.0, -1.0], rtol=0, atol=0)
 
 
 def test_highpass_is_involution_up_to_sign():
     f = builtin_filter("db4")
     gg = derive_highpass(derive_highpass(f))
     assert gg.start == f.start
-    assert_allclose(gg.g, -f.h, rtol=0, atol=0)
+    assert_allclose(gg.h, -f.h, rtol=0, atol=0)
 
 
 def test_highpass_complex_conjugates():
     h = np.array([0.5 + 0.25j, 0.5 - 0.25j])
     f = FilterSpec("cplx", h, 0)
     g = derive_highpass(f)
-    assert_allclose(g.g, [np.conj(h[1]), -np.conj(h[0])], rtol=0, atol=0)
+    assert_allclose(g.h, [np.conj(h[1]), -np.conj(h[0])], rtol=0, atol=0)
 
 
-def test_coefficients_of_rejects_junk():
-    with pytest.raises(ParameterError):
-        coefficients_of([0.5, 0.5])
+def test_highpass_identities_on_lattice_filters(lattice_filters):
+    """On generated orthogonal filters the companion passes qmf_check, the
+    reflection is an involution up to sign, and the cross-channel lags
+    sum_i conj(h_i) g_{i+2k} vanish for every k."""
+    for h in lattice_filters:
+        f = FilterSpec("lattice", h, 0)
+        g = derive_highpass(f)
+        assert qmf_check(g).passed
+        gg = derive_highpass(g)
+        assert gg.start == f.start
+        assert_allclose(gg.h, -f.h, rtol=0, atol=0)
+        # cross[j] = sum_i conj(h_i) g_{i+m}, m = j - (L-1) + (g.start - f.start)
+        cross = np.correlate(g.h, h, mode="full")
+        lags = np.arange(cross.size) - (h.size - 1) + (g.start - f.start)
+        assert np.abs(cross[lags % 2 == 0]).max() <= 1e-12
 
 
 def test_symbol_at_one_and_minus_one():
@@ -182,7 +192,12 @@ def test_symbol_respects_start_index():
     assert symbol_eval(shifted, "low", z) == pytest.approx(0.5 / z + 0.5)
 
 
-def test_derived_filter_frozen_storage():
-    d = DerivedFilter(np.array([1.0, -1.0]), -1)
-    assert d.length == 2 and d.stop == 1
-    assert not d.g.flags.writeable
+def test_derive_highpass_returns_cached_spec():
+    f = builtin_filter("db4")
+    g = derive_highpass(f)
+    assert isinstance(g, FilterSpec)
+    assert g.name == "db4:highpass"
+    assert g.normalized is False
+    assert g.length == 4 and g.stop == 2
+    assert not g.h.flags.writeable
+    assert derive_highpass(f) is g
