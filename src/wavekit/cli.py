@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,13 +90,16 @@ def _resolve_wavelet(token: str):
             raise FormatError(
                 f"wavelet {token!r}: resolution {level_text!r} is not an integer"
             ) from None
-        if level > MAX_CLI_RESOLUTION:
-            raise ParameterError(
-                f"cascade resolution {level} exceeds the CLI cap "
-                f"{MAX_CLI_RESOLUTION}"
-            )
-        return wavelet_from_filter(_resolve_filter(filter_token), level)
+        return wavelet_from_filter(_resolve_filter(filter_token), _capped(level))
     return named_wavelet("haar_psi" if token == "haar" else token)
+
+
+def _capped(resolution: int) -> int:
+    if resolution > MAX_CLI_RESOLUTION:
+        raise ParameterError(
+            f"cascade resolution {resolution} exceeds the CLI cap {MAX_CLI_RESOLUTION}"
+        )
+    return resolution
 
 
 def _parse_scales(token: str) -> np.ndarray:
@@ -248,12 +252,8 @@ def _run_transform(args) -> int:
 
 def _run_cascade(args) -> int:
     f = _resolve_filter(args.filter)
-    if args.resolution > MAX_CLI_RESOLUTION:
-        raise ParameterError(
-            f"resolution {args.resolution} exceeds the CLI cap {MAX_CLI_RESOLUTION}"
-        )
     build = scaling_function if args.which == "phi" else wavelet_function
-    d = build(f, args.resolution)
+    d = build(f, _capped(args.resolution))
     write_dyadic_csv(args.out, d)
     x_hi = d.x0 + d.step * (d.values.size - 1)
     integral = d.riemann_integral()
@@ -300,12 +300,10 @@ def _run_cwt(args) -> int:
         if args.out is None:
             raise ParameterError("--invert needs --out to place the reconstruction")
         rec = icwt(coeffs, psi)
-        weights = f.trapezoid_weights()
-        denom = float(np.sqrt((np.abs(f.values) ** 2 * weights).sum()))
+        denom = f.norm()
         if denom == 0.0:
             raise ParameterError("--invert needs a nonzero input signal")
-        err = float(np.sqrt((np.abs(rec.values - f.values) ** 2 * weights).sum()))
-        rel = err / denom
+        rel = replace(f, values=rec.values - f.values).norm() / denom
         root, ext = os.path.splitext(args.out)
         recon_path = f"{root}.recon{ext or '.csv'}"
         write_signal_csv(recon_path, rec.values)

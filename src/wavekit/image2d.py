@@ -9,11 +9,13 @@ column (the y direction, axis 0), yielding four quarter-size planes:
     d  high in both            (diagonal detail)
 
 On the 2x2 image [[1, 2], [3, 4]] with the haar filter this gives a=5, h=-1,
-v=-2, d=0, which the tests treat as the orientation contract. Each pass is
-the even/odd-phase kernel of :mod:`wavekit.subband` along one axis: L
-contiguous multiply-adds per band, with no index arrays. Repeating the
-step on ``a`` builds an ``ImagePyramid``; ``quantize``/``dequantize`` snap
-pyramid coefficients to a uniform lattice for storage.
+v=-2, d=0, which the tests treat as the orientation contract. A step is the
+1-d filter bank's separable split of :mod:`wavekit.subband` over the axes
+(1, 0), which yields the bands in the order (a, v, h, d), and its inverse
+the matching merge; both carry the single exact factor 2 on the column
+pass. Repeating the step on ``a`` builds an ``ImagePyramid``;
+``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
+for storage.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelError, ParameterError, ShapeError, SizeError
-from .filters import FilterSpec, derive_highpass
-from .subband import _analyze_axis, _synthesize_axis
+from .errors import ParameterError, ShapeError
+from .filters import FilterSpec
+from .subband import _check_levels, _checked, _merge, _split
 
 
 @dataclass(frozen=True)
@@ -103,20 +105,6 @@ class Quantizer:
             raise ParameterError(f"quantizer step must be positive, got {self.step!r}")
 
 
-def _checked_image(img, f: FilterSpec) -> np.ndarray:
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise SizeError("images must be 2-d arrays")
-    for n in arr.shape:
-        if n < 2 or n % 2 != 0:
-            raise SizeError(f"image dimensions must be even and >= 2, got {arr.shape}")
-        if n < f.length:
-            raise SizeError(
-                f"image dimension {n} is shorter than the filter ({f.length} taps)"
-            )
-    return arr
-
-
 def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:
     """One separable step: rows (x) first, then columns (y).
 
@@ -124,35 +112,8 @@ def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:
     the second pass, so integer images with short filters produce exact
     float results (the 2x2 oracle below relies on this).
     """
-    arr = _checked_image(img, f)
-    g = derive_highpass(f)
-    low_x = _analyze_axis(arr, f.h, f.start, 1, 1.0)
-    high_x = _analyze_axis(arr, g.h, g.start, 1, 1.0)
-    return QuadDecomp(
-        a=_analyze_axis(low_x, f.h, f.start, 0, 2.0),
-        h=_analyze_axis(high_x, f.h, f.start, 0, 2.0),
-        v=_analyze_axis(low_x, g.h, g.start, 0, 2.0),
-        d=_analyze_axis(high_x, g.h, g.start, 0, 2.0),
-    )
-
-
-def _synthesis_step2d(quads: QuadDecomp, f: FilterSpec) -> np.ndarray:
-    g = derive_highpass(f)
-    n2, m2 = quads.a.shape
-    dtype = np.result_type(
-        quads.a.dtype, quads.h.dtype, quads.v.dtype, quads.d.dtype, f.h.dtype, np.float64
-    )
-    # Undo the column pass (carrying the single exact factor 2).
-    low_x = np.zeros((2 * n2, m2), dtype=dtype)
-    _synthesize_axis(low_x, quads.a, f.h, f.start, 0, 2.0)
-    _synthesize_axis(low_x, quads.v, g.h, g.start, 0, 2.0)
-    high_x = np.zeros((2 * n2, m2), dtype=dtype)
-    _synthesize_axis(high_x, quads.h, f.h, f.start, 0, 2.0)
-    _synthesize_axis(high_x, quads.d, g.h, g.start, 0, 2.0)
-    # Undo the row pass.
-    out = np.zeros((2 * n2, 2 * m2), dtype=dtype)
-    _synthesize_axis(out, low_x, f.h, f.start, 1, 1.0)
-    return _synthesize_axis(out, high_x, g.h, g.start, 1, 1.0)
+    a, v, h, d = _split(_checked(img, f, 2), f, (1, 0), 2.0)
+    return QuadDecomp(a=a, h=h, v=v, d=d)
 
 
 def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:
@@ -161,6 +122,7 @@ def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:
     Each halving needs the plane it acts on to have even dimensions no
     shorter than the filter, so the deepest averages plane may reach 1x1
     (unlike the 1-d rule, which keeps the final level at filter length).
+    The admissible depths are exactly 1..max_levels_2d.
     """
     floor = max(f.length, 2)
     lev = 0
@@ -174,17 +136,8 @@ def max_levels_2d(shape: tuple[int, int], f: FilterSpec) -> int:
 
 def dwt2d(img, f: FilterSpec, n_lev: int) -> ImagePyramid:
     """Repeat ``dwt2d_step`` on the averages plane n_lev times."""
-    arr = _checked_image(img, f)
-    if not isinstance(n_lev, (int, np.integer)) or n_lev < 1:
-        raise LevelError(f"level count must be a positive integer, got {n_lev!r}")
-    floor = max(f.length, 2)
-    for n in arr.shape:
-        if n % (1 << n_lev) != 0 or (n >> (n_lev - 1)) < floor:
-            raise LevelError(
-                f"{n_lev} levels need dimensions divisible by {1 << n_lev} "
-                f"that stay >= {floor} while being halved; shape {arr.shape} "
-                f"admits {max_levels_2d(arr.shape, f)}"
-            )
+    arr = _checked(img, f, 2)
+    _check_levels(n_lev, max_levels_2d(arr.shape, f), f"shape {arr.shape}")
     details = []
     current = arr
     for _ in range(n_lev):
@@ -204,9 +157,8 @@ def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
                 f"detail level {level + 1} planes have shape {t.h.shape}, "
                 f"expected {current.shape}"
             )
-        current = _synthesis_step2d(
-            QuadDecomp(a=current, h=np.asarray(t.h), v=np.asarray(t.v), d=np.asarray(t.d)), f
-        )
+        q = QuadDecomp(a=current, h=t.h, v=t.v, d=t.d)
+        current = _merge((q.a, q.v, q.h, q.d), f, (1, 0), 2.0)
     return current
 
 

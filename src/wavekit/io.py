@@ -27,7 +27,7 @@ CONTAINER_MAGIC = "wavekit-pyr1"
 
 def format_value(v) -> str:
     """One float or complex scalar at full (17 significant digit) precision."""
-    if isinstance(v, complex) or np.iscomplexobj(v):
+    if not isinstance(v, float) and (isinstance(v, complex) or np.iscomplexobj(v)):
         c = complex(v)
         return f"{c.real:.17g}{c.imag:+.17g}i"
     return f"{float(v):.17g}"
@@ -50,8 +50,8 @@ def parse_value(token: str):
     return value
 
 
-def _format_array_line(row: np.ndarray) -> str:
-    return ",".join(format_value(v) for v in row)
+def _format_array_line(row) -> str:
+    return ",".join(map(format_value, row))
 
 
 # ---------------------------------------------------------------------------
@@ -208,41 +208,53 @@ def read_filter_file(path: str) -> FilterSpec:
 # pyramid containers
 
 
-def _block_lines(label: str, plane: np.ndarray) -> list[str]:
-    lines = [f"[{label}]"]
-    if plane.ndim == 1:
-        lines.extend(format_value(v) for v in plane)
-    else:
-        lines.extend(_format_array_line(row) for row in plane)
-    return lines
+def _layout(levels: int, shape: tuple[int, ...]) -> list[tuple[str, tuple[int, int]]]:
+    """(label, plane shape) of every block in file order.
+
+    A 1-d pyramid of ``shape=(n,)`` stores ``[detail-1]`` .. ``[detail-k]``
+    and ``[approx]`` as one-column planes; an image pyramid of
+    ``shape=(rows, cols)`` stores ``[h-l]``, ``[v-l]``, ``[d-l]`` per level
+    and a final ``[a]``.
+    """
+    if len(shape) == 1:
+        (n,) = shape
+        blocks = [(f"detail-{l}", (n >> l, 1)) for l in range(1, levels + 1)]
+        return blocks + [("approx", (n >> levels, 1))]
+    rows, cols = shape
+    blocks = [
+        (f"{band}-{l}", (rows >> l, cols >> l))
+        for l in range(1, levels + 1)
+        for band in "hvd"
+    ]
+    return blocks + [("a", (rows >> levels, cols >> levels))]
 
 
 def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     """Serialize a 1-d or 2-d pyramid with full-precision decimals.
 
-    1-d layout: header with ``len``, then ``[detail-1]`` .. ``[detail-k]``
-    blocks (one value per line) and a final ``[approx]`` block. 2-d layout:
-    header with ``dims: <rows>x<cols>``, then per level ``[h-l]``, ``[v-l]``,
-    ``[d-l]`` blocks of CSV rows and a final ``[a]`` block.
+    The header carries ``len: <n>`` (1-d) or ``dims: <rows>x<cols>`` (2-d);
+    the blocks follow ``_layout``, one CSV row per plane row, so a 1-d block
+    holds one value per line.
     """
-    lines = [f"magic: {CONTAINER_MAGIC}", f"filter: {filter_name}"]
     if isinstance(pyramid, Pyramid1D):
-        lines.append(f"levels: {pyramid.levels}")
-        lines.append(f"len: {pyramid.signal_length}")
-        for l, detail in enumerate(pyramid.details, start=1):
-            lines.extend(_block_lines(f"detail-{l}", detail))
-        lines.extend(_block_lines("approx", pyramid.approx))
+        size = f"len: {pyramid.signal_length}"
+        shape = (pyramid.signal_length,)
+        planes = [np.asarray(v)[:, None] for v in (*pyramid.details, pyramid.approx)]
     elif isinstance(pyramid, ImagePyramid):
-        rows, cols = pyramid.image_shape
-        lines.append(f"levels: {pyramid.levels}")
-        lines.append(f"dims: {rows}x{cols}")
-        for l, detail in enumerate(pyramid.details, start=1):
-            lines.extend(_block_lines(f"h-{l}", detail.h))
-            lines.extend(_block_lines(f"v-{l}", detail.v))
-            lines.extend(_block_lines(f"d-{l}", detail.d))
-        lines.extend(_block_lines("a", pyramid.approx))
+        shape = pyramid.image_shape
+        size = f"dims: {shape[0]}x{shape[1]}"
+        planes = [p for t in pyramid.details for p in (t.h, t.v, t.d)] + [pyramid.approx]
     else:
         raise FormatError(f"cannot serialize {type(pyramid).__name__} as a pyramid")
+    lines = [
+        f"magic: {CONTAINER_MAGIC}",
+        f"filter: {filter_name}",
+        f"levels: {pyramid.levels}",
+        size,
+    ]
+    for (label, _), plane in zip(_layout(pyramid.levels, shape), planes):
+        lines.append(f"[{label}]")
+        lines.extend(map(_format_array_line, np.asarray(plane).tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -267,33 +279,23 @@ class _ContainerReader:
             self.fail(f"expected '{key}: ...', got {line!r}")
         return rest.strip()
 
-    def label(self, expected: str):
-        if self.pos >= len(self.lines) or self.lines[self.pos].strip() != f"[{expected}]":
+    def block(self, label: str, rows: int, cols: int) -> np.ndarray:
+        if self.pos >= len(self.lines) or self.lines[self.pos].strip() != f"[{label}]":
             got = self.lines[self.pos] if self.pos < len(self.lines) else "<eof>"
-            self.fail(f"expected block [{expected}], got {got!r}")
+            self.fail(f"expected block [{label}], got {got!r}")
         self.pos += 1
-
-    def vector(self, count: int) -> np.ndarray:
-        if self.pos + count > len(self.lines):
-            self.fail(f"block needs {count} lines, file ends early")
-        out = [parse_value(self.lines[self.pos + i]) for i in range(count)]
-        self.pos += count
-        return np.asarray(out)
-
-    def plane(self, rows: int, cols: int) -> np.ndarray:
-        if self.pos + rows > len(self.lines):
+        body = self.lines[self.pos : self.pos + rows]
+        if len(body) < rows:
             self.fail(f"block needs {rows} rows, file ends early")
-        data = []
-        for i in range(rows):
-            cells = self.lines[self.pos + i].split(",")
-            if len(cells) != cols:
+        for i, line in enumerate(body):
+            if line.count(",") != cols - 1:
                 raise FormatError(
                     f"{self.path}:{self.pos + i + 1}: expected {cols} columns, "
-                    f"got {len(cells)}"
+                    f"got {line.count(',') + 1}"
                 )
-            data.append([parse_value(c) for c in cells])
         self.pos += rows
-        return np.asarray(data)
+        cells = ",".join(body).split(",")
+        return np.asarray(list(map(parse_value, cells))).reshape(rows, cols)
 
     def done(self):
         while self.pos < len(self.lines):
@@ -316,45 +318,28 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
         raise FormatError(f"{path}: levels must be at least 1")
 
     next_line = r.lines[r.pos] if r.pos < len(r.lines) else ""
-    size_line = r.header("len") if next_line.startswith("len") else None
-    if size_line is not None:
+    if next_line.startswith("len"):
         try:
-            n = int(size_line)
+            shape = (int(r.header("len")),)
         except ValueError:
             raise FormatError(f"{path}: len must be an integer") from None
-        if n % (1 << levels) != 0 or n < 2:
-            raise FormatError(f"{path}: length {n} does not admit {levels} levels")
-        details = []
-        for l in range(1, levels + 1):
-            r.label(f"detail-{l}")
-            details.append(r.vector(n >> l))
-        r.label("approx")
-        approx = r.vector(n >> levels)
-        r.done()
-        return Pyramid1D(details=tuple(details), approx=approx), filter_name
-
-    # 2-d branch: the fourth header line is dims: <rows>x<cols>
-    dims = r.header("dims")
-    m = re.fullmatch(r"(\d+)x(\d+)", dims)
-    if not m:
-        raise FormatError(f"{path}: dims must look like <rows>x<cols>, got {dims!r}")
-    rows, cols = int(m.group(1)), int(m.group(2))
-    if rows % (1 << levels) != 0 or cols % (1 << levels) != 0:
-        raise FormatError(f"{path}: {rows}x{cols} does not admit {levels} levels")
-    details = []
-    for l in range(1, levels + 1):
-        shape = (rows >> l, cols >> l)
-        r.label(f"h-{l}")
-        h = r.plane(*shape)
-        r.label(f"v-{l}")
-        v = r.plane(*shape)
-        r.label(f"d-{l}")
-        d = r.plane(*shape)
-        details.append(LevelDetail(h=h, v=v, d=d))
-    r.label("a")
-    approx = r.plane(rows >> levels, cols >> levels)
+    else:
+        dims = r.header("dims")
+        m = re.fullmatch(r"(\d+)x(\d+)", dims)
+        if not m:
+            raise FormatError(f"{path}: dims must look like <rows>x<cols>, got {dims!r}")
+        shape = (int(m.group(1)), int(m.group(2)))
+    # Shifts rather than 1 << levels, so a huge level count costs nothing.
+    if any(n >> levels < 1 or n >> levels << levels != n for n in shape):
+        size = "x".join(str(n) for n in shape)
+        raise FormatError(f"{path}: size {size} does not admit {levels} levels")
+    planes = [r.block(label, *plane) for label, plane in _layout(levels, shape)]
     r.done()
-    return ImagePyramid(details=tuple(details), approx=approx), filter_name
+    if len(shape) == 1:
+        vectors = [p.ravel() for p in planes]
+        return Pyramid1D(details=tuple(vectors[:-1]), approx=vectors[-1]), filter_name
+    details = tuple(LevelDetail(*planes[i : i + 3]) for i in range(0, 3 * levels, 3))
+    return ImagePyramid(details=details, approx=planes[-1]), filter_name
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,16 @@ compose to the identity whenever the filter passes ``qmf_check``: the
 downsampling operators are isometries with orthogonal ranges summing to the
 whole space, which ``cuntz_check`` verifies on materialized matrices.
 
-One kernel pair, ``_analyze_axis`` and its adjoint ``_synthesize_axis``,
-runs every step here and in :mod:`wavekit.image2d`, along any one axis. It
-works on the even and odd phases x[0::2], x[1::2] (the pyramid algorithm of
-Mallat 1989): sample (2i+s) mod n is phase s mod 2 shifted cyclically by
-floor(s/2), so a band costs L contiguous multiply-adds over half-length
-slices, with no index arrays. ``subband_matrices`` keeps its own index
+Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis
+along a tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)``
+for an image) or its adjoint ``_merge``, behind one input gate ``_checked``.
+Along each axis they run one kernel pair, ``_analyze_axis`` and
+``_synthesize_axis``, on the even and odd phases x[0::2], x[1::2] (the
+pyramid algorithm of Mallat 1989): sample (2i+s) mod n is phase s mod 2
+shifted cyclically by floor(s/2), so a band costs L contiguous multiply-adds
+over half-length slices, with no index arrays. Each level rule is stated
+once, in ``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels``
+accepts exactly the depths 1..max. ``subband_matrices`` keeps its own index
 formula, so the tests check the kernel against an independent oracle.
 """
 from __future__ import annotations
@@ -168,16 +172,54 @@ def _synthesize_axis(
     return out
 
 
-def _checked_signal(x, f: FilterSpec) -> np.ndarray:
+def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) -> list:
+    """Analyze along each axis in turn, low band before high: 2^len(axes)
+    bands, ordered like binary numbers with the first axis as the top bit.
+
+    ``scale`` is applied on the last axis only, so 1-d is ``axes=(0,)`` with
+    sqrt(2) and the 2-d step ``axes=(1, 0)`` with the exact factor 2, giving
+    the bands (a, v, h, d).
+    """
+    g = derive_highpass(f)
+    bands = [x]
+    for axis in axes:
+        s = scale if axis == axes[-1] else 1.0
+        bands = [_analyze_axis(b, c.h, c.start, axis, s) for b in bands for c in (f, g)]
+    return bands
+
+
+def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndarray:
+    """Adjoint of :func:`_split`: merge sibling bands pairwise, last axis
+    first, into one array whose dtype comes from the bands and the filter."""
+    g = derive_highpass(f)
+    dtype = np.result_type(*(b.dtype for b in bands), f.h.dtype, np.float64)
+    for axis in reversed(axes):
+        s = scale if axis == axes[-1] else 1.0
+        merged = []
+        for low, high in zip(bands[0::2], bands[1::2]):
+            shape = list(low.shape)
+            shape[axis] *= 2
+            out = np.zeros(shape, dtype=dtype)
+            _synthesize_axis(out, low, f.h, f.start, axis, s)
+            merged.append(_synthesize_axis(out, high, g.h, g.start, axis, s))
+        bands = merged
+    return bands[0]
+
+
+def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
+    """The input gate of every 1-d (``ndim=1``) and 2-d analysis: each axis
+    even, at least 2 and no shorter than the filter."""
     arr = np.atleast_1d(np.asarray(x))
-    if arr.ndim != 1:
-        raise SizeError("signals must be 1-d")
-    if arr.size < 2 or arr.size % 2 != 0:
-        raise SizeError(f"signal length {arr.size} must be even and at least 2")
-    if arr.size < f.length:
-        raise SizeError(
-            f"signal length {arr.size} is shorter than the filter ({f.length} taps)"
-        )
+    what = "signal" if ndim == 1 else "image"
+    if arr.ndim != ndim:
+        raise SizeError(f"{what}s must be {ndim}-d arrays")
+    for n in arr.shape:
+        if n < 2 or n % 2 != 0:
+            raise SizeError(f"{what} shape {arr.shape} needs even sizes >= 2")
+        if n < f.length:
+            raise SizeError(
+                f"{what} size {n} is shorter than the filter ({f.length} taps)"
+            )
     return arr
 
 
@@ -188,28 +230,21 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
     so the step is exactly invertible by ``synthesis_step`` for filters that
     pass ``qmf_check``.
     """
-    arr = _checked_signal(x, f)
-    g = derive_highpass(f)
-    return SubbandPair(
-        y=_analyze_axis(arr, f.h, f.start, 0, SQRT2),
-        z=_analyze_axis(arr, g.h, g.start, 0, SQRT2),
-    )
+    y, z = _split(_checked(x, f, 1), f, (0,), SQRT2)
+    return SubbandPair(y=y, z=z)
 
 
 def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     """Merge an averages/details pair back into a double-length signal."""
-    g = derive_highpass(f)
-    m = p.y.size
-    if m < 1:
+    if p.y.size < 1:
         raise ShapeError("cannot synthesize from empty bands")
-    dtype = np.result_type(p.y.dtype, p.z.dtype, f.h.dtype, np.float64)
-    out = np.zeros(2 * m, dtype=dtype)
-    _synthesize_axis(out, p.y, f.h, f.start, 0, SQRT2)
-    return _synthesize_axis(out, p.z, g.h, g.start, 0, SQRT2)
+    return _merge((p.y, p.z), f, (0,), SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
-    """Largest admissible pyramid depth for an n-point signal."""
+    """Largest admissible pyramid depth for an n-point signal: each level
+    halves an even length and leaves at least max(L, 2) samples. The
+    admissible depths are exactly 1..max_levels."""
     floor = max(f.length, 2)
     lev = 0
     while n % 2 == 0 and n // 2 >= floor:
@@ -218,25 +253,22 @@ def max_levels(n: int, f: FilterSpec) -> int:
     return lev
 
 
-def _check_levels(n: int, f: FilterSpec, n_lev: int):
+def _check_levels(n_lev, admissible: int, what: str) -> None:
+    """Accept depths 1..admissible, the downward-closed set a
+    ``max_levels`` function reports for ``what`` (a length or shape)."""
     if not isinstance(n_lev, (int, np.integer)) or n_lev < 1:
         raise LevelError(f"level count must be a positive integer, got {n_lev!r}")
-    floor = max(f.length, 2)
-    if n % (1 << n_lev) != 0 or n >> n_lev < floor:
-        raise LevelError(
-            f"{n_lev} levels need a length divisible by {1 << n_lev} with "
-            f"n/2^levels >= {floor}; length {n} admits {max_levels(n, f)}"
-        )
+    if n_lev > admissible:
+        raise LevelError(f"{n_lev} levels requested; {what} admits at most {admissible}")
 
 
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
     """Full pyramid: repeat ``analysis_step`` on the averages n_lev times.
 
-    The depth must satisfy n / 2^n_lev >= max(L, 2) with every intermediate
-    length even, otherwise a LevelError is raised.
+    A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
-    arr = _checked_signal(x, f)
-    _check_levels(arr.size, f, n_lev)
+    arr = _checked(x, f, 1)
+    _check_levels(n_lev, max_levels(arr.size, f), f"length {arr.size}")
     details = []
     current = arr
     for _ in range(n_lev):

@@ -8,6 +8,7 @@ imports happen at module load, before any timer starts.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_criterion_10_cli_contract(tmp_path):
     assert p.details[0].d[0, 0] == 0.0
     pyr2 = str(tmp_path / "t2.pyr")
     write_pyramid_container(pyr2, p, name)
-    assert open(pyr, "rb").read() == open(pyr2, "rb").read()
+    assert Path(pyr).read_bytes() == Path(pyr2).read_bytes()
 
     # 1-d container round trip through the CLI is bit-identical too
     sig = str(tmp_path / "x.csv")
@@ -234,7 +235,7 @@ def test_criterion_10_cli_contract(tmp_path):
     p1, name1 = read_pyramid_container(pyr1d)
     pyr1d2 = str(tmp_path / "x2.pyr")
     write_pyramid_container(pyr1d2, p1, name1)
-    assert open(pyr1d, "rb").read() == open(pyr1d2, "rb").read()
+    assert Path(pyr1d).read_bytes() == Path(pyr1d2).read_bytes()
 
     # documented statuses: 2 for input errors, 3 for numeric failures
     assert run_cli("verify", "--filter", "nosuch").returncode == 2

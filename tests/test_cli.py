@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_transform_2d_roundtrip_and_container_bytes(tmp_path):
     from wavekit.io import write_pyramid_container
 
     write_pyramid_container(pyr2, p, name)
-    assert open(pyr, "rb").read() == open(pyr2, "rb").read()
+    assert Path(pyr).read_bytes() == Path(pyr2).read_bytes()
 
 
 def test_transform_2d_preview_and_quantize(tmp_path):
@@ -210,7 +211,7 @@ def test_cascade_phi_csv(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "support [0, 3]" in r.stdout
     assert "integral: 1" in r.stdout
-    rows = [line.split(",") for line in open(out).read().splitlines()]
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()]
     assert len(rows) == 3 * 16 + 1
     xs = np.array([float(r[0]) for r in rows])
     assert xs[0] == 0.0 and xs[-1] == 3.0
@@ -221,7 +222,7 @@ def test_cascade_psi_zero_mean(tmp_path):
     r = run_cli("cascade", "--filter", "db4", "--resolution", "5",
                 "--which", "psi", "--out", out)
     assert r.returncode == 0, r.stderr
-    vals = np.array([float(line.split(",")[1]) for line in open(out)])
+    vals = np.array([float(line.split(",")[1]) for line in Path(out).read_text().splitlines()])
     assert abs(vals.sum() * 2.0**-5) < 1e-10
 
 
@@ -236,6 +237,16 @@ def test_cascade_resolution_cap(tmp_path):
     r = run_cli("cascade", "--filter", "haar", "--resolution", "99",
                 "--out", str(tmp_path / "phi.csv"))
     assert r.returncode == 2
+
+
+def test_cwt_cascade_wavelet_resolution_cap(tmp_path):
+    sig = str(tmp_path / "x.csv")
+    write_signal_csv(sig, RNG.standard_normal(64))
+    r = run_cli("cwt", "--in", sig, "--wavelet", "cascade:db4:99", "--scales", "2:8:2")
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "99" in lines[0]
+    assert "Traceback" not in r.stdout + r.stderr
 
 
 # --- cwt -------------------------------------------------------------------------
@@ -267,7 +278,7 @@ def test_cwt_scalogram_and_heatmap(sine_csv, tmp_path):
     r = run_cli("cwt", "--in", sine_csv, "--wavelet", "mexican_hat",
                 "--scales", "2:16:4", "--out", out, "--heatmap", hm)
     assert r.returncode == 0, r.stderr
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("scales,")
     assert lines[1].startswith("shifts,")
     n_scales = len(lines[0].split(",")) - 1

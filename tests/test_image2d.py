@@ -222,3 +222,27 @@ def test_step_and_synthesis_are_adjoint():
     a, hh, v, d = planes
     back = idwt2d(ImagePyramid(details=(LevelDetail(h=hh, v=v, d=d),), approx=a), f)
     assert forward == pytest.approx(np.vdot(back, img), rel=1e-12)
+
+
+def test_level_error_exactly_past_max_levels_2d(lattice_filters):
+    """dwt2d accepts a depth iff it is at most max_levels_2d, and
+    max_levels_2d agrees with the closed form: both sides divisible by 2^lev
+    and no shorter than max(L, 2) before the last halving."""
+    filters = [builtin_filter(name) for name in ("haar", "db4", "stretched_haar")]
+    filters += [FilterSpec("lattice", h, 0) for h in lattice_filters]
+    for f in filters:
+        floor = max(f.length, 2)
+        for n in range(floor + floor % 2, 33, 2):
+            for shape in ((n, n + 2), (n + 2, n), (n, 2 * n), (2 * n, n)):
+                img = RNG.standard_normal(shape)
+                top = max_levels_2d(shape, f)
+                for lev in range(1, 9):
+                    closed = all(
+                        m % (1 << lev) == 0 and m >> (lev - 1) >= floor for m in shape
+                    )
+                    assert (lev <= top) == closed
+                    if lev <= top:
+                        assert dwt2d(img, f, lev).levels == lev
+                    else:
+                        with pytest.raises(LevelError):
+                            dwt2d(img, f, lev)

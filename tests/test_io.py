@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -200,7 +202,7 @@ def test_container_1d_roundtrip_bitwise(tmp_path):
     # re-serialization is byte identical
     path2 = str(tmp_path / "p2.pyr")
     write_pyramid_container(path2, back, name)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_container_2d_roundtrip_bitwise(tmp_path):
@@ -217,7 +219,7 @@ def test_container_2d_roundtrip_bitwise(tmp_path):
         assert np.array_equal(a.d, b.d)
     path2 = str(tmp_path / "p2.pyr")
     write_pyramid_container(path2, back, name)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_container_complex_coefficients(tmp_path):
@@ -277,6 +279,17 @@ def test_container_rejects_inconsistent_length(tmp_path):
         "magic: wavekit-pyr1\nfilter: haar\nlevels: 2\nlen: 6\n"
     )
     with pytest.raises(FormatError):
+        read_pyramid_container(str(path))
+
+
+@pytest.mark.parametrize(
+    "levels, size",
+    [("1", "dims: 0x4"), ("2", "dims: 8x6"), ("1", "len: 0"), (str(10**30), "len: 64")],
+)
+def test_container_rejects_sizes_that_do_not_admit_the_levels(tmp_path, levels, size):
+    path = tmp_path / "p.pyr"
+    path.write_text(f"magic: wavekit-pyr1\nfilter: haar\nlevels: {levels}\n{size}\n[a]\n")
+    with pytest.raises(FormatError, match="does not admit"):
         read_pyramid_container(str(path))
 
 

@@ -272,3 +272,22 @@ def test_single_precision_signal_is_filtered_in_double():
     assert back.dtype == np.float64
     wide = SubbandPair(y=pair.y.astype(np.float64), z=pair.z.astype(np.float64))
     assert np.array_equal(back, synthesis_step(wide, f))
+
+
+def test_level_error_exactly_past_max_levels(lattice_filters):
+    """dwt1d accepts a depth iff it is at most max_levels, and max_levels
+    agrees with the closed form: n divisible by 2^lev with n/2^lev >= max(L, 2)."""
+    filters = [builtin_filter(name) for name in ("haar", "db4", "stretched_haar")]
+    filters += [FilterSpec("lattice", h, 0) for h in lattice_filters]
+    for f in filters:
+        floor = max(f.length, 2)
+        for n in range(2 * f.length, 97, 2):
+            x = RNG.standard_normal(n)
+            top = max_levels(n, f)
+            for lev in range(1, 9):
+                assert (lev <= top) == (n % (1 << lev) == 0 and n >> lev >= floor)
+                if lev <= top:
+                    assert dwt1d(x, f, lev).levels == lev
+                else:
+                    with pytest.raises(LevelError):
+                        dwt1d(x, f, lev)
