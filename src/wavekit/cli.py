@@ -57,7 +57,7 @@ from .io import (
     write_signal_csv,
 )
 from .subband import Pyramid1D, cuntz_check, dwt1d, idwt1d, max_levels
-from .transfer import lawton_test
+from .transfer import EIGENVALUE_BUCKET, lawton_test
 
 #: Cap on cascade refinement depth reachable from the command line; 2^24
 #: samples per support unit is already far past plotting needs.
@@ -127,7 +127,7 @@ def _run_verify(args) -> int:
     f = _resolve_filter(args.filter)
     qmf_tol = args.tol if args.tol is not None else 1e-12
     cuntz_tol = args.tol if args.tol is not None else 1e-10
-    lawton_tol = args.tol if args.tol is not None else 1e-8
+    lawton_tol = args.tol if args.tol is not None else EIGENVALUE_BUCKET
 
     print(f"filter: {f.name} ({f.length} taps, start {f.start})")
     q = qmf_check(f, tol=qmf_tol)

@@ -34,6 +34,11 @@ from .filters import FilterSpec, derive_highpass
 
 SQRT2 = float(np.sqrt(2.0))
 
+#: Most bytes ``cuntz_check`` may allocate. Its dense products peak at about
+#: six n x n arrays of the filter's dtype (5.3 measured), so a float64 filter
+#: stays under it up to n = 4729.
+_CUNTZ_BYTE_BUDGET = 1 << 30
+
 
 @dataclass(frozen=True)
 class SubbandPair:
@@ -332,6 +337,12 @@ def cuntz_check(f: FilterSpec, n: int, tol: float = 1e-10) -> CuntzReport:
         raise ParameterError("tol must be a nonneg finite float")
     if n < 2 * f.length:
         raise SizeError(f"cuntz_check needs n >= 2L = {2 * f.length}, got {n}")
+    need = 6 * n * n * np.result_type(f.h.dtype, np.float64).itemsize
+    if need > _CUNTZ_BYTE_BUDGET:
+        raise SizeError(
+            f"cuntz_check at n = {n} needs about {need >> 20} MiB, over its "
+            f"{_CUNTZ_BYTE_BUDGET >> 20} MiB budget"
+        )
     m = subband_matrices(f, n)
     eye_half = np.eye(n // 2)
     eye_full = np.eye(n)

@@ -9,9 +9,11 @@ On coefficient sequences this is the matrix R[n, m] = 2 w_{2n-m} built from
 the filter autocorrelation w_k = sum_i conj(h_i) h_{i+k}, acting on the mode
 window |n| <= L-1 (which R leaves invariant). For a filter that passes
 ``qmf_check``, the translates of its scaling function form an orthonormal
-system exactly when the eigenvalue 1 of R is simple; ``lawton_test`` decides
-that by the rank of R - I, counted from its singular values, cross-checked
-against direct eigenvalue bucketing.
+system exactly when the eigenvalue 1 of R is simple (Lawton 1991). R and the
+cascade lattice matrix are both two-scale matrices M[i, j] = 2 c_{2p_i - p_j}
+(``_two_scale_matrix``), and ``_unit_eigenspace`` counts the eigenvalue-1
+dimension of both from the singular values of M - I; ``lawton_test``
+cross-checks that count against direct eigenvalue bucketing.
 """
 from __future__ import annotations
 
@@ -62,8 +64,8 @@ class TransferMatrix:
 class OnbVerdict:
     """Outcome of ``lawton_test``.
 
-    ``multiplicity`` is the rank-based dimension of the eigenvalue-1
-    eigenspace (the deciding route); ``bucket_multiplicity`` counts
+    ``multiplicity`` is the eigenvalue-1 dimension counted from the singular
+    values of R - I (the deciding route); ``bucket_multiplicity`` counts
     eigenvalues within tolerance of 1 as a cross-check. ``eigenvalues`` are
     sorted for deterministic reporting.
     """
@@ -84,8 +86,6 @@ def autocorrelation(f: FilterSpec) -> Autocorrelation:
     h = f.h
     # numpy cross-correlation: correlate(a, v, "full")[N-1+k] = sum a_{n+k} conj(v_n)
     w = np.correlate(h, h, mode="full")
-    if np.isrealobj(h):
-        w = w.real if np.iscomplexobj(w) else w
     return Autocorrelation(w=w, min_lag=-(h.size - 1))
 
 
@@ -93,29 +93,45 @@ def build_transfer_matrix(f: FilterSpec) -> TransferMatrix:
     """Materialize R on the invariant mode window."""
     K = f.length - 1
     ac = autocorrelation(f)
-    modes = np.arange(-K, K + 1)
-    lag = 2 * modes[:, None] - modes[None, :]
-    idx = lag - ac.min_lag
-    valid = (idx >= 0) & (idx < ac.w.size)
-    R = np.zeros((modes.size, modes.size), dtype=ac.w.dtype)
-    R[valid] = 2.0 * ac.w[idx[valid]]
-    return TransferMatrix(matrix=R, half_order=K)
+    return TransferMatrix(
+        matrix=_two_scale_matrix(ac.w, ac.min_lag, np.arange(-K, K + 1)),
+        half_order=K,
+    )
 
 
-def _rank_by_svd(a: np.ndarray, tol: float) -> int:
-    sigma = np.linalg.svd(a, compute_uv=False)
+def _two_scale_matrix(c: np.ndarray, c_start: int, points: np.ndarray) -> np.ndarray:
+    """M[i, j] = 2 c[2 p_i - p_j - c_start] on the integer points p, zero where
+    the index leaves c (coefficient k of c sits at c_start + k)."""
+    idx = 2 * points[:, None] - points[None, :] - c_start
+    valid = (idx >= 0) & (idx < c.size)
+    M = np.zeros((points.size, points.size), dtype=np.result_type(c.dtype, np.float64))
+    M[valid] = 2.0 * c[idx[valid]]
+    return M
+
+
+#: Relative threshold of ``_unit_eigenspace``: each singular value of M - I
+#: at most EIGENVALUE_BUCKET * max(1, sigma_max) adds one dimension to the
+#: eigenvalue-1 eigenspace of M.
+EIGENVALUE_BUCKET = 1e-8
+
+
+def _unit_eigenspace(M: np.ndarray, tol: float) -> tuple[int, np.ndarray | None]:
+    """Dimension of the eigenvalue-1 eigenspace of M: the number of singular
+    values of M - I at most ``tol * max(1, sigma_max)``. When it is 1, also
+    the last right singular vector, a unit vector spanning it (else None)."""
+    _, sigma, vh = np.linalg.svd(M - np.eye(M.shape[0]))
     threshold = tol * max(1.0, float(sigma.max()))
-    return int(np.count_nonzero(sigma > threshold))
+    nullity = int(np.count_nonzero(sigma <= threshold))
+    return nullity, (vh[-1].conj() if nullity == 1 else None)
 
 
-def lawton_test(f: FilterSpec, tol: float = 1e-8) -> OnbVerdict:
+def lawton_test(f: FilterSpec, tol: float = EIGENVALUE_BUCKET) -> OnbVerdict:
     """Decide whether the filter generates an orthonormal translate system.
 
     Precondition: ``f`` passes ``qmf_check`` (raises PreconditionError
     otherwise, since the verdict is meaningless for non-orthogonal filters).
-    The verdict is ONB exactly when the eigenvalue-1 multiplicity, computed
-    as (2L-1) - rank(R - I) from the singular values of R - I above
-    ``tol * max(1, sigma_max)``, is 1.
+    The verdict is ONB exactly when the eigenvalue-1 multiplicity, the number
+    of singular values of R - I at most ``tol * max(1, sigma_max)``, is 1.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError("tol must be a positive finite float")
@@ -125,9 +141,7 @@ def lawton_test(f: FilterSpec, tol: float = 1e-8) -> OnbVerdict:
             "orthogonality-satisfying filter"
         )
     R = build_transfer_matrix(f).matrix
-    size = R.shape[0]
-    rank = _rank_by_svd(R - np.eye(size), tol)
-    multiplicity = size - rank
+    multiplicity, _ = _unit_eigenspace(R, tol)
     eigenvalues = np.sort_complex(np.linalg.eigvals(R))
     bucket = int(np.count_nonzero(np.abs(eigenvalues - 1.0) <= tol))
     return OnbVerdict(

@@ -16,26 +16,31 @@ from wavekit.errors import (
     PreconditionError,
     SizeError,
 )
-from wavekit.filters import FilterSpec, builtin_filter
+from wavekit.filters import FilterSpec, builtin_filter, derive_highpass
 
 SQRT3 = np.sqrt(3.0)
 
 
-def two_scale_residual(d: DyadicFunction, f: FilterSpec) -> float:
-    """Independent check of phi(x) = 2 sum_i h_i phi(2x - i) on d's own grid.
+def two_scale_residual(
+    d: DyadicFunction, f: FilterSpec, phi: DyadicFunction | None = None
+) -> float:
+    """Independent check of d(x) = 2 sum_i h_i phi(2x - i) on d's own grid,
+    with h the taps of f and phi = d unless given (a level-J function).
 
-    2x - i lands back on the grid at index 2m - (i - start) * 2^J; indices
-    outside the support read as zero.
+    2x - i lands on phi's grid at index 2m - (i - start) * 2^J plus
+    (2 d.x0 - start - phi.x0) * 2^J; indices outside the support read as zero.
     """
+    phi = d if phi is None else phi
     J = d.level
     vals = d.values
+    offset = round((2 * d.x0 - f.start - phi.x0) * (1 << J))
     worst = 0.0
     for m in range(vals.size):
         acc = 0.0
         for t in range(f.length):
-            q = 2 * m - t * (1 << J)
-            if 0 <= q < vals.size:
-                acc += 2.0 * f.h[t] * vals[q]
+            q = offset + 2 * m - t * (1 << J)
+            if 0 <= q < phi.values.size:
+                acc += 2.0 * f.h[t] * phi.values[q]
         worst = max(worst, abs(vals[m] - acc))
     return worst
 
@@ -85,6 +90,28 @@ def test_non_qmf_filter_needs_experimental_flag():
     v = integer_values(hat, experimental=True)
     # the linear B-spline: 0 at the endpoints, 1 at the middle
     assert_allclose(v, [0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_integer_values_cubic_bspline():
+    bspline = FilterSpec("bspline3", np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16, 0)
+    v = integer_values(bspline, experimental=True)
+    assert_allclose(v, [0.0, 1 / 6, 2 / 3, 1 / 6, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("start", (0, -3))
+def test_cascade_on_lattice_filters(lattice_filters, start):
+    """On generated orthogonal filters the integer values sum to 1 and are a
+    fixed point of the lattice matrix to 1e-13, and the scaling function and
+    the wavelet satisfy their two-scale identities at J = 3."""
+    for h in lattice_filters:
+        f = FilterSpec("lattice", h, start)
+        v = integer_values(f)
+        assert v.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(refinement_matrix(f) @ v[:-1] - v[:-1]).max() <= 1e-13
+        phi = scaling_function(f, 3)
+        assert two_scale_residual(phi, f) <= 1e-12
+        psi = wavelet_function(f, 3)
+        assert two_scale_residual(psi, derive_highpass(f), phi) <= 1e-12
 
 
 def test_refine_haar_box():

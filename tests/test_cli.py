@@ -72,6 +72,17 @@ def test_verify_non_qmf_filter_file(tmp_path):
     assert "lawton: SKIPPED" in r.stdout
 
 
+def test_verify_cuntz_n_over_byte_budget_exits_two(monkeypatch, capsys):
+    import wavekit.subband
+    from wavekit.cli import main
+
+    monkeypatch.setattr(wavekit.subband, "_CUNTZ_BYTE_BUDGET", 1 << 16)
+    assert main(["verify", "--filter", "db4", "--cuntz-n", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cuntz_check at n = 64")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_missing_args_exit_two():
     r = run_cli("verify")
     assert r.returncode == 2

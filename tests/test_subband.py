@@ -209,6 +209,20 @@ def test_cuntz_window_floor():
         cuntz_check(builtin_filter("db4"), n=6)
 
 
+def test_cuntz_byte_budget_refuses_before_allocating(monkeypatch):
+    """With the budget at 64 KiB a float64 check fits at n = 32 (48 KiB)
+    and is refused at n = 64 (192 KiB) before the matrices are built."""
+    import wavekit.subband as subband
+
+    monkeypatch.setattr(subband, "_CUNTZ_BYTE_BUDGET", 1 << 16)
+    assert cuntz_check(builtin_filter("db4"), n=32).passed
+    monkeypatch.setattr(
+        subband, "subband_matrices", lambda f, n: pytest.fail("matrices built")
+    )
+    with pytest.raises(SizeError, match="budget"):
+        cuntz_check(builtin_filter("db4"), n=64)
+
+
 def test_shift_by_two_commutes_through_analysis():
     """Periodization makes the pyramid shift covariant: rolling the input by
     two rolls each first-level band by one."""
