@@ -10,11 +10,13 @@ T[i, j] = 2 h_{2i-j}, found like the transfer operator's in
 :mod:`wavekit.transfer` (one two-scale matrix builder, one SVD rule); the
 lattice is the half-open integer support {start, ..., start+L-2} with the
 right endpoint fixed at zero, so the haar filter yields the half-open box
-phi = 1 on [0, 1). When the eigenspace is not one dimensional (stretched_haar,
-whose true solution is discontinuous) a DegeneracyError reports the dimension
-instead of silently picking a vector. Each refinement doubles the grid by
-evaluating the identity at the new midpoints (``_two_scale_eval``, which also
-turns phi into the wavelet), so computed values satisfy it at every level.
+phi = 1 on [0, 1). A degenerate lattice is retried without its zero end
+taps; when the eigenspace is still not one dimensional (stretched_haar,
+whose true solution is discontinuous) a DegeneracyError reports the
+dimension instead of silently picking a vector. Each refinement doubles the
+grid by evaluating the identity at the new midpoints (``_two_scale_eval``,
+which also turns phi into the wavelet), so computed values satisfy it at
+every level.
 """
 from __future__ import annotations
 
@@ -79,11 +81,11 @@ def refinement_matrix(f: FilterSpec) -> np.ndarray:
 def integer_values(f: FilterSpec, experimental: bool = False) -> np.ndarray:
     """Values of the scaling function at the L integer support points.
 
-    Takes the eigenvalue-1 eigenvector of the lattice matrix, normalizes it
-    so the values sum to 1, and appends the zero right endpoint. Raises
-    DegeneracyError when the eigenspace (the singular values of T - I at most
-    EIGENVALUE_BUCKET * max(1, sigma_max)) is not one dimensional, and
-    NumericError when the eigenvector sums to zero.
+    Takes the eigenvalue-1 eigenvector of the lattice matrix (retried without
+    end taps below 1e-6 max |h| if degenerate), normalizes it to sum 1, and
+    zero-fills the other points. Raises DegeneracyError when that eigenspace
+    (singular values of T - I at most EIGENVALUE_BUCKET * max(1, sigma_max))
+    is not one dimensional, and NumericError when the eigenvector sums to zero.
     """
     T = refinement_matrix(f)
     if not experimental and not qmf_check(f, tol=1e-8).passed:
@@ -92,6 +94,16 @@ def integer_values(f: FilterSpec, experimental: bool = False) -> np.ndarray:
             "experimental=True to cascade it anyway"
         )
     dimension, v = _unit_eigenspace(T, EIGENVALUE_BUCKET)
+    first = 0
+    if dimension != 1:
+        # Haar padded to (1/2, 1/2, 0, 0) jumps at an interior lattice point;
+        # without the zero taps, or ones like it below the rule's resolution
+        # (lattice angles near multiples of pi/2 leave ~1e-16), it is the box.
+        mag = np.abs(f.h)
+        first, last = np.flatnonzero(mag > 1e-6 * mag.max())[[0, -1]]
+        points = np.arange(f.start + first, f.start + max(last, first + 1))
+        T = _two_scale_matrix(f.h, f.start, points)
+        dimension, v = _unit_eigenspace(T, EIGENVALUE_BUCKET)
     if dimension != 1:
         raise DegeneracyError(dimension)
     total = v.sum()
@@ -101,7 +113,7 @@ def integer_values(f: FilterSpec, experimental: bool = False) -> np.ndarray:
             "be normalized to integral one"
         )
     v = v / total + 0.0  # clear negative zeros
-    return np.concatenate([v, np.zeros(1, dtype=v.dtype)])
+    return np.pad(v, (first, f.length - first - v.size))
 
 
 def _two_scale_eval(

@@ -175,6 +175,16 @@ def _inverse_filter(args, container_name: str) -> FilterSpec:
     )
 
 
+def _depth(levels, admissible: int, what: str, f: FilterSpec) -> int:
+    """``--levels``, or the deepest depth ``what`` admits; below 1 is refused."""
+    n_lev = levels if levels is not None else admissible
+    if n_lev < 1:
+        raise LevelError(
+            f"{what} admits no decomposition with filter {f.name!r} ({f.length} taps)"
+        )
+    return n_lev
+
+
 def _run_transform(args) -> int:
     mode = args.mode
     if mode == "dwt1d":
@@ -182,12 +192,7 @@ def _run_transform(args) -> int:
         _reject(args.quantize, "--quantize", mode)
         f = _forward_filter(args)
         x = read_signal_csv(require_file(args.input))
-        n_lev = args.levels if args.levels is not None else max_levels(x.size, f)
-        if n_lev < 1:
-            raise LevelError(
-                f"length {x.size} admits no decomposition with filter "
-                f"{f.name!r} ({f.length} taps)"
-            )
+        n_lev = _depth(args.levels, max_levels(x.size, f), f"length {x.size}", f)
         pyramid = dwt1d(x, f, n_lev)
         write_pyramid_container(args.out, pyramid, f.name)
         print(
@@ -207,14 +212,8 @@ def _run_transform(args) -> int:
     elif mode == "dwt2d":
         f = _forward_filter(args)
         img = read_pgm(require_file(args.input))
-        n_lev = (
-            args.levels if args.levels is not None else max_levels_2d(img.shape, f)
-        )
-        if n_lev < 1:
-            raise LevelError(
-                f"shape {img.shape[0]}x{img.shape[1]} admits no decomposition "
-                f"with filter {f.name!r} ({f.length} taps)"
-            )
+        what = f"shape {img.shape[0]}x{img.shape[1]}"
+        n_lev = _depth(args.levels, max_levels_2d(img.shape, f), what, f)
         pyramid = dwt2d(img, f, n_lev)
         if args.quantize is not None:
             pyramid = snap_to_lattice(pyramid, Quantizer(step=args.quantize))

@@ -8,6 +8,7 @@ and binary (P5) flavors with maxval up to 255.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -45,7 +46,7 @@ def parse_value(token: str):
             value = float(text)
     except ValueError:
         raise FormatError(f"cannot parse number {token!r}") from None
-    if not np.isfinite(value if isinstance(value, float) else abs(value)):
+    if not math.isfinite(abs(value)):
         raise FormatError(f"non-finite value {token!r}")
     return value
 

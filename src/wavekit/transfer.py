@@ -159,10 +159,4 @@ def format_verdict(v: OnbVerdict) -> str:
         f"{ev.real:.12g}" if abs(ev.imag) < 1e-12 else f"{ev.real:.12g}{ev.imag:+.12g}i"
         for ev in v.eigenvalues
     )
-    return "\n".join(
-        [
-            f"verdict={v.verdict}",
-            f"mult1={v.multiplicity}",
-            f"eigs={eigs}",
-        ]
-    )
+    return f"verdict={v.verdict}\nmult1={v.multiplicity}\neigs={eigs}"

@@ -83,6 +83,34 @@ def test_integer_values_degenerate_filter():
     assert exc.value.dimension == 2
 
 
+@pytest.mark.parametrize(
+    "h, start",
+    [
+        ((0.5, 0.5, 0.0, 0.0), 0),
+        ((0.0, 0.5, 0.5, 0.0), -1),
+        ((0.0, 0.0, 0.5, 0.5), 1),
+        ((0.5, 0.5, 6e-17, -6e-17), 0),
+    ],
+)
+def test_haar_padded_with_zero_taps_is_the_box(h, start):
+    """Zero end taps (or taps the eigenvalue-1 rule cannot resolve) leave
+    haar's box, on [a, a + 1) for the first haar tap a: the integer values
+    are 1 at a and 0 at the other L - 1 points, and so are the samples."""
+    f = FilterSpec("padded", np.array(h), start)
+    first = int(np.flatnonzero(f.h == 0.5)[0])
+    assert_allclose(integer_values(f), np.eye(4)[first], atol=1e-15)
+    phi = scaling_function(f, 3)
+    a = start + first
+    assert_allclose(phi.values, (phi.xs >= a) & (phi.xs < a + 1), atol=1e-15)
+    assert two_scale_residual(phi, f) <= 1e-15
+
+
+def test_delta_filter_keeps_dimension_zero():
+    with pytest.raises(DegeneracyError) as exc:
+        integer_values(FilterSpec("delta", np.array([1.0, 0.0])), experimental=True)
+    assert exc.value.dimension == 0
+
+
 def test_non_qmf_filter_needs_experimental_flag():
     hat = FilterSpec("hat", np.array([0.25, 0.5, 0.25]), 0)
     with pytest.raises(PreconditionError):

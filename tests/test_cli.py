@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from wavekit.io import read_pgm, read_pyramid_container, read_signal_csv, write_pgm, write_signal_csv
 
@@ -76,7 +77,9 @@ def test_verify_cuntz_n_over_byte_budget_exits_two(monkeypatch, capsys):
     import wavekit.subband
     from wavekit.cli import main
 
-    monkeypatch.setattr(wavekit.subband, "_CUNTZ_BYTE_BUDGET", 1 << 16)
+    monkeypatch.setattr(wavekit.subband, "_CUNTZ_BYTE_BUDGET", 1 << 12)
+    assert main(["verify", "--filter", "db4", "--cuntz-n", "32"]) == 0
+    capsys.readouterr()
     assert main(["verify", "--filter", "db4", "--cuntz-n", "64"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cuntz_check at n = 64")
@@ -134,6 +137,23 @@ def test_transform_1d_length_six_db4_no_levels(tmp_path):
     r = run_cli("transform", "dwt1d", "--in", sig, "--filter", "db4",
                 "--out", str(tmp_path / "x.pyr"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("levels", ([], ["--levels", "0"]))
+def test_transform_refuses_depth_zero_with_one_text(tmp_path, capsys, levels):
+    """dwt1d and dwt2d refuse a default depth of 0, and --levels 0, with the
+    same one-line message naming the length or the shape."""
+    from wavekit.cli import main
+
+    sig, img, out = (str(tmp_path / name) for name in ("x.csv", "i.pgm", "o.pyr"))
+    write_signal_csv(sig, np.arange(6.0))
+    write_pgm(img, np.zeros((2, 2)))
+    for mode, path, what in (("dwt1d", sig, "length 6"), ("dwt2d", img, "shape 2x2")):
+        argv = ["transform", mode, "--in", path, "--filter", "db4", "--out", out]
+        assert main(argv + levels) == 2
+        assert capsys.readouterr().err == (
+            f"error: {what} admits no decomposition with filter 'db4' (4 taps)\n"
+        )
 
 
 def test_transform_2d_worked_example(tmp_path):
@@ -235,6 +255,17 @@ def test_cascade_psi_zero_mean(tmp_path):
     assert r.returncode == 0, r.stderr
     vals = np.array([float(line.split(",")[1]) for line in Path(out).read_text().splitlines()])
     assert abs(vals.sum() * 2.0**-5) < 1e-10
+
+
+def test_cascade_haar_padded_with_zero_taps(tmp_path):
+    path = tmp_path / "padded.txt"
+    path.write_text("name: padded\nstart: -1\ncoeffs: 0 0.5 0.5 0\n")
+    out = tmp_path / "phi.csv"
+    r = run_cli("cascade", "--filter", str(path), "--resolution", "2", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "support [-1, 2]" in r.stdout and "integral: 1\n" in r.stdout
+    rows = np.loadtxt(out, delimiter=",")
+    assert_array_equal(rows[:, 1], (rows[:, 0] >= 0) & (rows[:, 0] < 1))
 
 
 def test_cascade_degenerate_filter_is_numeric_error(tmp_path):

@@ -56,6 +56,27 @@ def test_parse_rejects_garbage():
             parse_value(bad)
 
 
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("nan", None),
+        (" inf", None),
+        ("1e400", None),
+        ("1+infi", None),
+        ("1e308+1e308i", complex(1e308, 1e308)),
+        ("1_0", 10.0),
+    ],
+)
+def test_parse_finiteness_edge_tokens(token, expected):
+    """Overflow and non-finite tokens are refused; a complex value whose
+    modulus is still finite and Python's digit separators are accepted."""
+    if expected is None:
+        with pytest.raises(FormatError, match="non-finite"):
+            parse_value(token)
+    else:
+        assert parse_value(token) == expected
+
+
 # --- signal CSV ----------------------------------------------------------------
 
 

@@ -210,17 +210,80 @@ def test_cuntz_window_floor():
 
 
 def test_cuntz_byte_budget_refuses_before_allocating(monkeypatch):
-    """With the budget at 64 KiB a float64 check fits at n = 32 (48 KiB)
-    and is refused at n = 64 (192 KiB) before the matrices are built."""
+    """With the budget at 4 KiB a float64 check fits at n = 32 (ten 32-point
+    vectors, 2.5 KiB) and is refused at n = 64 (5 KiB) before any kernel
+    call."""
     import wavekit.subband as subband
 
-    monkeypatch.setattr(subband, "_CUNTZ_BYTE_BUDGET", 1 << 16)
+    monkeypatch.setattr(subband, "_CUNTZ_BYTE_BUDGET", 1 << 12)
     assert cuntz_check(builtin_filter("db4"), n=32).passed
+    for name in ("_split", "_merge"):
+        monkeypatch.setattr(subband, name, lambda *a: pytest.fail("kernel ran"))
+    with pytest.raises(SizeError, match="budget"):
+        cuntz_check(builtin_filter("db4"), n=64)
+
+
+def _dense_cuntz(f: FilterSpec, n: int) -> dict:
+    """The five Cuntz deviations from the materialized operators."""
+    m = subband_matrices(f, n)
+    a0, a1, s0, s1 = m.analysis_low, m.analysis_high, m.synthesis_low, m.synthesis_high
+    return {
+        "isometry_low": np.abs(a0 @ s0 - np.eye(n // 2)).max(),
+        "isometry_high": np.abs(a1 @ s1 - np.eye(n // 2)).max(),
+        "cross_low_high": np.abs(a0 @ s1).max(),
+        "cross_high_low": np.abs(a1 @ s0).max(),
+        "completeness": np.abs(s0 @ a0 + s1 @ a1 - np.eye(n)).max(),
+    }
+
+
+def test_cuntz_check_matches_dense_products(lattice_filters):
+    """Every deviation read off the kernel's impulse responses equals the one
+    of the dense n x n products, on QMF filters at two starts, their
+    3-fold upsamplings (QMF, not ONB), and non-QMF filters."""
+    filters = [FilterSpec("hat", np.array([0.25, 0.5, 0.25]))]
+    filters.append(FilterSpec("delta", np.array([1.0, 0.0])))
+    cplx = np.array([0.3 + 0.2j, 0.5, -0.1j, 0.2, 0.1 - 0.1j])
+    filters.append(FilterSpec("cplx", cplx, 1, normalized=False))
+    for h in lattice_filters:
+        up = np.zeros(3 * h.size - 2)
+        up[::3] = h
+        filters += [FilterSpec("lat", h, s) for s in (0, -3)]
+        filters += [FilterSpec("up3", up, s) for s in (0, -3)]
+    for f in filters:
+        for n in (2 * f.length, 2 * f.length + 6):
+            rep = cuntz_check(f, n)
+            dense = _dense_cuntz(f, n)
+            for field, value in dense.items():
+                assert abs(getattr(rep, field) - value) <= 1e-14, (f.name, n, field)
+            assert abs(rep.max_deviation - max(dense.values())) <= 1e-14
+            assert rep.passed == (rep.max_deviation <= rep.tolerance)
+
+
+def test_cuntz_check_builds_no_matrices(monkeypatch):
+    import wavekit.subband as subband
+
     monkeypatch.setattr(
         subband, "subband_matrices", lambda f, n: pytest.fail("matrices built")
     )
-    with pytest.raises(SizeError, match="budget"):
-        cuntz_check(builtin_filter("db4"), n=64)
+    assert cuntz_check(builtin_filter("db4"), n=64).passed
+    assert not cuntz_check(FilterSpec("delta", np.array([1.0, 0.0])), n=8).passed
+
+
+@pytest.mark.parametrize("n", (2**10, 2**16))
+def test_cuntz_check_peak_memory_within_budget_formula(n):
+    """The tracemalloc peak stays under the ten n-vectors that the byte
+    budget charges for a float64 filter."""
+    import tracemalloc
+
+    f = builtin_filter("db4")
+    cuntz_check(f, n)
+    tracemalloc.start()
+    try:
+        cuntz_check(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * 8
 
 
 def test_shift_by_two_commutes_through_analysis():
