@@ -90,6 +90,27 @@ class FilterSpec:
         g = np.where(ks % 2 == 0, 1.0, -1.0) * np.conj(self.h[::-1])
         return FilterSpec(f"{self.name}:highpass", g, gstart, normalized=False)
 
+    @cached_property
+    def _polyphase(self) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+        # ((o_h, o_g), A, B) for the filter-bank kernel of wavekit.subband.
+        # Each of h and its companion g starts on a whole pair of samples,
+        # 2 o_b, and both are padded to one even width 2Q, which splits into
+        # Q blocks of 2 x 2 taps: C[q, b, s] is the tap of band b (0 for h,
+        # 1 for g) at index 2 (o_b + q) + s. Analysis takes A[q] = conj(C[q]),
+        # synthesis B[q] = C[Q - 1 - q]^T. Built once per spec, like the
+        # companion.
+        bands = (self, self._highpass)
+        los = [c.start - c.start % 2 for c in bands]
+        width = max(c.stop - lo for c, lo in zip(bands, los))
+        taps = np.zeros((2, width + width % 2), dtype=self.h.dtype)
+        for row, c, lo in zip(taps, bands, los):
+            row[c.start - lo : c.stop - lo] = c.h
+        blocks = taps.reshape(2, -1, 2).transpose(1, 0, 2)
+        a, b = np.conj(blocks), blocks[::-1].transpose(0, 2, 1).copy()
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return (los[0] // 2, los[1] // 2), a, b
+
 
 @dataclass(frozen=True)
 class QmfReport:

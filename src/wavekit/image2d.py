@@ -13,7 +13,11 @@ v=-2, d=0, which the tests treat as the orientation contract. A step is the
 1-d filter bank's separable split of :mod:`wavekit.subband` over the axes
 (1, 0), which yields the bands in the order (a, v, h, d), and its inverse
 the matching merge; both carry the single exact factor 2 on the column
-pass. Repeating the step on ``a`` builds an ``ImagePyramid``;
+pass. Each pass is one call of the subband polyphase kernel on the whole
+image: the row pass filters blocks of whole rows, the column pass blocks of
+whole row pairs, each block as a few BLAS products of 2 x 2 tap blocks
+with the gathered even and odd samples. Repeating the step on ``a`` builds
+an ``ImagePyramid``;
 ``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
 for storage.
 """

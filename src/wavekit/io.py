@@ -46,7 +46,11 @@ def parse_value(token: str):
             value = float(text)
     except ValueError:
         raise FormatError(f"cannot parse number {token!r}") from None
-    if not math.isfinite(abs(value)):
+    try:
+        finite = math.isfinite(abs(value))
+    except OverflowError:  # a complex modulus past the largest float
+        finite = False
+    if not finite:
         raise FormatError(f"non-finite value {token!r}")
     return value
 

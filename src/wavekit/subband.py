@@ -14,17 +14,25 @@ whole space, which ``cuntz_check`` verifies on this same kernel.
 Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis
 along a tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)``
 for an image) or its adjoint ``_merge``, behind one input gate ``_checked``.
-Along each axis they run one kernel pair, ``_analyze_axis`` and
-``_synthesize_axis``, on the even and odd phases x[0::2], x[1::2] (the
-pyramid algorithm of Mallat 1989): sample (2i+s) mod n is phase s mod 2
-shifted cyclically by floor(s/2), so a band costs L contiguous multiply-adds
-over half-length slices, with no index arrays. Each level rule is stated
-once, in ``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels``
-accepts exactly the depths 1..max. ``subband_matrices`` keeps its own index
-formula, so the tests check the kernel against an independent oracle.
+Along each axis they run one kernel, ``_polyphase_filter``, in the
+polyphase form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993,
+ch. 6): sample 2(o + q + i) + s is entry o + q + i of the phase x[s::2], so
+each band at i is a sum over q of a row of a 2 x 2 block of taps times the
+pair of phases at o + q + i, with o set by where the band's taps start. The
+kernel gathers the cyclically wrapped phases of a
+cache-sized block (whole rows of the axes after the filtered one) into one
+buffer and forms each band as a sum of BLAS matrix products, (1 x 2) @
+(2 x k), in place; synthesis runs the transposed blocks and interleaves the
+two phases it produces. Any axes before and after the filtered one ride
+along, so the 1-d step, both passes of the 2-d step and batched rows share
+it. Each level rule is stated once, in ``max_levels`` (and
+``image2d.max_levels_2d``); ``_check_levels`` accepts exactly the depths
+1..max. ``subband_matrices`` keeps its own index formula, so the tests check
+the kernel against an independent oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +43,16 @@ from .filters import FilterSpec, derive_highpass
 SQRT2 = float(np.sqrt(2.0))
 
 #: Most bytes ``cuntz_check`` may allocate, counted as ten n-vectors of the
-#: filter's dtype (tracemalloc peaks: 8.0 to 9.4 of them, n = 2^10 ... 2^20),
+#: filter's dtype (tracemalloc peaks: 8.0 to 9.5 of them, n = 2^10 ... 2^20),
 #: so a float64 filter stays under it up to n = 13,421,772.
 _CUNTZ_BYTE_BUDGET = 1 << 30
+
+#: Most outputs per channel that one block of ``_polyphase_filter`` computes
+#: (64 KiB of float64). Its gather and product buffers, about three times
+#: that, stay in a core's L2 cache. 2^12 was slower on 2048^2 images, and
+#: 2^14 lifts the tracemalloc peak of a 2^16-sample round trip past the 3.01
+#: signal sizes that the tests hold it to.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -131,48 +146,126 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _analyze_axis(
-    x: np.ndarray, c: np.ndarray, start: int, axis: int, scale: float
-) -> np.ndarray:
-    """scale * sum_t conj(c_t) x_{(2i+start+t) mod n} along ``axis``.
+def _wrapped_runs(first: int, count: int, period: int):
+    """(source, destination, length) slices that copy the indices first,
+    first + 1, ..., first + count - 1, taken mod ``period``: one run, or more
+    where the range wraps, possibly several times over."""
+    src, dst = first % period, 0
+    while dst < count:
+        length = min(period - src, count - dst)
+        yield src, dst, length
+        src, dst = 0, dst + length
 
-    With s = start + t, sample (2i+s) mod n is entry (i + s//2) mod n/2 of
-    the phase x[s%2::2], so each tap adds that phase shifted cyclically: two
-    contiguous slices, or one when the shift is zero. No index arrays.
+
+def _polyphase_filter(srcs, mats: np.ndarray, dsts) -> None:
+    """The periodic polyphase product behind every filter-bank step:
+
+        out_b[l, i, t] = sum_q sum_s mats[q, b, s] in_s[l, (i + q + u_b + v_s) mod half, t]
+
+    where the input channels in_s (s = 0, 1) come from ``srcs``, a list of
+    ((lead, half, c, trail) array, v) pairs, and the output channels out_b
+    go to ``dsts``, a list of ((lead, half, c, trail) array, u) pairs; the
+    channel counts c add up to 2 on each side (two bands, or the two phases
+    of one signal).
+
+    The work runs in blocks of at most ``_BLOCK`` outputs per channel, made
+    of whole trailing rows, and of whole index ranges when a block spans
+    several lead rows, so a block of a destination is one stretch of memory.
+    The wrapped windows of both input channels are gathered into one
+    (2, k + Q - 1 + max u) buffer per lead row, and each output channel sums
+    its (1 x 2) @ (2 x k) products in place. A destination holding both
+    channels (the two phases of a signal) keeps them one after the other in
+    the block's own memory while they accumulate, and is interleaved once at
+    the end of the block through the gather buffer. So every in-place sum
+    runs over contiguous memory and no temporary grows with the input.
     """
-    xs = x.swapaxes(0, axis)
-    half = xs.shape[0] // 2
+    lead, half, _, trail = srcs[0][0].shape
+    nq = mats.shape[0]
+    span = nq - 1 + max(u for _, u in dsts)
+    ib = min(half, max(1, _BLOCK // trail))
+    lb = min(lead, max(1, _BLOCK // (ib * trail)))
+    gathered = np.empty(lb * 2 * (ib + span) * trail, dtype=mats.dtype)
+    product = np.empty(lb * ib * trail, dtype=mats.dtype)
+    for l0 in range(0, lead, lb):
+        rows = slice(l0, min(l0 + lb, lead))
+        m = rows.stop - l0
+        for i0 in range(0, half, ib):
+            k = min(ib, half - i0)
+            n = k * trail
+            p = gathered[: m * 2 * (k + span) * trail].reshape(m, 2, k + span, trail)
+            s = 0
+            for a, v in srcs:
+                c = a.shape[2]
+                for src, dst, length in _wrapped_runs(i0 + v, k + span, half):
+                    window = a[rows, src : src + length]
+                    p[:, s : s + c, dst : dst + length] = window.transpose(0, 2, 1, 3)
+                s += c
+            windows = [p[:, :, j : j + k].reshape(m, 2, n) for j in range(span + 1)]
+            prod = product[: m * n].reshape(m, 1, n)
+            b = 0
+            for a, u in dsts:
+                c = a.shape[2]
+                block = a[rows, i0 : i0 + k]
+                staged = block.reshape(c, m, 1, n)  # a view: the block is contiguous
+                for j in range(c):
+                    np.matmul(mats[0, b + j : b + j + 1], windows[u], out=staged[j])
+                    for q in range(1, nq):
+                        np.matmul(mats[q, b + j : b + j + 1], windows[u + q], out=prod)
+                        staged[j] += prod
+                if c > 1:
+                    copy = gathered[: c * m * n].reshape(c, m, k, trail)
+                    copy[...] = staged.reshape(c, m, k, trail)
+                    for j in range(c):
+                        block[:, :, j] = copy[j]
+                b += c
+
+
+def _as_4d(shape: tuple[int, ...], axis: int, channels: int) -> tuple[int, int, int, int]:
+    """(lead, length along ``axis`` / channels, channels, trail), with the axes
+    before and after ``axis`` each merged into one."""
+    lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    return lead, shape[axis] // channels, channels, trail
+
+
+def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
+    """Both bands of ``x`` along ``axis``, low then high:
+    scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g.
+
+    Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
+    band b at i is sum_q scale A[q, b] @ (x[2(o_b+q+i)], x[2(o_b+q+i)+1]),
+    with ((o_h, o_g), A) from ``FilterSpec._polyphase``.
+    """
+    offsets, a, _ = f._polyphase
+    dtype = np.result_type(x.dtype, a.dtype, np.float64)
     shape = list(x.shape)
-    shape[axis] = half
-    out = np.zeros(shape, dtype=np.result_type(x.dtype, c.dtype, np.float64))
-    acc = out.swapaxes(0, axis)
-    phases = (xs[0::2], xs[1::2])
-    for t, ct in enumerate(np.conj(c)):
-        phase = phases[(start + t) % 2]
-        k = ((start + t) // 2) % half
-        acc[: half - k] += ct * phase[k:]
-        if k:
-            acc[half - k :] += ct * phase[:k]
-    out *= scale
-    return out
+    shape[axis] //= 2
+    bands = [np.empty(shape, dtype=dtype) for _ in offsets]
+    base = min(offsets)
+    _polyphase_filter(
+        [(x.reshape(_as_4d(x.shape, axis, 2)), base)],
+        np.multiply(a, scale, dtype=dtype),
+        [(b.reshape(_as_4d(shape, axis, 1)), o - base) for b, o in zip(bands, offsets)],
+    )
+    return bands
 
 
-def _synthesize_axis(
-    out: np.ndarray, y: np.ndarray, c: np.ndarray, start: int, axis: int, scale: float
+def _synthesize(
+    low: np.ndarray, high: np.ndarray, f: FilterSpec, axis: int, scale: float
 ) -> np.ndarray:
-    """Adjoint of :func:`_analyze_axis`: add the upsampled, filtered ``y`` into
-    ``out`` (twice y's length along ``axis``), as scale * c_t * y per tap
-    into the shifted phase out[s%2::2]."""
-    ys = y.swapaxes(0, axis)
-    half = ys.shape[0]
-    acc = out.swapaxes(0, axis)
-    phases = (acc[0::2], acc[1::2])
-    for t, ct in enumerate(c):
-        phase = phases[(start + t) % 2]
-        k = ((start + t) // 2) % half
-        phase[k:] += scale * ct * ys[: half - k]
-        if k:
-            phase[:k] += scale * ct * ys[half - k :]
+    """Adjoint of :func:`_analyze`: the phase pair of the output at k is
+    sum_b sum_q scale C[q, b]^T band_b[k - q - o_b], so the same product runs
+    on B[q] = C[Q - 1 - q]^T, reading band b from offset -o_b - (Q - 1)."""
+    offsets, _, b = f._polyphase
+    dtype = np.result_type(low.dtype, high.dtype, b.dtype, np.float64)
+    shape = list(low.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=dtype)
+    last = b.shape[0] - 1
+    _polyphase_filter(
+        [(y.reshape(_as_4d(y.shape, axis, 1)), -o - last) for y, o in zip((low, high), offsets)],
+        np.multiply(b, scale, dtype=dtype),
+        [(out.reshape(_as_4d(shape, axis, 2)), 0)],
+    )
     return out
 
 
@@ -184,29 +277,19 @@ def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) ->
     sqrt(2) and the 2-d step ``axes=(1, 0)`` with the exact factor 2, giving
     the bands (a, v, h, d).
     """
-    g = derive_highpass(f)
     bands = [x]
     for axis in axes:
         s = scale if axis == axes[-1] else 1.0
-        bands = [_analyze_axis(b, c.h, c.start, axis, s) for b in bands for c in (f, g)]
+        bands = [band for b in bands for band in _analyze(b, f, axis, s)]
     return bands
 
 
 def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndarray:
     """Adjoint of :func:`_split`: merge sibling bands pairwise, last axis
     first, into one array whose dtype comes from the bands and the filter."""
-    g = derive_highpass(f)
-    dtype = np.result_type(*(b.dtype for b in bands), f.h.dtype, np.float64)
     for axis in reversed(axes):
         s = scale if axis == axes[-1] else 1.0
-        merged = []
-        for low, high in zip(bands[0::2], bands[1::2]):
-            shape = list(low.shape)
-            shape[axis] *= 2
-            out = np.zeros(shape, dtype=dtype)
-            _synthesize_axis(out, low, f.h, f.start, axis, s)
-            merged.append(_synthesize_axis(out, high, g.h, g.start, axis, s))
-        bands = merged
+        bands = [_synthesize(lo, hi, f, axis, s) for lo, hi in zip(bands[0::2], bands[1::2])]
     return bands[0]
 
 
@@ -267,32 +350,38 @@ def _check_levels(n_lev, admissible: int, what: str) -> None:
 
 
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
-    """Full pyramid: repeat ``analysis_step`` on the averages n_lev times.
+    """Full pyramid: split the averages n_lev times, as ``analysis_step``
+    does once.
 
     A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
-    arr = _checked(x, f, 1)
-    _check_levels(n_lev, max_levels(arr.size, f), f"length {arr.size}")
+    current = _checked(x, f, 1)
+    _check_levels(n_lev, max_levels(current.size, f), f"length {current.size}")
     details = []
-    current = arr
     for _ in range(n_lev):
-        pair = analysis_step(current, f)
-        details.append(pair.z)
-        current = pair.y
+        current, z = _split(current, f, (0,), SQRT2)
+        details.append(z)
     return Pyramid1D(details=tuple(details), approx=current)
 
 
 def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     """Invert ``dwt1d``. Detail lengths must chain consistently."""
-    current = np.asarray(p.approx)
+    current = np.atleast_1d(np.asarray(p.approx))
+    details = [np.atleast_1d(np.asarray(z)) for z in p.details]
+    size = current.size
     for level in range(p.levels - 1, -1, -1):
-        z = np.asarray(p.details[level])
-        if z.size != current.size:
+        z = details[level]
+        if z.size != size:
             raise ShapeError(
-                f"detail level {level + 1} has length {z.size}, expected "
-                f"{current.size}"
+                f"detail level {level + 1} has length {z.size}, expected {size}"
             )
-        current = synthesis_step(SubbandPair(y=current, z=z), f)
+        if z.ndim != 1 or current.ndim != 1:
+            raise ShapeError("y and z must be 1-d arrays of equal length")
+        size *= 2
+    if current.size < 1:
+        raise ShapeError("cannot synthesize from empty bands")
+    for z in reversed(details):
+        current = _merge((current, z), f, (0,), SQRT2)
     return current
 
 

@@ -386,6 +386,26 @@ def test_cwt_unknown_wavelet(sine_csv):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", ("cwt", "verify"))
+def test_complex_value_with_overflowing_modulus_exits_two(tmp_path, command):
+    """1.7e308+1.7e308i has finite parts but a modulus past the largest
+    float: a signal CSV sample or a filter-file coefficient like it is
+    refused with one error line, not a traceback."""
+    token = "1.7e308+1.7e308i"
+    if command == "cwt":
+        path = tmp_path / "x.csv"
+        path.write_text(f"0.5\n{token}\n0.25\n0\n")
+        r = run_cli("cwt", "--in", str(path), "--wavelet", "mexican_hat", "--scales", "1:8:4")
+    else:
+        path = tmp_path / "f.txt"
+        path.write_text(f"name: huge\nstart: 0\ncoeffs: 0.5 {token}\n")
+        r = run_cli("verify", "--filter", str(path))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and token in lines[0]
+    assert "Traceback" not in r.stdout + r.stderr
+
+
 # --- top level -------------------------------------------------------------------
 
 

@@ -64,12 +64,14 @@ def test_parse_rejects_garbage():
         ("1e400", None),
         ("1+infi", None),
         ("1e308+1e308i", complex(1e308, 1e308)),
+        ("1.7e308+1.7e308i", None),
         ("1_0", 10.0),
     ],
 )
 def test_parse_finiteness_edge_tokens(token, expected):
-    """Overflow and non-finite tokens are refused; a complex value whose
-    modulus is still finite and Python's digit separators are accepted."""
+    """Overflow and non-finite tokens are refused, a complex value whose
+    modulus overflows among them; a complex value whose modulus is still
+    finite and Python's digit separators are accepted."""
     if expected is None:
         with pytest.raises(FormatError, match="non-finite"):
             parse_value(token)
