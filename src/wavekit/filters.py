@@ -91,25 +91,43 @@ class FilterSpec:
         return FilterSpec(f"{self.name}:highpass", g, gstart, normalized=False)
 
     @cached_property
-    def _polyphase(self) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-        # ((o_h, o_g), A, B) for the filter-bank kernel of wavekit.subband.
-        # Each of h and its companion g starts on a whole pair of samples,
-        # 2 o_b, and both are padded to one even width 2Q, which splits into
-        # Q blocks of 2 x 2 taps: C[q, b, s] is the tap of band b (0 for h,
-        # 1 for g) at index 2 (o_b + q) + s. Analysis takes A[q] = conj(C[q]),
-        # synthesis B[q] = C[Q - 1 - q]^T. Built once per spec, like the
-        # companion.
+    def _polyphase(self) -> tuple[tuple[int, int], np.ndarray]:
+        # ((o_h, o_g), C) for the filter-bank kernel of wavekit.subband. Each
+        # of h and its companion g starts on a whole pair of samples, 2 o_b,
+        # and both are padded to one even width 2Q: C[b, 2q + s] is the tap of
+        # band b (0 for h, 1 for g) at index 2 (o_b + q) + s. Built once per
+        # spec, like the companion.
         bands = (self, self._highpass)
         los = [c.start - c.start % 2 for c in bands]
         width = max(c.stop - lo for c, lo in zip(bands, los))
         taps = np.zeros((2, width + width % 2), dtype=self.h.dtype)
         for row, c, lo in zip(taps, bands, los):
             row[c.start - lo : c.stop - lo] = c.h
-        blocks = taps.reshape(2, -1, 2).transpose(1, 0, 2)
-        a, b = np.conj(blocks), blocks[::-1].transpose(0, 2, 1).copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return (los[0] // 2, los[1] // 2), a, b
+        taps.setflags(write=False)
+        return (los[0] // 2, los[1] // 2), taps
+
+    @cached_property
+    def _tap_cache(self) -> dict:
+        return {}  # filled by _taps; not a field, so a dataclasses.replace copy starts empty
+
+    def _taps(self, direction: str, scale: float, dtype) -> np.ndarray:
+        # The kernel's (2Q, 2) taps times ``scale``, one column per output
+        # channel, for input of ``dtype``: read-only, in the dtype of the
+        # result, and built once per key. "analysis" column b is conj(C[b]);
+        # "synthesis" column s holds C[b, 2(Q-1-q) + s] at 2q + b, and is
+        # stored row by row, like the phases it makes.
+        key = (direction, scale, np.dtype(dtype))
+        taps = self._tap_cache.get(key)
+        if taps is None:
+            _, c = self._polyphase
+            if direction == "analysis":
+                c = np.conj(c).T
+            else:
+                c = c.reshape(2, -1, 2)[:, ::-1].transpose(1, 0, 2).reshape(-1, 2)
+            taps = np.multiply(c, scale, dtype=np.result_type(dtype, c.dtype, np.float64))
+            taps.setflags(write=False)
+            self._tap_cache[key] = taps
+        return taps
 
 
 @dataclass(frozen=True)

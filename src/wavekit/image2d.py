@@ -15,11 +15,10 @@ v=-2, d=0, which the tests treat as the orientation contract. A step is the
 the matching merge; both carry the single exact factor 2 on the column
 pass. Each pass is one call of the subband polyphase kernel on the whole
 image: the row pass filters blocks of whole rows, the column pass blocks of
-whole row pairs, each block as a few BLAS products of 2 x 2 tap blocks
-with the gathered even and odd samples. Repeating the step on ``a`` builds
-an ``ImagePyramid``;
-``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
-for storage.
+whole row pairs, each band of a block as one matrix product of the filter's
+taps with strided windows over the gathered samples. Repeating the step on
+``a`` builds an ``ImagePyramid``; ``quantize``/``dequantize`` snap pyramid
+coefficients to a uniform lattice for storage.
 """
 from __future__ import annotations
 
@@ -156,12 +155,13 @@ def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
     current = np.asarray(p.approx)
     for level in range(p.levels - 1, -1, -1):
         t = p.details[level]
-        if t.h.shape != current.shape or t.v.shape != current.shape or t.d.shape != current.shape:
+        h, v, d = (np.asarray(x) for x in (t.h, t.v, t.d))
+        if h.shape != current.shape or v.shape != current.shape or d.shape != current.shape:
             raise ShapeError(
-                f"detail level {level + 1} planes have shape {t.h.shape}, "
+                f"detail level {level + 1} planes have shape {h.shape}, "
                 f"expected {current.shape}"
             )
-        q = QuadDecomp(a=current, h=t.h, v=t.v, d=t.d)
+        q = QuadDecomp(a=current, h=h, v=v, d=d)
         current = _merge((q.a, q.v, q.h, q.d), f, (1, 0), 2.0)
     return current
 

@@ -14,16 +14,16 @@ whole space, which ``cuntz_check`` verifies on this same kernel.
 Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis
 along a tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)``
 for an image) or its adjoint ``_merge``, behind one input gate ``_checked``.
-Along each axis they run one kernel, ``_polyphase_filter``, in the
+Along each axis they run one kernel, ``_polyphase_product``, in the
 polyphase form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993,
 ch. 6): sample 2(o + q + i) + s is entry o + q + i of the phase x[s::2], so
-each band at i is a sum over q of a row of a 2 x 2 block of taps times the
-pair of phases at o + q + i, with o set by where the band's taps start. The
-kernel gathers the cyclically wrapped phases of a
-cache-sized block (whole rows of the axes after the filtered one) into one
-buffer and forms each band as a sum of BLAS matrix products, (1 x 2) @
-(2 x k), in place; synthesis runs the transposed blocks and interleaves the
-two phases it produces. Any axes before and after the filtered one ride
+each band at i is a sum over q and s of its taps times the pair of phases at
+o + q + i, with o set by where the band's taps start. The kernel gathers the
+wrapped input of a cache-sized block (whole rows of the axes after the
+filtered one) once, its two channels interleaved, into one buffer: one
+overlapping strided view of it holds every window, and each band, or both
+phases of a synthesis, is one matmul of that view with the filter's cached
+taps, written in place. Any axes before and after the filtered one ride
 along, so the 1-d step, both passes of the 2-d step and batched rows share
 it. Each level rule is stated once, in ``max_levels`` (and
 ``image2d.max_levels_2d``); ``_check_levels`` accepts exactly the depths
@@ -37,21 +37,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelError, ParameterError, ShapeError, SizeError
+from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
 from .filters import FilterSpec, derive_highpass
 
 SQRT2 = float(np.sqrt(2.0))
 
 #: Most bytes ``cuntz_check`` may allocate, counted as ten n-vectors of the
-#: filter's dtype (tracemalloc peaks: 8.0 to 9.5 of them, n = 2^10 ... 2^20),
+#: filter's dtype (tracemalloc peaks: 8.0 to 8.4 of them, n = 2^10 ... 2^20),
 #: so a float64 filter stays under it up to n = 13,421,772.
 _CUNTZ_BYTE_BUDGET = 1 << 30
 
-#: Most outputs per channel that one block of ``_polyphase_filter`` computes
-#: (64 KiB of float64). Its gather and product buffers, about three times
-#: that, stay in a core's L2 cache. 2^12 was slower on 2048^2 images, and
-#: 2^14 lifts the tracemalloc peak of a 2^16-sample round trip past the 3.01
-#: signal sizes that the tests hold it to.
+#: Most outputs per channel that one block of ``_polyphase_product``
+#: computes (64 KiB of float64). Its gather buffer, about twice that, stays
+#: in a core's L2 cache. 2^12 was slower on 2048^2 images; 2^14 was faster
+#: there, but lifts the tracemalloc peak of a 2^16-sample round trip to 3.009
+#: signal sizes, against the 3.01 that the tests hold it to.
 _BLOCK = 1 << 13
 
 
@@ -146,85 +146,68 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _wrapped_runs(first: int, count: int, period: int):
-    """(source, destination, length) slices that copy the indices first,
-    first + 1, ..., first + count - 1, taken mod ``period``: one run, or more
-    where the range wraps, possibly several times over."""
-    src, dst = first % period, 0
-    while dst < count:
-        length = min(period - src, count - dst)
-        yield src, dst, length
-        src, dst = 0, dst + length
-
-
-def _polyphase_filter(srcs, mats: np.ndarray, dsts) -> None:
+def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> None:
     """The periodic polyphase product behind every filter-bank step:
 
-        out_b[l, i, t] = sum_q sum_s mats[q, b, s] in_s[l, (i + q + u_b + v_s) mod half, t]
+        out_j[l, i, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
 
-    where the input channels in_s (s = 0, 1) come from ``srcs``, a list of
-    ((lead, half, c, trail) array, v) pairs, and the output channels out_b
-    go to ``dsts``, a list of ((lead, half, c, trail) array, u) pairs; the
-    channel counts c add up to 2 on each side (two bands, or the two phases
-    of one signal).
+    along ``axis``, l and t running over the axes before and after it. The
+    channels in_s come from ``srcs`` and out_j go to ``dsts``, lists of
+    (array, v) and (array, u) pairs; an array 2 half long along ``axis``
+    holds two channels, its phases, and one half long holds one.
 
-    The work runs in blocks of at most ``_BLOCK`` outputs per channel, made
-    of whole trailing rows, and of whole index ranges when a block spans
-    several lead rows, so a block of a destination is one stretch of memory.
-    The wrapped windows of both input channels are gathered into one
-    (2, k + Q - 1 + max u) buffer per lead row, and each output channel sums
-    its (1 x 2) @ (2 x k) products in place. A destination holding both
-    channels (the two phases of a signal) keeps them one after the other in
-    the block's own memory while they accumulate, and is interleaved once at
-    the end of the block through the gather buffer. So every in-place sum
-    runs over contiguous memory and no temporary grows with the input.
+    In blocks of at most ``_BLOCK`` outputs per channel (whole trailing rows,
+    and whole index ranges when a block spans lead rows), the wrapped input
+    is gathered once, its channels interleaved, into one buffer per call. The
+    2Q samples that meet output i then sit at even steps from entry i + u, so
+    one overlapping strided view holds every window, and each destination
+    block is one matmul of that view with its columns of ``taps``, written in
+    place. A product's rows are the trailing samples of one output or, with
+    one per row, the outputs i = p a + e of one phase e, whose windows lie
+    2p >= 2Q samples apart, as BLAS needs.
     """
-    lead, half, _, trail = srcs[0][0].shape
-    nq = mats.shape[0]
-    span = nq - 1 + max(u for _, u in dsts)
+    shape = srcs[0][0].shape
+    half = min(a.shape[axis] for a, _ in srcs + dsts)
+    lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    width = taps.shape[0]
+    span = width // 2 - 1 + max(u for _, u in dsts)
     ib = min(half, max(1, _BLOCK // trail))
     lb = min(lead, max(1, _BLOCK // (ib * trail)))
-    gathered = np.empty(lb * 2 * (ib + span) * trail, dtype=mats.dtype)
-    product = np.empty(lb * ib * trail, dtype=mats.dtype)
+    p = 1 << (width // 2 - 1).bit_length()
+    if trail > 1 or half % p or ib % p:
+        p = 1
+    gathered = np.empty(lb * (ib + span) * 2 * trail, dtype=taps.dtype)
+    item = gathered.itemsize
+    pair = 2 * trail * item
+    # Windows and destinations as (lead, phase, output, trailing sample, tap
+    # or channel); with one sample per trailing row, the outputs are the rows.
+    tail, tail_steps = ((trail, width), (item, trail * item)) if trail > 1 else ((width,), (item,))
+    srcs = [(a.reshape(lead, half, -1, trail), v) for a, v in srcs]
+    products, j = [], 0
+    for a, u in dsts:
+        c = a.shape[axis] // half
+        out = a.reshape(lead, half // p, p, c, trail).transpose(0, 2, 1, 4, 3)
+        products.append((out if trail > 1 else out[..., 0, :], u, taps[:, j : j + c]))
+        j += c
     for l0 in range(0, lead, lb):
         rows = slice(l0, min(l0 + lb, lead))
         m = rows.stop - l0
         for i0 in range(0, half, ib):
             k = min(ib, half - i0)
-            n = k * trail
-            p = gathered[: m * 2 * (k + span) * trail].reshape(m, 2, k + span, trail)
+            g = gathered[: m * (k + span) * 2 * trail].reshape(m, k + span, 2, trail)
             s = 0
             for a, v in srcs:
                 c = a.shape[2]
-                for src, dst, length in _wrapped_runs(i0 + v, k + span, half):
-                    window = a[rows, src : src + length]
-                    p[:, s : s + c, dst : dst + length] = window.transpose(0, 2, 1, 3)
+                src, dst = (i0 + v) % half, 0
+                while dst < k + span:  # in runs, wrapping mod half as often as needed
+                    n = min(half - src, k + span - dst)
+                    g[:, dst : dst + n, s : s + c] = a[rows, src : src + n]
+                    src, dst = 0, dst + n
                 s += c
-            windows = [p[:, :, j : j + k].reshape(m, 2, n) for j in range(span + 1)]
-            prod = product[: m * n].reshape(m, 1, n)
-            b = 0
-            for a, u in dsts:
-                c = a.shape[2]
-                block = a[rows, i0 : i0 + k]
-                staged = block.reshape(c, m, 1, n)  # a view: the block is contiguous
-                for j in range(c):
-                    np.matmul(mats[0, b + j : b + j + 1], windows[u], out=staged[j])
-                    for q in range(1, nq):
-                        np.matmul(mats[q, b + j : b + j + 1], windows[u + q], out=prod)
-                        staged[j] += prod
-                if c > 1:
-                    copy = gathered[: c * m * n].reshape(c, m, k, trail)
-                    copy[...] = staged.reshape(c, m, k, trail)
-                    for j in range(c):
-                        block[:, :, j] = copy[j]
-                b += c
-
-
-def _as_4d(shape: tuple[int, ...], axis: int, channels: int) -> tuple[int, int, int, int]:
-    """(lead, length along ``axis`` / channels, channels, trail), with the axes
-    before and after ``axis`` each merged into one."""
-    lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-    return lead, shape[axis] // channels, channels, trail
+            steps = (g.strides[0], pair, p * pair) + tail_steps
+            for out, u, cols in products:
+                w = np.ndarray((m, p, k // p) + tail, g.dtype, gathered, u * pair, steps)
+                np.matmul(w, cols, out=out[rows, :, i0 // p : (i0 + k) // p])
 
 
 def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
@@ -232,40 +215,33 @@ def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
     scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g.
 
     Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
-    band b at i is sum_q scale A[q, b] @ (x[2(o_b+q+i)], x[2(o_b+q+i)+1]),
-    with ((o_h, o_g), A) from ``FilterSpec._polyphase``.
+    band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
+    with ((o_h, o_g), C) from ``FilterSpec._polyphase``.
     """
-    offsets, a, _ = f._polyphase
-    dtype = np.result_type(x.dtype, a.dtype, np.float64)
+    offsets, _ = f._polyphase
+    taps = f._taps("analysis", scale, x.dtype)
     shape = list(x.shape)
     shape[axis] //= 2
-    bands = [np.empty(shape, dtype=dtype) for _ in offsets]
+    bands = [np.empty(shape, dtype=taps.dtype) for _ in offsets]
     base = min(offsets)
-    _polyphase_filter(
-        [(x.reshape(_as_4d(x.shape, axis, 2)), base)],
-        np.multiply(a, scale, dtype=dtype),
-        [(b.reshape(_as_4d(shape, axis, 1)), o - base) for b, o in zip(bands, offsets)],
-    )
+    _polyphase_product([(x, base)], taps, [(b, o - base) for b, o in zip(bands, offsets)], axis)
     return bands
 
 
 def _synthesize(
     low: np.ndarray, high: np.ndarray, f: FilterSpec, axis: int, scale: float
 ) -> np.ndarray:
-    """Adjoint of :func:`_analyze`: the phase pair of the output at k is
-    sum_b sum_q scale C[q, b]^T band_b[k - q - o_b], so the same product runs
-    on B[q] = C[Q - 1 - q]^T, reading band b from offset -o_b - (Q - 1)."""
-    offsets, _, b = f._polyphase
-    dtype = np.result_type(low.dtype, high.dtype, b.dtype, np.float64)
+    """Adjoint of :func:`_analyze`: phase s of the output at k is
+    sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], so with q replaced by
+    Q - 1 - q both phases come from one product, band b read from offset
+    -o_b - (Q - 1)."""
+    offsets, _ = f._polyphase
+    taps = f._taps("synthesis", scale, np.promote_types(low.dtype, high.dtype))
     shape = list(low.shape)
     shape[axis] *= 2
-    out = np.empty(shape, dtype=dtype)
-    last = b.shape[0] - 1
-    _polyphase_filter(
-        [(y.reshape(_as_4d(y.shape, axis, 1)), -o - last) for y, o in zip((low, high), offsets)],
-        np.multiply(b, scale, dtype=dtype),
-        [(out.reshape(_as_4d(shape, axis, 2)), 0)],
-    )
+    out = np.empty(shape, dtype=taps.dtype)
+    srcs = [(y, 1 - o - taps.shape[0] // 2) for y, o in zip((low, high), offsets)]
+    _polyphase_product(srcs, taps, [(out, 0)], axis)
     return out
 
 
@@ -287,6 +263,8 @@ def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) ->
 def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndarray:
     """Adjoint of :func:`_split`: merge sibling bands pairwise, last axis
     first, into one array whose dtype comes from the bands and the filter."""
+    if any(b.dtype.kind not in "biufc" for b in bands):
+        raise DomainError("bands must be numeric (bool, integer, float or complex)")
     for axis in reversed(axes):
         s = scale if axis == axes[-1] else 1.0
         bands = [_synthesize(lo, hi, f, axis, s) for lo, hi in zip(bands[0::2], bands[1::2])]
@@ -294,10 +272,12 @@ def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndar
 
 
 def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
-    """The input gate of every 1-d (``ndim=1``) and 2-d analysis: each axis
-    even, at least 2 and no shorter than the filter."""
+    """The input gate of every 1-d (``ndim=1``) and 2-d analysis: a numeric
+    dtype, and each axis even, at least 2 and no shorter than the filter."""
     arr = np.atleast_1d(np.asarray(x))
     what = "signal" if ndim == 1 else "image"
+    if arr.dtype.kind not in "biufc":
+        raise DomainError(f"{what}s must be numeric, got dtype {arr.dtype}")
     if arr.ndim != ndim:
         raise SizeError(f"{what}s must be {ndim}-d arrays")
     for n in arr.shape:
@@ -431,14 +411,15 @@ def cuntz_check(f: FilterSpec, n: int, tol: float = 1e-10) -> CuntzReport:
     if n % 2 != 0:
         raise SizeError(f"n must be even and positive, got {n}")
     half = n // 2
-    # Columns 0 and 1 of S_0 A_0 + S_1 A_1 - I: e0 and e1, split then merged.
-    e = np.eye(n, 2, dtype=dtype)
-    completeness = np.abs(_merge(_split(e, f, (0,), SQRT2), f, (0,), SQRT2) - e).max()
-    # Column 0 of A_i S_j - delta_ij I: e0 in the low band (column 0) and in
-    # the high band (column 1), merged then split, the bands stacked as in e.
-    e[1, 1], e[half, 1] = 0.0, 1.0
-    out = _split(_merge((e[:half], e[half:]), f, (0,), SQRT2), f, (0,), SQRT2)
-    dev = np.abs(np.concatenate(out) - e).reshape(2, half, 2).max(axis=1)
+    # Columns 0 and 1 of S_0 A_0 + S_1 A_1 - I: e0 and e1 (the rows of e),
+    # split then merged.
+    e = np.eye(2, n, dtype=dtype)
+    completeness = np.abs(_merge(_split(e, f, (1,), SQRT2), f, (1,), SQRT2) - e).max()
+    # Column 0 of A_i S_j - delta_ij I: e0 in the low band (row 0) and in the
+    # high band (row 1), merged then split, the bands side by side as in e.
+    e[1, 1], e[1, half] = 0.0, 1.0
+    out = _split(_merge((e[:, :half], e[:, half:]), f, (1,), SQRT2), f, (1,), SQRT2)
+    dev = np.abs(np.concatenate(out, axis=1) - e).reshape(2, 2, half).max(axis=2).T
     worst = float(max(dev.max(), completeness))
     return CuntzReport(
         n=n,

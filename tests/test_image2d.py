@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavekit.errors import LevelError, ParameterError, ShapeError, SizeError
+from wavekit.errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import (
     ImagePyramid,
@@ -128,6 +128,44 @@ def test_idwt2d_plane_chain_checked():
     broken = ImagePyramid(details=(p.details[0], p.details[0]), approx=p.approx)
     with pytest.raises(ShapeError):
         idwt2d(broken, f)
+
+
+def test_idwt2d_accepts_planes_given_as_lists():
+    """A pyramid built from nested lists inverts like the one built from the
+    arrays they came from."""
+    f = builtin_filter("db4")
+    p = dwt2d(RNG.standard_normal((16, 8)), f, 2)
+    listed = ImagePyramid(
+        details=tuple(
+            LevelDetail(h=t.h.tolist(), v=t.v.tolist(), d=t.d.tolist()) for t in p.details
+        ),
+        approx=p.approx.tolist(),
+    )
+    assert np.array_equal(idwt2d(listed, f), idwt2d(p, f))
+
+
+@pytest.mark.parametrize(
+    "plane",
+    (
+        np.full((8, 8), "a"),
+        np.full((8, 8), None, dtype=object),
+        np.ones((8, 8), dtype=object),
+    ),
+    ids=("str", "object-none", "object-float"),
+)
+def test_non_numeric_images_and_planes_are_refused(plane):
+    f = builtin_filter("haar")
+    with pytest.raises(DomainError):
+        dwt2d(plane, f, 1)
+    p = dwt2d(np.ones((8, 8)), f, 1)
+    t = p.details[0]
+    quarter = plane[:4, :4]
+    for broken in (
+        ImagePyramid(details=(LevelDetail(h=quarter, v=t.v, d=t.d),), approx=p.approx),
+        ImagePyramid(details=p.details, approx=quarter),
+    ):
+        with pytest.raises(DomainError):
+            idwt2d(broken, f)
 
 
 def test_quantizer_validation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import wavekit.subband as subband
-from wavekit.errors import LevelError, ShapeError, SizeError
+from wavekit.errors import DomainError, LevelError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.subband import (
     SQRT2,
@@ -141,6 +141,39 @@ def test_idwt1d_shape_chain_checked():
     broken = Pyramid1D(details=(p.details[0], p.details[0]), approx=p.approx)
     with pytest.raises(ShapeError):
         idwt1d(broken, f)
+
+
+@pytest.mark.parametrize(
+    "x",
+    (
+        np.full(8, "a"),
+        np.full(8, None, dtype=object),
+        np.ones(8, dtype=object),
+    ),
+    ids=("str", "object-none", "object-float"),
+)
+def test_non_numeric_signals_and_bands_are_refused(x):
+    """Only bool, integer, float and complex data pass the gate: strings and
+    object arrays, even of floats, raise DomainError before any filtering."""
+    f = builtin_filter("haar")
+    for call in (lambda: dwt1d(x, f, 1), lambda: analysis_step(x, f)):
+        with pytest.raises(DomainError):
+            call()
+    p = dwt1d(np.ones(8), f, 1)
+    for broken in (
+        Pyramid1D(details=(x[:4],), approx=p.approx),
+        Pyramid1D(details=p.details, approx=x[:4]),
+    ):
+        with pytest.raises(DomainError):
+            idwt1d(broken, f)
+
+
+def test_bool_and_integer_signals_pass_the_gate():
+    f = builtin_filter("haar")
+    for x in (np.array([True, False] * 4), np.arange(8, dtype=np.uint8)):
+        p = dwt1d(x, f, 2)
+        assert p.approx.dtype == np.float64
+        assert_allclose(idwt1d(p, f), x.astype(float), atol=1e-14)
 
 
 def test_subband_pair_validates():
