@@ -108,26 +108,9 @@ class FilterSpec:
 
     @cached_property
     def _tap_cache(self) -> dict:
-        return {}  # filled by _taps; not a field, so a dataclasses.replace copy starts empty
-
-    def _taps(self, direction: str, scale: float, dtype) -> np.ndarray:
-        # The kernel's (2Q, 2) taps times ``scale``, one column per output
-        # channel, for input of ``dtype``: read-only, in the dtype of the
-        # result, and built once per key. "analysis" column b is conj(C[b]);
-        # "synthesis" column s holds C[b, 2(Q-1-q) + s] at 2q + b, and is
-        # stored row by row, like the phases it makes.
-        key = (direction, scale, np.dtype(dtype))
-        taps = self._tap_cache.get(key)
-        if taps is None:
-            _, c = self._polyphase
-            if direction == "analysis":
-                c = np.conj(c).T
-            else:
-                c = c.reshape(2, -1, 2)[:, ::-1].transpose(1, 0, 2).reshape(-1, 2)
-            taps = np.multiply(c, scale, dtype=np.result_type(dtype, c.dtype, np.float64))
-            taps.setflags(write=False)
-            self._tap_cache[key] = taps
-        return taps
+        # The kernel's scaled taps, filled by wavekit.subband._kernel_taps;
+        # not a field, so a dataclasses.replace copy starts empty.
+        return {}
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,13 @@ wrapped input of a cache-sized block (whole rows of the axes after the
 filtered one) once, its two channels interleaved, into one buffer: one
 overlapping strided view of it holds every window, and each band, or both
 phases of a synthesis, is one matmul of that view with the filter's cached
-taps, written in place. Any axes before and after the filtered one ride
-along, so the 1-d step, both passes of the 2-d step and batched rows share
-it. Each level rule is stated once, in ``max_levels`` (and
-``image2d.max_levels_2d``); ``_check_levels`` accepts exactly the depths
-1..max. ``subband_matrices`` keeps its own index formula, so the tests check
-the kernel against an independent oracle.
+taps, written in place (plus one small product for what a BLAS phase split
+leaves over). Any axes before and after the filtered one ride along, so the
+1-d step, both passes of the 2-d step and batched rows share it. Each level
+rule is stated once, in ``max_levels`` (and ``image2d.max_levels_2d``);
+``_check_levels`` accepts exactly the depths 1..max. ``subband_matrices``
+keeps its own index formula, so the tests check the kernel against an
+independent oracle.
 """
 from __future__ import annotations
 
@@ -146,49 +147,50 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> None:
+def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     """The periodic polyphase product behind every filter-bank step:
 
         out_j[l, i, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
 
     along ``axis``, l and t running over the axes before and after it. The
-    channels in_s come from ``srcs`` and out_j go to ``dsts``, lists of
-    (array, v) and (array, u) pairs; an array 2 half long along ``axis``
-    holds two channels, its phases, and one half long holds one.
+    two channels in_s come from ``srcs``, (array, v) pairs, and the two out_j
+    go to the arrays it returns, one per offset u in ``dsts``. An array
+    2 half long along ``axis`` holds two channels, its phases, and one half
+    long holds one.
 
     In blocks of at most ``_BLOCK`` outputs per channel (whole trailing rows,
     and whole index ranges when a block spans lead rows), the wrapped input
     is gathered once, its channels interleaved, into one buffer per call. The
     2Q samples that meet output i then sit at even steps from entry i + u, so
-    one overlapping strided view holds every window, and each destination
-    block is one matmul of that view with its columns of ``taps``, written in
-    place. A product's rows are the trailing samples of one output or, with
-    one per row, the outputs i = p a + e of one phase e, whose windows lie
-    2p >= 2Q samples apart, as BLAS needs.
+    one overlapping strided view holds every window, and each result block
+    is one matmul of that view with its columns of ``taps``, written in place
+    through a strided view of the result. A product's rows are the trailing
+    samples of one output or, with one per row, the outputs i = i0 + p a + e
+    of one phase e, whose windows lie 2p >= 2Q samples apart, as BLAS needs;
+    the k mod p outputs a block of k has left over take one product more.
     """
     shape = srcs[0][0].shape
-    half = min(a.shape[axis] for a, _ in srcs + dsts)
+    half = sum(a.shape[axis] for a, _ in srcs) // 2
     lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
     width = taps.shape[0]
-    span = width // 2 - 1 + max(u for _, u in dsts)
+    span = width // 2 - 1 + max(dsts)
     ib = min(half, max(1, _BLOCK // trail))
     lb = min(lead, max(1, _BLOCK // (ib * trail)))
-    p = 1 << (width // 2 - 1).bit_length()
-    if trail > 1 or half % p or ib % p:
-        p = 1
+    p = 1 << (width // 2 - 1).bit_length() if trail == 1 else 1
+    c = 2 // len(dsts)
+    # The results before the short-lived gather buffer: in this order the
+    # pyramid benchmark's peak RSS was 1% lower.
+    outs = [np.empty(shape[:axis] + (c * half,) + shape[axis + 1 :], taps.dtype) for _ in dsts]
     gathered = np.empty(lb * (ib + span) * 2 * trail, dtype=taps.dtype)
-    item = gathered.itemsize
-    pair = 2 * trail * item
-    # Windows and destinations as (lead, phase, output, trailing sample, tap
-    # or channel); with one sample per trailing row, the outputs are the rows.
-    tail, tail_steps = ((trail, width), (item, trail * item)) if trail > 1 else ((width,), (item,))
     srcs = [(a.reshape(lead, half, -1, trail), v) for a, v in srcs]
-    products, j = [], 0
-    for a, u in dsts:
-        c = a.shape[axis] // half
-        out = a.reshape(lead, half // p, p, c, trail).transpose(0, 2, 1, 4, 3)
-        products.append((out if trail > 1 else out[..., 0, :], u, taps[:, j : j + c]))
-        j += c
+    it = gathered.itemsize
+    pair = 2 * trail * it
+    # Windows and result blocks are strided views of the flat buffers as
+    # (lead, phase, output, trailing sample, tap or channel), the trailing
+    # sample left out when there is one per row.
+    t_shape, last = ((trail,), (it, trail * it)) if trail > 1 else ((), (it,))
+    step, tail, wtail = c * trail * it, t_shape + (c,), t_shape + (width,)
+    products = list(zip(outs, dsts, (taps[:, :c], taps[:, c:])))
     for l0 in range(0, lead, lb):
         rows = slice(l0, min(l0 + lb, lead))
         m = rows.stop - l0
@@ -197,17 +199,40 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> None:
             g = gathered[: m * (k + span) * 2 * trail].reshape(m, k + span, 2, trail)
             s = 0
             for a, v in srcs:
-                c = a.shape[2]
                 src, dst = (i0 + v) % half, 0
                 while dst < k + span:  # in runs, wrapping mod half as often as needed
                     n = min(half - src, k + span - dst)
-                    g[:, dst : dst + n, s : s + c] = a[rows, src : src + n]
+                    g[:, dst : dst + n, s : s + a.shape[2]] = a[rows, src : src + n]
                     src, dst = 0, dst + n
-                s += c
-            steps = (g.strides[0], pair, p * pair) + tail_steps
-            for out, u, cols in products:
-                w = np.ndarray((m, p, k // p) + tail, g.dtype, gathered, u * pair, steps)
-                np.matmul(w, cols, out=out[rows, :, i0 // p : (i0 + k) // p])
+                s += a.shape[2]
+            # p phases of k // p outputs each, then the last k mod p as one phase
+            for e, q, n in [t for t in ((0, p, k // p), (k - k % p, 1, k % p)) if t[2]]:
+                lanes, wsteps = (m, q, n), (g.strides[0], pair, q * pair) + last
+                osteps = (half * step, step, q * step) + last
+                for a, u, cols in products:
+                    w = np.ndarray(lanes + wtail, g.dtype, gathered, (u + e) * pair, wsteps)
+                    out = np.ndarray(lanes + tail, a.dtype, a, (l0 * half + i0 + e) * step, osteps)
+                    np.matmul(w, cols, out=out)
+    return outs
+
+
+def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> np.ndarray:
+    """The (2Q, 2) taps of ``_polyphase_product`` times ``scale`` for input
+    of ``dtype``, read-only, in the result dtype and cached on ``f``. Analysis
+    column b is conj(C[b]); synthesis column s holds C[b, 2(Q-1-q) + s] at
+    2q + b, stored row by row like the phases it makes."""
+    key = (synthesis, scale, np.dtype(dtype))
+    taps = f._tap_cache.get(key)
+    if taps is None:
+        _, c = f._polyphase
+        if synthesis:
+            c = c.reshape(2, -1, 2)[:, ::-1].transpose(1, 0, 2).reshape(-1, 2)
+        else:
+            c = np.conj(c).T
+        taps = np.multiply(c, scale, dtype=np.result_type(dtype, c.dtype, np.float64))
+        taps.setflags(write=False)
+        f._tap_cache[key] = taps
+    return taps
 
 
 def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
@@ -219,13 +244,9 @@ def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
     with ((o_h, o_g), C) from ``FilterSpec._polyphase``.
     """
     offsets, _ = f._polyphase
-    taps = f._taps("analysis", scale, x.dtype)
-    shape = list(x.shape)
-    shape[axis] //= 2
-    bands = [np.empty(shape, dtype=taps.dtype) for _ in offsets]
     base = min(offsets)
-    _polyphase_product([(x, base)], taps, [(b, o - base) for b, o in zip(bands, offsets)], axis)
-    return bands
+    taps = _kernel_taps(f, False, scale, x.dtype)
+    return _polyphase_product([(x, base)], taps, [o - base for o in offsets], axis)
 
 
 def _synthesize(
@@ -236,13 +257,9 @@ def _synthesize(
     Q - 1 - q both phases come from one product, band b read from offset
     -o_b - (Q - 1)."""
     offsets, _ = f._polyphase
-    taps = f._taps("synthesis", scale, np.promote_types(low.dtype, high.dtype))
-    shape = list(low.shape)
-    shape[axis] *= 2
-    out = np.empty(shape, dtype=taps.dtype)
+    taps = _kernel_taps(f, True, scale, np.promote_types(low.dtype, high.dtype))
     srcs = [(y, 1 - o - taps.shape[0] // 2) for y, o in zip((low, high), offsets)]
-    _polyphase_product(srcs, taps, [(out, 0)], axis)
-    return out
+    return _polyphase_product(srcs, taps, [0], axis)[0]
 
 
 def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) -> list:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +11,6 @@ from wavekit.filters import (
     qmf_check,
     symbol_eval,
 )
-from wavekit.subband import SQRT2
 
 SQRT3 = np.sqrt(3.0)
 
@@ -204,20 +201,3 @@ def test_derive_highpass_returns_cached_spec():
     assert g.length == 4 and g.stop == 2
     assert not g.h.flags.writeable
     assert derive_highpass(f) is g
-
-
-def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
-    f = builtin_filter("db4")
-    a = f._taps("analysis", SQRT2, np.dtype(np.float64))
-    assert f._taps("analysis", SQRT2, np.dtype(np.float64)) is a
-    assert not a.flags.writeable
-    assert f._taps("synthesis", SQRT2, np.dtype(np.float64)) is not a
-    assert f._taps("analysis", 2.0, np.dtype(np.float64)) is not a
-    c = f._taps("analysis", SQRT2, np.dtype(np.complex128))
-    assert c is not a and c.dtype == np.complex128
-    assert_allclose(c, a, atol=0)
-    fresh = dataclasses.replace(f)
-    assert fresh._tap_cache == {}
-    b = fresh._taps("analysis", SQRT2, np.dtype(np.float64))
-    assert b is not a
-    assert_allclose(b, a, atol=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -462,11 +463,12 @@ def _assert_close_relative(got, ref):
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("block", (7, 100, subband._BLOCK))
+@pytest.mark.parametrize("block", (7, 8, 100, subband._BLOCK))
 def test_batched_rows_match_the_row_loop(monkeypatch, lattice_filters, block):
     """Splitting and merging a (1000, 64) stack along axis 1 gives each
-    row's 1-d result, whether a block covers part of a row (7), a ragged
-    group of rows (100) or the whole stack."""
+    row's 1-d result, whether a block covers part of a row (7, or 8, a
+    multiple of every filter's phase count), a ragged group of rows (100) or
+    the whole stack."""
     rows = RNG.standard_normal((1000, 64))
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
         loop = [_split(r, f, (0,), SQRT2) for r in rows]
@@ -478,6 +480,35 @@ def test_batched_rows_match_the_row_loop(monkeypatch, lattice_filters, block):
         for j, band in enumerate(bands):
             _assert_close_relative(band, np.stack([b[j] for b in loop]))
         _assert_close_relative(back, merged)
+
+
+@pytest.mark.parametrize("block", (5, 8))
+def test_blocked_steps_match_matrices(monkeypatch, lattice_filters, block):
+    """With several blocks per signal, half lengths that are and are not
+    multiples of the phase count, and blocks that are (8) and are not (5),
+    each block's phases and its leftover outputs land where the dense
+    operators put them."""
+    monkeypatch.setattr(subband, "_BLOCK", block)
+    for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
+        for n in (34, 40, 46, 64):
+            _check_steps_against_matrices(f, n)
+
+
+def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
+    f = builtin_filter("db4")
+    a = subband._kernel_taps(f, False, SQRT2, np.float64)
+    assert subband._kernel_taps(f, False, SQRT2, np.float64) is a
+    assert not a.flags.writeable
+    assert subband._kernel_taps(f, True, SQRT2, np.float64) is not a
+    assert subband._kernel_taps(f, False, 2.0, np.float64) is not a
+    c = subband._kernel_taps(f, False, SQRT2, np.complex128)
+    assert c is not a and c.dtype == np.complex128
+    assert_allclose(c, a, atol=0)
+    fresh = dataclasses.replace(f)
+    assert fresh._tap_cache == {}
+    b = subband._kernel_taps(fresh, False, SQRT2, np.float64)
+    assert b is not a
+    assert_allclose(b, a, atol=0)
 
 
 def test_round_trip_peak_memory_1d():
