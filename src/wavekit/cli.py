@@ -176,13 +176,13 @@ def _inverse_filter(args, container_name: str) -> FilterSpec:
 
 
 def _depth(levels, admissible: int, what: str, f: FilterSpec) -> int:
-    """``--levels``, or the deepest depth ``what`` admits; below 1 is refused."""
-    n_lev = levels if levels is not None else admissible
-    if n_lev < 1:
+    """``--levels``, or the deepest depth ``what`` admits. Refuses only an
+    input that admits no level; a bad ``--levels`` is left to the transform."""
+    if admissible < 1:
         raise LevelError(
             f"{what} admits no decomposition with filter {f.name!r} ({f.length} taps)"
         )
-    return n_lev
+    return levels if levels is not None else admissible
 
 
 def _run_transform(args) -> int:

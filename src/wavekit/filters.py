@@ -14,7 +14,8 @@ The high-pass companion g_k = (-1)^k conj(h_{1-k}) is another finite filter,
 so ``derive_highpass`` returns it as a ``FilterSpec`` (``normalized=False``,
 since its coefficients sum to 0 for an orthogonal pair). Each spec computes
 its companion once and keeps it, so repeated filter-bank steps on one filter
-share one companion.
+share one companion. The kernel of :mod:`wavekit.subband` caches its taps on
+the spec too; only that module knows their layout.
 """
 from __future__ import annotations
 
@@ -91,25 +92,10 @@ class FilterSpec:
         return FilterSpec(f"{self.name}:highpass", g, gstart, normalized=False)
 
     @cached_property
-    def _polyphase(self) -> tuple[tuple[int, int], np.ndarray]:
-        # ((o_h, o_g), C) for the filter-bank kernel of wavekit.subband. Each
-        # of h and its companion g starts on a whole pair of samples, 2 o_b,
-        # and both are padded to one even width 2Q: C[b, 2q + s] is the tap of
-        # band b (0 for h, 1 for g) at index 2 (o_b + q) + s. Built once per
-        # spec, like the companion.
-        bands = (self, self._highpass)
-        los = [c.start - c.start % 2 for c in bands]
-        width = max(c.stop - lo for c, lo in zip(bands, los))
-        taps = np.zeros((2, width + width % 2), dtype=self.h.dtype)
-        for row, c, lo in zip(taps, bands, los):
-            row[c.start - lo : c.stop - lo] = c.h
-        taps.setflags(write=False)
-        return (los[0] // 2, los[1] // 2), taps
-
-    @cached_property
     def _tap_cache(self) -> dict:
-        # The kernel's scaled taps, filled by wavekit.subband._kernel_taps;
-        # not a field, so a dataclasses.replace copy starts empty.
+        # The filter-bank kernel's offsets and scaled taps, filled by
+        # wavekit.subband._kernel_taps, which alone knows their layout; not a
+        # field, so a dataclasses.replace copy starts empty.
         return {}
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _check_levels, _checked, _merge, _split
+from .subband import _check_levels, _checked, _split, _unpyramid
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class LevelDetail:
     v: np.ndarray
     d: np.ndarray
 
+    def __post_init__(self):
+        for name in ("h", "v", "d"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class ImagePyramid:
@@ -72,6 +76,7 @@ class ImagePyramid:
         object.__setattr__(self, "details", tuple(self.details))
         if not self.details:
             raise ShapeError("an image pyramid needs at least one detail level")
+        object.__setattr__(self, "approx", np.asarray(self.approx))
 
     @property
     def levels(self) -> int:
@@ -151,19 +156,9 @@ def dwt2d(img, f: FilterSpec, n_lev: int) -> ImagePyramid:
 
 
 def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
-    """Invert ``dwt2d``. Plane shapes must chain consistently."""
-    current = np.asarray(p.approx)
-    for level in range(p.levels - 1, -1, -1):
-        t = p.details[level]
-        h, v, d = (np.asarray(x) for x in (t.h, t.v, t.d))
-        if h.shape != current.shape or v.shape != current.shape or d.shape != current.shape:
-            raise ShapeError(
-                f"detail level {level + 1} planes have shape {h.shape}, "
-                f"expected {current.shape}"
-            )
-        q = QuadDecomp(a=current, h=h, v=v, d=d)
-        current = _merge((q.a, q.v, q.h, q.d), f, (1, 0), 2.0)
-    return current
+    """Invert ``dwt2d``. The averages plane must be nonempty and 2-d, and
+    each level's planes of the shape of the averages they merge with."""
+    return _unpyramid(p.approx, [(t.v, t.h, t.d) for t in p.details], f, (1, 0), 2.0)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -184,12 +179,12 @@ def quantize(p: ImagePyramid, q: Quantizer) -> ImagePyramid:
     integer pyramids k, and the composition dequantize(quantize(p, q), q)
     snaps coefficients to the lattice step * Z, i.e. c -> round(c/step)*step.
     """
-    return p.map_planes(lambda arr: _to_indices(np.asarray(arr), q.step))
+    return p.map_planes(lambda arr: _to_indices(arr, q.step))
 
 
 def dequantize(p: ImagePyramid, q: Quantizer) -> ImagePyramid:
     """Map integer indices back to coefficient values step * k."""
-    return p.map_planes(lambda arr: np.asarray(arr) * q.step)
+    return p.map_planes(lambda arr: arr * q.step)
 
 
 def snap_to_lattice(p: ImagePyramid, q: Quantizer) -> ImagePyramid:
@@ -199,7 +194,6 @@ def snap_to_lattice(p: ImagePyramid, q: Quantizer) -> ImagePyramid:
 
 
 def _rescale_for_display(plane: np.ndarray) -> np.ndarray:
-    plane = np.asarray(plane)
     if np.iscomplexobj(plane):
         plane = np.abs(plane)
     lo = float(plane.min())

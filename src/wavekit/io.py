@@ -244,7 +244,7 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     if isinstance(pyramid, Pyramid1D):
         size = f"len: {pyramid.signal_length}"
         shape = (pyramid.signal_length,)
-        planes = [np.asarray(v)[:, None] for v in (*pyramid.details, pyramid.approx)]
+        planes = [v[:, None] for v in (*pyramid.details, pyramid.approx)]
     elif isinstance(pyramid, ImagePyramid):
         shape = pyramid.image_shape
         size = f"dims: {shape[0]}x{shape[1]}"
@@ -259,7 +259,7 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     ]
     for (label, _), plane in zip(_layout(pyramid.levels, shape), planes):
         lines.append(f"[{label}]")
-        lines.extend(map(_format_array_line, np.asarray(plane).tolist()))
+        lines.extend(map(_format_array_line, plane.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,25 +11,26 @@ compose to the identity whenever the filter passes ``qmf_check``: the
 downsampling operators are isometries with orthogonal ranges summing to the
 whole space, which ``cuntz_check`` verifies on this same kernel.
 
-Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis
-along a tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)``
-for an image) or its adjoint ``_merge``, behind one input gate ``_checked``.
-Along each axis they run one kernel, ``_polyphase_product``, in the
-polyphase form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993,
-ch. 6): sample 2(o + q + i) + s is entry o + q + i of the phase x[s::2], so
-each band at i is a sum over q and s of its taps times the pair of phases at
-o + q + i, with o set by where the band's taps start. The kernel gathers the
-wrapped input of a cache-sized block (whole rows of the axes after the
-filtered one) once, its two channels interleaved, into one buffer: one
-overlapping strided view of it holds every window, and each band, or both
-phases of a synthesis, is one matmul of that view with the filter's cached
+Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along a
+tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)`` for an
+image) or its adjoint ``_merge``. Every analysis passes one input gate,
+``_checked``; every inverse is one call of ``_unpyramid``, which alone checks
+that the bands chain. Along each axis both run one kernel,
+``_polyphase_product``, in the polyphase form of the pyramid algorithm (Mallat
+1989; Vaidyanathan 1993, ch. 6): sample 2(o + q + i) + s is entry o + q + i of
+the phase x[s::2], so each band at i is a sum over q and s of its taps times
+the pair of phases at o + q + i, with o set by where the band's taps start.
+The kernel gathers the wrapped input of a cache-sized block (whole rows of the
+axes after the filtered one) once, its two channels interleaved, into one
+buffer: one overlapping strided view of it holds every window, and each band,
+or both phases of a synthesis, is one matmul of that view with the filter's
 taps, written in place (plus one small product for what a BLAS phase split
-leaves over). Any axes before and after the filtered one ride along, so the
-1-d step, both passes of the 2-d step and batched rows share it. Each level
-rule is stated once, in ``max_levels`` (and ``image2d.max_levels_2d``);
-``_check_levels`` accepts exactly the depths 1..max. ``subband_matrices``
-keeps its own index formula, so the tests check the kernel against an
-independent oracle.
+leaves over); only ``_kernel_taps`` knows their layout. Any axes before and
+after the filtered one ride along, so the 1-d step, both passes of the 2-d
+step and batched rows share it. Each level rule is stated once, in
+``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels`` accepts
+exactly the depths 1..max. ``subband_matrices`` keeps its own index formula,
+so the tests check the kernel against an independent oracle.
 """
 from __future__ import annotations
 
@@ -85,9 +86,11 @@ class Pyramid1D:
     approx: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "details", tuple(self.details))
-        if not self.details:
+        details = tuple(np.atleast_1d(np.asarray(z)) for z in self.details)
+        if not details:
             raise ShapeError("a pyramid needs at least one detail level")
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "approx", np.atleast_1d(np.asarray(self.approx)))
 
     @property
     def levels(self) -> int:
@@ -216,23 +219,32 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     return outs
 
 
-def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> np.ndarray:
-    """The (2Q, 2) taps of ``_polyphase_product`` times ``scale`` for input
-    of ``dtype``, read-only, in the result dtype and cached on ``f``. Analysis
-    column b is conj(C[b]); synthesis column s holds C[b, 2(Q-1-q) + s] at
-    2q + b, stored row by row like the phases it makes."""
+def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
+    """((o_h, o_g), taps): the (2Q, 2) taps of ``_polyphase_product`` times
+    ``scale`` for input of ``dtype``, read-only, in the result dtype, cached
+    on ``f`` with the offsets. Each of h and its companion g starts on a
+    whole pair of samples, 2 o_b, and both are padded to one even width 2Q:
+    C[b, 2q + s] is the tap of band b (0 for h, 1 for g) at index
+    2 (o_b + q) + s. Analysis column b is conj(C[b]); synthesis column s
+    holds C[b, 2(Q-1-q) + s] at 2q + b, stored row by row like the phases it
+    makes."""
     key = (synthesis, scale, np.dtype(dtype))
-    taps = f._tap_cache.get(key)
-    if taps is None:
-        _, c = f._polyphase
+    entry = f._tap_cache.get(key)
+    if entry is None:
+        bands = (f, derive_highpass(f))
+        los = [b.start - b.start % 2 for b in bands]
+        width = max(b.stop - lo for b, lo in zip(bands, los))
+        c = np.zeros((2, width + width % 2), dtype=f.h.dtype)
+        for row, b, lo in zip(c, bands, los):
+            row[b.start - lo : b.stop - lo] = b.h
         if synthesis:
             c = c.reshape(2, -1, 2)[:, ::-1].transpose(1, 0, 2).reshape(-1, 2)
         else:
             c = np.conj(c).T
         taps = np.multiply(c, scale, dtype=np.result_type(dtype, c.dtype, np.float64))
         taps.setflags(write=False)
-        f._tap_cache[key] = taps
-    return taps
+        entry = f._tap_cache[key] = (los[0] // 2, los[1] // 2), taps
+    return entry
 
 
 def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
@@ -241,11 +253,10 @@ def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
 
     Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
     band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
-    with ((o_h, o_g), C) from ``FilterSpec._polyphase``.
+    with the offsets (o_h, o_g) and taps C of ``_kernel_taps``.
     """
-    offsets, _ = f._polyphase
+    offsets, taps = _kernel_taps(f, False, scale, x.dtype)
     base = min(offsets)
-    taps = _kernel_taps(f, False, scale, x.dtype)
     return _polyphase_product([(x, base)], taps, [o - base for o in offsets], axis)
 
 
@@ -256,8 +267,7 @@ def _synthesize(
     sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], so with q replaced by
     Q - 1 - q both phases come from one product, band b read from offset
     -o_b - (Q - 1)."""
-    offsets, _ = f._polyphase
-    taps = _kernel_taps(f, True, scale, np.promote_types(low.dtype, high.dtype))
+    offsets, taps = _kernel_taps(f, True, scale, np.promote_types(low.dtype, high.dtype))
     srcs = [(y, 1 - o - taps.shape[0] // 2) for y, o in zip((low, high), offsets)]
     return _polyphase_product(srcs, taps, [0], axis)[0]
 
@@ -280,8 +290,6 @@ def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) ->
 def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndarray:
     """Adjoint of :func:`_split`: merge sibling bands pairwise, last axis
     first, into one array whose dtype comes from the bands and the filter."""
-    if any(b.dtype.kind not in "biufc" for b in bands):
-        raise DomainError("bands must be numeric (bool, integer, float or complex)")
     for axis in reversed(axes):
         s = scale if axis == axes[-1] else 1.0
         bands = [_synthesize(lo, hi, f, axis, s) for lo, hi in zip(bands[0::2], bands[1::2])]
@@ -307,6 +315,33 @@ def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
     return arr
 
 
+def _unpyramid(
+    approx: np.ndarray, levels, f: FilterSpec, axes: tuple[int, ...], scale: float
+) -> np.ndarray:
+    """The one inverse driver and its gate: merge ``approx`` with the bands
+    of each level in ``levels``, deepest (last) first, as ``_merge`` along
+    ``axes`` with ``scale``. The averages must be a nonempty ``len(axes)``-d
+    numeric array and each band of level l must have the shape of the
+    averages it merges with; anything else raises before any filtering."""
+    shape = approx.shape
+    if len(shape) != len(axes) or approx.size == 0:
+        raise ShapeError(
+            f"averages of shape {shape} are not a nonempty {len(axes)}-d array"
+        )
+    for level in range(len(levels), 0, -1):
+        for band in levels[level - 1]:
+            if band.shape != shape:
+                raise ShapeError(
+                    f"detail level {level} has shape {band.shape}, expected {shape}"
+                )
+        shape = tuple(2 * n for n in shape)
+    if any(b.dtype.kind not in "biufc" for b in (approx, *(b for bands in levels for b in bands))):
+        raise DomainError("bands must be numeric (bool, integer, float or complex)")
+    for bands in reversed(levels):
+        approx = _merge((approx, *bands), f, axes, scale)
+    return approx
+
+
 def analysis_step(x, f: FilterSpec) -> SubbandPair:
     """Split x into averages and details (half length each).
 
@@ -320,9 +355,7 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
 
 def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     """Merge an averages/details pair back into a double-length signal."""
-    if p.y.size < 1:
-        raise ShapeError("cannot synthesize from empty bands")
-    return _merge((p.y, p.z), f, (0,), SQRT2)
+    return _unpyramid(p.y, [(p.z,)], f, (0,), SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
@@ -362,24 +395,9 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
 
 
 def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
-    """Invert ``dwt1d``. Detail lengths must chain consistently."""
-    current = np.atleast_1d(np.asarray(p.approx))
-    details = [np.atleast_1d(np.asarray(z)) for z in p.details]
-    size = current.size
-    for level in range(p.levels - 1, -1, -1):
-        z = details[level]
-        if z.size != size:
-            raise ShapeError(
-                f"detail level {level + 1} has length {z.size}, expected {size}"
-            )
-        if z.ndim != 1 or current.ndim != 1:
-            raise ShapeError("y and z must be 1-d arrays of equal length")
-        size *= 2
-    if current.size < 1:
-        raise ShapeError("cannot synthesize from empty bands")
-    for z in reversed(details):
-        current = _merge((current, z), f, (0,), SQRT2)
-    return current
+    """Invert ``dwt1d``. The averages must be nonempty and 1-d, and each
+    level's details as long as the averages they merge with."""
+    return _unpyramid(p.approx, [(z,) for z in p.details], f, (0,), SQRT2)
 
 
 def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:

@@ -1,5 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# Subprocesses (the CLI and demo tests) import the checkout's package too.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def lattice_lowpass(angles) -> np.ndarray:

@@ -156,6 +156,23 @@ def test_transform_refuses_depth_zero_with_one_text(tmp_path, capsys, levels):
         )
 
 
+@pytest.mark.parametrize("levels", ("0", "-2"))
+def test_transform_leaves_bad_levels_to_the_level_check(tmp_path, capsys, levels):
+    """On inputs that admit levels, --levels 0 or -2 is refused by the level
+    check, not as an input that admits no decomposition."""
+    from wavekit.cli import main
+
+    sig, img, out = (str(tmp_path / name) for name in ("x.csv", "i.pgm", "o.pyr"))
+    write_signal_csv(sig, RNG.standard_normal(64))
+    write_pgm(img, np.zeros((16, 16)))
+    for mode, path in (("dwt1d", sig), ("dwt2d", img)):
+        argv = ["transform", mode, "--in", path, "--filter", "db4", "--out", out]
+        assert main(argv + ["--levels", levels]) == 2
+        assert capsys.readouterr().err == (
+            f"error: level count must be a positive integer, got {levels}\n"
+        )
+
+
 def test_transform_2d_worked_example(tmp_path):
     img = str(tmp_path / "t.pgm")
     pyr = str(tmp_path / "t.pyr")

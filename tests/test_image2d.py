@@ -19,6 +19,7 @@ from wavekit.image2d import (
     quantize,
     snap_to_lattice,
 )
+from wavekit.io import write_pyramid_container
 from wavekit.subband import subband_matrices
 
 RNG = np.random.default_rng(7041776)
@@ -130,9 +131,9 @@ def test_idwt2d_plane_chain_checked():
         idwt2d(broken, f)
 
 
-def test_idwt2d_accepts_planes_given_as_lists():
-    """A pyramid built from nested lists inverts like the one built from the
-    arrays they came from."""
+def test_idwt2d_accepts_planes_given_as_lists(tmp_path):
+    """A pyramid built from nested lists inverts, counts and serializes like
+    the one built from the arrays they came from."""
     f = builtin_filter("db4")
     p = dwt2d(RNG.standard_normal((16, 8)), f, 2)
     listed = ImagePyramid(
@@ -142,6 +143,20 @@ def test_idwt2d_accepts_planes_given_as_lists():
         approx=p.approx.tolist(),
     )
     assert np.array_equal(idwt2d(listed, f), idwt2d(p, f))
+    assert listed.image_shape == (16, 8)
+    assert listed.coefficient_count() == 128
+    paths = [tmp_path / "arrays.pyr", tmp_path / "lists.pyr"]
+    for path, pyramid in zip(paths, (p, listed)):
+        write_pyramid_container(str(path), pyramid, f.name)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("shape", ((0, 0), (0, 4)))
+def test_idwt2d_refuses_empty_planes(shape):
+    plane = np.zeros(shape)
+    p = ImagePyramid(details=(LevelDetail(h=plane, v=plane, d=plane),), approx=plane)
+    with pytest.raises(ShapeError, match="nonempty 2-d"):
+        idwt2d(p, builtin_filter("haar"))
 
 
 @pytest.mark.parametrize(

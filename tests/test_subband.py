@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import wavekit.subband as subband
 from wavekit.errors import DomainError, LevelError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
+from wavekit.io import write_pyramid_container
 from wavekit.subband import (
     SQRT2,
     Pyramid1D,
@@ -142,6 +143,29 @@ def test_idwt1d_shape_chain_checked():
     broken = Pyramid1D(details=(p.details[0], p.details[0]), approx=p.approx)
     with pytest.raises(ShapeError):
         idwt1d(broken, f)
+
+
+def test_idwt1d_accepts_bands_given_as_lists(tmp_path):
+    """A pyramid built from lists inverts, counts and serializes like the one
+    built from the arrays they came from."""
+    f = builtin_filter("db4")
+    p = dwt1d(RNG.standard_normal(64), f, 3)
+    listed = Pyramid1D(details=tuple(z.tolist() for z in p.details), approx=p.approx.tolist())
+    assert np.array_equal(idwt1d(listed, f), idwt1d(p, f))
+    assert listed.signal_length == 64
+    assert listed.coefficient_count() == 64
+    paths = [tmp_path / "arrays.pyr", tmp_path / "lists.pyr"]
+    for path, pyramid in zip(paths, (p, listed)):
+        write_pyramid_container(str(path), pyramid, f.name)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_empty_bands_are_refused():
+    f = builtin_filter("haar")
+    with pytest.raises(ShapeError, match="nonempty 1-d"):
+        synthesis_step(SubbandPair(y=np.ones(0), z=np.ones(0)), f)
+    with pytest.raises(ShapeError, match="nonempty 1-d"):
+        idwt1d(Pyramid1D(details=(np.ones(0),), approx=np.ones(0)), f)
 
 
 @pytest.mark.parametrize(
@@ -495,18 +519,21 @@ def test_blocked_steps_match_matrices(monkeypatch, lattice_filters, block):
 
 
 def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
+    """Offsets and taps come as one cached pair: h (db4) starts at pair 0 and
+    its companion g, on -2..1, at pair -1."""
     f = builtin_filter("db4")
-    a = subband._kernel_taps(f, False, SQRT2, np.float64)
-    assert subband._kernel_taps(f, False, SQRT2, np.float64) is a
+    offsets, a = subband._kernel_taps(f, False, SQRT2, np.float64)
+    assert offsets == (0, -1)
+    assert subband._kernel_taps(f, False, SQRT2, np.float64)[1] is a
     assert not a.flags.writeable
-    assert subband._kernel_taps(f, True, SQRT2, np.float64) is not a
-    assert subband._kernel_taps(f, False, 2.0, np.float64) is not a
-    c = subband._kernel_taps(f, False, SQRT2, np.complex128)
+    assert subband._kernel_taps(f, True, SQRT2, np.float64)[1] is not a
+    assert subband._kernel_taps(f, False, 2.0, np.float64)[1] is not a
+    c = subband._kernel_taps(f, False, SQRT2, np.complex128)[1]
     assert c is not a and c.dtype == np.complex128
     assert_allclose(c, a, atol=0)
     fresh = dataclasses.replace(f)
     assert fresh._tap_cache == {}
-    b = subband._kernel_taps(fresh, False, SQRT2, np.float64)
+    b = subband._kernel_taps(fresh, False, SQRT2, np.float64)[1]
     assert b is not a
     assert_allclose(b, a, atol=0)
 
