@@ -94,7 +94,8 @@ class FilterSpec:
     @cached_property
     def _tap_cache(self) -> dict:
         # The filter-bank kernel's offsets and scaled taps, filled by
-        # wavekit.subband._kernel_taps, which alone knows their layout; not a
+        # wavekit.subband._kernel_taps, which alone knows their layout, and
+        # the pyramid operators of wavekit.subband._pyramid_operator; not a
         # field, so a dataclasses.replace copy starts empty.
         return {}
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError
 from .filters import FilterSpec
 from .image2d import ImagePyramid, LevelDetail
-from .subband import Pyramid1D
+from .subband import Pyramid1D, _check_chain
 
 CONTAINER_MAGIC = "wavekit-pyr1"
 
@@ -242,15 +242,15 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     holds one value per line.
     """
     if isinstance(pyramid, Pyramid1D):
-        size = f"len: {pyramid.signal_length}"
-        shape = (pyramid.signal_length,)
-        planes = [v[:, None] for v in (*pyramid.details, pyramid.approx)]
+        levels, ndim = [(z,) for z in pyramid.details], 1
     elif isinstance(pyramid, ImagePyramid):
-        shape = pyramid.image_shape
-        size = f"dims: {shape[0]}x{shape[1]}"
-        planes = [p for t in pyramid.details for p in (t.h, t.v, t.d)] + [pyramid.approx]
+        levels, ndim = [(t.h, t.v, t.d) for t in pyramid.details], 2
     else:
         raise FormatError(f"cannot serialize {type(pyramid).__name__} as a pyramid")
+    # The inverses' chain rule, before the file is opened: what is written reads back.
+    shape = _check_chain(pyramid.approx, levels, ndim)
+    size = f"len: {shape[0]}" if ndim == 1 else f"dims: {shape[0]}x{shape[1]}"
+    planes = [p.reshape(len(p), -1) for bands in (*levels, (pyramid.approx,)) for p in bands]
     lines = [
         f"magic: {CONTAINER_MAGIC}",
         f"filter: {filter_name}",

@@ -14,12 +14,13 @@ whole space, which ``cuntz_check`` verifies on this same kernel.
 Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along a
 tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)`` for an
 image) or its adjoint ``_merge``. Every analysis passes one input gate,
-``_checked``; every inverse is one call of ``_unpyramid``, which alone checks
-that the bands chain. Along each axis both run one kernel,
-``_polyphase_product``, in the polyphase form of the pyramid algorithm (Mallat
-1989; Vaidyanathan 1993, ch. 6): sample 2(o + q + i) + s is entry o + q + i of
-the phase x[s::2], so each band at i is a sum over q and s of its taps times
-the pair of phases at o + q + i, with o set by where the band's taps start.
+``_checked``; every inverse, and the container writer of :mod:`wavekit.io`,
+first passes ``_check_chain``, the one rule for how the bands chain. Along
+each axis both run one kernel, ``_polyphase_product``, in the polyphase form
+of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6): sample
+2(o + q + i) + s is entry o + q + i of the phase x[s::2], so each band at i
+is a sum over q and s of its taps times the pair of phases at o + q + i,
+with o set by where the band's taps start.
 The kernel gathers the wrapped input of a cache-sized block (whole rows of the
 axes after the filtered one) once, its two channels interleaved, into one
 buffer: one overlapping strided view of it holds every window, and each band,
@@ -31,6 +32,17 @@ step and batched rows share it. Each level rule is stated once, in
 ``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels`` accepts
 exactly the depths 1..max. ``subband_matrices`` keeps its own index formula,
 so the tests check the kernel against an independent oracle.
+
+A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level
+kernel runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and
+depth the whole pyramid is one n x n linear map M, its inverse the adjoint
+conj(M), so each call is one matrix product (``_pyramid_operator``). The
+kernel itself builds M, on the rows of the identity, the first time a
+(length, depth) is asked for; M is cached on the filter, read-only, and the
+operators cached on one filter hold at most ``_OPERATOR_BYTES``, past which
+a call runs the kernel. The bands of a short ``dwt1d`` are views of one
+buffer, that product's result. Every other caller (``analysis_step``,
+``synthesis_step``, ``cuntz_check``, the 2-d pyramid) runs the kernel.
 """
 from __future__ import annotations
 
@@ -55,6 +67,19 @@ _CUNTZ_BYTE_BUDGET = 1 << 30
 #: there, but lifts the tracemalloc peak of a 2^16-sample round trip to 3.009
 #: signal sizes, against the 3.01 that the tests hold it to.
 _BLOCK = 1 << 13
+
+#: Longest signal whose ``dwt1d``/``idwt1d`` is one product with the cached
+#: pyramid operator (see ``_pyramid_operator``) instead of a kernel run per
+#: level. Set it to 0 to send every call to the kernel. A db4 round trip at
+#: full depth (2 cores, OpenBLAS on one thread) took 23 against 197 us at
+#: n = 64 and 40 against 283 us at n = 256; at n = 512 the product still won
+#: (199 against 377 us), but its operator is then 2 MiB.
+_OPERATOR_MAX_N = 256
+
+#: Most bytes the pyramid operators cached on one filter may hold: four
+#: float64 operators at n = 256, or 64 at n = 64. A call whose operator
+#: would not fit runs the kernel.
+_OPERATOR_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -315,18 +340,15 @@ def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
     return arr
 
 
-def _unpyramid(
-    approx: np.ndarray, levels, f: FilterSpec, axes: tuple[int, ...], scale: float
-) -> np.ndarray:
-    """The one inverse driver and its gate: merge ``approx`` with the bands
-    of each level in ``levels``, deepest (last) first, as ``_merge`` along
-    ``axes`` with ``scale``. The averages must be a nonempty ``len(axes)``-d
-    numeric array and each band of level l must have the shape of the
-    averages it merges with; anything else raises before any filtering."""
+def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[int, ...]:
+    """The chain rule of every pyramid, 1-d (``ndim=1``) or 2-d: the averages
+    are a nonempty ``ndim``-d array, each band of level l (``levels[l - 1]``)
+    has the shape of the averages it merges with, and every plane is numeric.
+    Returns the shape of the signal or image the pyramid inverts to."""
     shape = approx.shape
-    if len(shape) != len(axes) or approx.size == 0:
+    if len(shape) != ndim or approx.size == 0:
         raise ShapeError(
-            f"averages of shape {shape} are not a nonempty {len(axes)}-d array"
+            f"averages of shape {shape} are not a nonempty {ndim}-d array"
         )
     for level in range(len(levels), 0, -1):
         for band in levels[level - 1]:
@@ -337,9 +359,70 @@ def _unpyramid(
         shape = tuple(2 * n for n in shape)
     if any(b.dtype.kind not in "biufc" for b in (approx, *(b for bands in levels for b in bands))):
         raise DomainError("bands must be numeric (bool, integer, float or complex)")
+    return shape
+
+
+def _unpyramid(
+    approx: np.ndarray, levels, f: FilterSpec, axes: tuple[int, ...], scale: float
+) -> np.ndarray:
+    """Every inverse on the kernel: after ``_check_chain``, merge ``approx``
+    with the bands of each level in ``levels``, deepest (last) first, as
+    ``_merge`` along ``axes`` with ``scale``."""
+    _check_chain(approx, levels, len(axes))
     for bands in reversed(levels):
         approx = _merge((approx, *bands), f, axes, scale)
     return approx
+
+
+def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray | None:
+    """The n x n matrix M of the ``levels``-deep pyramid of n samples, or
+    None when n is over ``_OPERATOR_MAX_N``, data of ``dtype`` does not fit
+    in complex128, or M would take the operators cached on ``f`` past
+    ``_OPERATOR_BYTES``.
+
+    Row i of M is the pyramid of the unit impulse e_i, its bands side by side
+    in ``Pyramid1D`` order (details of level 1, ..., of level ``levels``,
+    then the averages), so the pyramid of x is x @ M and, the synthesis
+    being the adjoint, its inverse is conj(M) @ c. The kernel builds M, one
+    ``_split`` of the rows per level. It is read-only, in the filter's result
+    dtype, and cached in ``f._tap_cache`` under ("pyramid", n, levels).
+    """
+    if n > _OPERATOR_MAX_N or np.result_type(dtype, f.h.dtype, np.complex128) != np.complex128:
+        return None
+    key = ("pyramid", n, levels)
+    op = f._tap_cache.get(key)
+    if op is None:
+        rows = np.eye(n, dtype=np.result_type(f.h.dtype, np.float64))
+        held = sum(v.nbytes for k, v in f._tap_cache.items() if k[0] == "pyramid")
+        if held + rows.nbytes > _OPERATOR_BYTES:
+            return None
+        bands = []
+        for _ in range(levels):
+            rows, z = _split(rows, f, (1,), SQRT2)
+            bands.append(z)
+        op = f._tap_cache[key] = np.concatenate((*bands, rows), axis=1)
+        op.setflags(write=False)
+    return op
+
+
+def _operator_product(op: np.ndarray, v: np.ndarray, adjoint: bool) -> np.ndarray:
+    """v @ op, or conj(op) @ v if ``adjoint``, in the kernel's result dtype.
+
+    Real data and a real M make one matrix-vector product. Otherwise the real
+    and imaginary parts of v are the two rows (columns, for the adjoint) of
+    one matrix-matrix product: a complex matrix-vector product at n = 64 took
+    2 to 8 ms under OpenBLAS 0.3.31 with two threads on 2 cores, against
+    3 us on one thread, and a product of mixed dtypes casts M on every call.
+    """
+    if op.dtype.kind != "c" and v.dtype.kind != "c":
+        v = v.astype(op.dtype, copy=False)
+        return op @ v if adjoint else v @ op
+    parts = np.stack((v.real, v.imag), axis=int(adjoint)).astype(op.dtype, copy=False)
+    if adjoint:  # conj(M) @ v = conj(M @ re v) + i conj(M @ im v)
+        q = np.conj(op @ parts).T
+    else:
+        q = parts @ op
+    return q[0] + 1j * q[1]
 
 
 def analysis_step(x, f: FilterSpec) -> SubbandPair:
@@ -381,12 +464,20 @@ def _check_levels(n_lev, admissible: int, what: str) -> None:
 
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
     """Full pyramid: split the averages n_lev times, as ``analysis_step``
-    does once.
+    does once. Up to ``_OPERATOR_MAX_N`` samples that is one product with
+    the cached ``_pyramid_operator``, and the bands are views of its result.
 
     A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
     current = _checked(x, f, 1)
-    _check_levels(n_lev, max_levels(current.size, f), f"length {current.size}")
+    n = current.size
+    _check_levels(n_lev, max_levels(n, f), f"length {n}")
+    op = _pyramid_operator(f, n, n_lev, current.dtype)
+    if op is not None:
+        c = _operator_product(op, current, adjoint=False)
+        ends = [n - (n >> lev) for lev in range(n_lev + 1)]
+        details = tuple(c[a:b] for a, b in zip(ends, ends[1:]))
+        return Pyramid1D(details=details, approx=c[ends[-1] :])
     details = []
     for _ in range(n_lev):
         current, z = _split(current, f, (0,), SQRT2)
@@ -396,8 +487,15 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
 
 def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     """Invert ``dwt1d``. The averages must be nonempty and 1-d, and each
-    level's details as long as the averages they merge with."""
-    return _unpyramid(p.approx, [(z,) for z in p.details], f, (0,), SQRT2)
+    level's details as long as the averages they merge with. Up to
+    ``_OPERATOR_MAX_N`` samples the inverse is the adjoint product
+    conj(M) @ c of the cached ``_pyramid_operator``."""
+    levels = [(z,) for z in p.details]
+    (n,) = _check_chain(p.approx, levels, 1)
+    op = _pyramid_operator(f, n, p.levels, np.result_type(p.approx, *p.details))
+    if op is None:
+        return _unpyramid(p.approx, levels, f, (0,), SQRT2)
+    return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)
 
 
 def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavekit.errors import FormatError
+from wavekit.errors import DomainError, FormatError, ShapeError
 from wavekit.filters import builtin_filter
-from wavekit.image2d import dwt2d
+from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
 from wavekit.io import (
     CONTAINER_MAGIC,
     format_value,
@@ -22,7 +22,7 @@ from wavekit.io import (
     write_scalogram_csv,
     write_signal_csv,
 )
-from wavekit.subband import dwt1d
+from wavekit.subband import Pyramid1D, dwt1d
 
 RNG = np.random.default_rng(57721566)
 
@@ -266,6 +266,25 @@ def test_container_header_text(tmp_path):
     assert lines[2] == "levels: 1"
     assert lines[3] == "len: 8"
     assert lines[4] == "[detail-1]"
+
+
+def test_container_writer_refuses_pyramids_that_do_not_chain(tmp_path):
+    """The writer applies the inverses' chain rule before it opens the file:
+    a pyramid whose bands do not chain, or that holds non-numeric planes,
+    raises and leaves no file behind, since it could not be read back."""
+    ones = np.ones((4, 4))
+    level = LevelDetail(h=ones, v=ones, d=ones)
+    broken = [
+        (Pyramid1D(details=(np.ones(4), np.ones(4)), approx=np.ones(4)), ShapeError,
+         r"detail level 1 has shape \(4,\), expected \(8,\)"),
+        (ImagePyramid(details=(level, level), approx=ones), ShapeError, "detail level 1"),
+        (Pyramid1D(details=(np.ones(4),), approx=np.full(4, "a")), DomainError, "numeric"),
+    ]
+    for k, (pyramid, error, message) in enumerate(broken):
+        path = tmp_path / f"p{k}.pyr"
+        with pytest.raises(error, match=message):
+            write_pyramid_container(str(path), pyramid, "haar")
+        assert not path.exists()
 
 
 def test_container_rejects_wrong_magic(tmp_path):

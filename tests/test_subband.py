@@ -552,3 +552,145 @@ def test_round_trip_peak_memory_1d():
     finally:
         tracemalloc.stop()
     assert peak <= 3.01 * x.nbytes
+
+
+def _signal(rng, n: int, kind: str) -> np.ndarray:
+    if kind == "complex":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "int64":
+        return rng.integers(-9, 10, n)
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    return rng.standard_normal(n).astype(kind)
+
+
+def _coefficients(p: Pyramid1D) -> np.ndarray:
+    return np.concatenate([*p.details, p.approx])
+
+
+def _as_pyramid(c: np.ndarray, depth: int) -> Pyramid1D:
+    """The bands of a depth-level pyramid, laid out in c as dwt1d lays them."""
+    ends = [c.size - (c.size >> lev) for lev in range(depth + 1)]
+    return Pyramid1D(details=tuple(c[a:b] for a, b in zip(ends, ends[1:])), approx=c[ends[-1] :])
+
+
+def _on_the_kernel(monkeypatch, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(subband, "_OPERATOR_MAX_N", 0)
+        return call()
+
+
+def _operator_bytes(f: FilterSpec) -> int:
+    return sum(v.nbytes for k, v in f._tap_cache.items() if k[0] == "pyramid")
+
+
+def test_operator_path_matches_the_kernel(monkeypatch, lattice_filters):
+    """Up to the threshold, dwt1d is x @ M and idwt1d the adjoint product:
+    both give the kernel's dtype and its values within 1e-15 relative. Every
+    even n up to the threshold is tried at every depth some filter admits,
+    the filters taking turns, and every filter (the lattice filters at starts
+    0, odd and negative, and two complex filters) once at n = threshold and
+    full depth; the input is float64, complex, float32, int64 and bool in
+    turn, and each inverse gets coefficients of that dtype."""
+    rng = np.random.default_rng(20261018)
+    pool = [FilterSpec("lattice", h, s) for h in lattice_filters for s in (0, 3, -3)]
+    cplx = np.array([0.3 + 0.2j, 0.5, -0.1j, 0.2, 0.1 - 0.1j])
+    pool += [FilterSpec("cplx", cplx, s, normalized=False) for s in (-2, 1)]
+    top = subband._OPERATOR_MAX_N
+    haar = builtin_filter("haar")
+    cases = [(n, lev) for n in range(2, top + 1, 2) for lev in range(1, max_levels(n, haar) + 1)]
+    for k, (n, lev) in enumerate(cases):
+        admits = [f for f in pool if max_levels(n, f) >= lev and n >= f.length]
+        cases[k] = (admits[k % len(admits)], n, lev)
+    cases += [(f, top, max_levels(top, f)) for f in pool]
+    kinds = ("float64", "complex", "float32", "int64", "bool")
+    for k, (f, n, lev) in enumerate(cases):
+        f = dataclasses.replace(f)  # an empty cache, so the cap never intervenes
+        x = _signal(rng, n, kinds[k % len(kinds)])
+        p = _as_pyramid(x, lev)
+        bands, back = _on_the_kernel(monkeypatch, lambda: (dwt1d(x, f, lev), idwt1d(p, f)))
+        assert subband._pyramid_operator(f, n, lev, x.dtype) is not None
+        _assert_close_relative(_coefficients(dwt1d(x, f, lev)), _coefficients(bands))
+        _assert_close_relative(idwt1d(p, f), back)
+
+
+def test_operator_cache_stays_within_its_byte_cap():
+    """A sweep over every length up to the threshold and every depth fills
+    the cache of a fresh db4 and of a complex filter up to the cap and no
+    further; each cached operator is read-only, and the calls past the cap
+    still invert."""
+    cplx = np.array([0.3 + 0.2j, 0.5, -0.1j, 0.2, 0.1 - 0.1j])
+    for f in (dataclasses.replace(builtin_filter("db4")), FilterSpec("cplx", cplx, 1, False)):
+        assert _operator_bytes(f) == 0
+        for n in range(2 * f.length, subband._OPERATOR_MAX_N + 1, 2):
+            x = RNG.standard_normal(n)
+            for lev in range(1, max_levels(n, f) + 1):
+                back = idwt1d(dwt1d(x, f, lev), f)
+                assert _operator_bytes(f) <= subband._OPERATOR_BYTES
+        assert _operator_bytes(f) > subband._OPERATOR_BYTES // 2
+        ops = [v for k, v in f._tap_cache.items() if k[0] == "pyramid"]
+        assert ops and not any(op.flags.writeable for op in ops)
+        if f.name == "db4":
+            assert_allclose(back, x, atol=1e-12)
+
+
+def test_threshold_zero_runs_the_kernel_bit_for_bit(monkeypatch, lattice_filters):
+    """With the threshold at 0 no operator is built, and dwt1d and idwt1d
+    equal a per-level _split and _merge loop bit for bit."""
+    monkeypatch.setattr(subband, "_OPERATOR_MAX_N", 0)
+    for f in (dataclasses.replace(builtin_filter("db4")), FilterSpec("lat", lattice_filters[17], -3)):
+        for x in (RNG.standard_normal(64), RNG.standard_normal(64) + 1j * RNG.standard_normal(64)):
+            p = dwt1d(x, f, 2)
+            low, details = x, []
+            for _ in range(2):
+                low, z = _split(low, f, (0,), SQRT2)
+                details.append(z)
+            for got, ref in zip((*p.details, p.approx), (*details, low)):
+                assert np.array_equal(got, ref)
+            merged = _merge((p.approx, p.details[1]), f, (0,), SQRT2)
+            merged = _merge((merged, p.details[0]), f, (0,), SQRT2)
+            assert np.array_equal(idwt1d(p, f), merged)
+        assert _operator_bytes(f) == 0
+
+
+def test_short_pyramid_bands_share_one_buffer():
+    """Below the threshold the bands of dwt1d are views of one array, the
+    operator's product; a dataclasses.replace copy of the filter starts with
+    no operator and builds its own."""
+    f = dataclasses.replace(builtin_filter("db4"))
+    x = RNG.standard_normal(64)
+    p = dwt1d(x, f, 3)
+    assert p.approx.base is not None
+    assert all(b.base is p.approx.base for b in p.details)
+    op = subband._pyramid_operator(f, 64, 3, x.dtype)
+    assert op is f._tap_cache["pyramid", 64, 3]
+    fresh = dataclasses.replace(f)
+    assert fresh._tap_cache == {}
+    assert np.array_equal(_coefficients(dwt1d(x, fresh, 3)), _coefficients(p))
+    assert fresh._tap_cache["pyramid", 64, 3] is not op
+
+
+@pytest.mark.parametrize("n", (16, 64, subband._OPERATOR_MAX_N))
+def test_gates_hold_below_the_operator_threshold(n):
+    """The operator path runs every gate of the kernel path: depth past
+    max_levels, non-numeric signals and bands, a broken chain and empty
+    averages raise as before, and a pyramid built from lists inverts like
+    the one built from arrays."""
+    f = dataclasses.replace(builtin_filter("haar"))  # no operators cached by earlier tests
+    top = max_levels(n, f)
+    x = RNG.standard_normal(n)
+    p = dwt1d(x, f, top)
+    assert subband._pyramid_operator(f, n, top, x.dtype) is not None
+    with pytest.raises(LevelError):
+        dwt1d(x, f, top + 1)
+    with pytest.raises(DomainError):
+        dwt1d(np.full(n, "a"), f, 1)
+    with pytest.raises(DomainError):
+        idwt1d(Pyramid1D(details=p.details, approx=np.full(p.approx.size, None, dtype=object)), f)
+    with pytest.raises(ShapeError, match="detail level 2"):
+        idwt1d(Pyramid1D(details=(p.details[0], p.details[0], *p.details[2:]), approx=p.approx), f)
+    with pytest.raises(ShapeError, match="nonempty 1-d"):
+        idwt1d(Pyramid1D(details=p.details, approx=np.ones(0)), f)
+    listed = Pyramid1D(details=tuple(z.tolist() for z in p.details), approx=p.approx.tolist())
+    assert np.array_equal(idwt1d(listed, f), idwt1d(p, f))
+    assert_allclose(idwt1d(p, f), x, atol=1e-13)
