@@ -57,7 +57,7 @@ from .io import (
     write_signal_csv,
 )
 from .subband import Pyramid1D, cuntz_check, dwt1d, idwt1d, max_levels
-from .transfer import EIGENVALUE_BUCKET, lawton_test
+from .transfer import lawton_test
 
 #: Cap on cascade refinement depth reachable from the command line; 2^24
 #: samples per support unit is already far past plotting needs.
@@ -125,17 +125,15 @@ def _reject(value, flag: str, mode: str):
 
 def _run_verify(args) -> int:
     f = _resolve_filter(args.filter)
-    qmf_tol = args.tol if args.tol is not None else 1e-12
-    cuntz_tol = args.tol if args.tol is not None else 1e-10
-    lawton_tol = args.tol if args.tol is not None else EIGENVALUE_BUCKET
+    tol = {} if args.tol is None else {"tol": args.tol}  # else each check's own default
 
     print(f"filter: {f.name} ({f.length} taps, start {f.start})")
-    q = qmf_check(f, tol=qmf_tol)
+    q = qmf_check(f, **tol)
     print(
         f"qmf: {'PASS' if q.passed else 'FAIL'} "
         f"(max residual {q.max_residual:.3e}, tol {q.tolerance:g})"
     )
-    c = cuntz_check(f, n=args.cuntz_n, tol=cuntz_tol)
+    c = cuntz_check(f, n=args.cuntz_n, **tol)
     print(
         f"cuntz[n={c.n}]: {'PASS' if c.passed else 'FAIL'} "
         f"(max deviation {c.max_deviation:.3e}, tol {c.tolerance:g})"
@@ -146,7 +144,7 @@ def _run_verify(args) -> int:
             print("lawton: SKIPPED (filter fails the orthogonality check)")
             ok = False
         else:
-            verdict = lawton_test(f, tol=lawton_tol)
+            verdict = lawton_test(f, **tol)
             print(
                 f"lawton: {verdict.verdict} "
                 f"(eigenvalue-1 multiplicity {verdict.multiplicity})"

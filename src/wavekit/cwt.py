@@ -273,9 +273,8 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     integrand[w == 0.0] = 0.0
 
     total = 0.0
-    for half in (w < 0.0, w > 0.0):
-        order = np.argsort(w[half])
-        total += float(integrand[half][order] @ _trapezoid_weights_of(w[half][order]))
+    for half in (w < 0.0, w > 0.0):  # fftfreq lists each half in increasing order
+        total += float(integrand[half] @ _trapezoid_weights_of(w[half]))
     if not np.isfinite(total) or total <= 0.0:
         raise AdmissibilityError(
             f"admissibility quadrature for {psi.name!r} returned {total!r}"

@@ -171,21 +171,18 @@ def qmf_check(f: FilterSpec, tol: float = 1e-12) -> QmfReport:
     """Evaluate the lag-orthogonality residuals of ``f``.
 
     Residuals are reported for every lag k with support overlap, i.e.
-    |k| <= (L-1)//2; other lags vanish structurally.
+    |k| <= (L-1)//2; other lags vanish structurally. They are the even lags
+    of the autocorrelation w_k = sum_i conj(h_i) h_{i+k}, the one correlation
+    ``transfer.autocorrelation`` also takes, less 1/2 at lag 0.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be a nonneg finite float")
     h = f.h
     kmax = (h.size - 1) // 2
     lags = np.arange(-kmax, kmax + 1)
-    residuals = np.empty(lags.size, dtype=np.result_type(h, np.complex128))
-    for out, k in enumerate(lags):
-        lo = max(0, -2 * k)
-        hi = min(h.size, h.size - 2 * k)
-        acc = np.vdot(h[lo:hi], h[lo + 2 * k : hi + 2 * k])
-        residuals[out] = acc - (0.5 if k == 0 else 0.0)
-    if np.isrealobj(h):
-        residuals = residuals.real
+    # correlate(h, h, "full")[L-1+k] = w_k, so lag 2j sits at L-1+2j
+    residuals = np.correlate(h, h, mode="full")[h.size - 1 - 2 * kmax : h.size + 2 * kmax : 2]
+    residuals[kmax] -= 0.5
     max_residual = float(np.abs(residuals).max())
     return QmfReport(
         lags=lags,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _check_levels, _checked, _split, _unpyramid
+from .subband import _check_chain, _check_levels, _checked, _split, _unpyramid
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,9 @@ def dwt2d(img, f: FilterSpec, n_lev: int) -> ImagePyramid:
 def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
     """Invert ``dwt2d``. The averages plane must be nonempty and 2-d, and
     each level's planes of the shape of the averages they merge with."""
-    return _unpyramid(p.approx, [(t.v, t.h, t.d) for t in p.details], f, (1, 0), 2.0)
+    levels = [(t.v, t.h, t.d) for t in p.details]
+    _check_chain(p.approx, levels, 2)
+    return _unpyramid(p.approx, levels, f, (1, 0), 2.0)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

@@ -5,18 +5,23 @@ round-trips IEEE-754 doubles exactly, so containers re-serialize to the same
 bytes. Complex values are written as ``a+bi`` with both parts at full
 precision; real arrays stay plain decimals. PGM covers both the ASCII (P2)
 and binary (P5) flavors with maxval up to 255.
+
+Every number on a text line (a signal CSV sample, a container block row, the
+``coeffs:`` line of a filter file) is read by one helper, ``_read_numbers``,
+so a bad cell or a row of the wrong width names ``path:line`` in all three.
 """
 from __future__ import annotations
 
 import math
 import os
 import re
+from itertools import compress, count, repeat
 
 import numpy as np
 
 from .errors import FormatError
 from .filters import FilterSpec
-from .image2d import ImagePyramid, LevelDetail
+from .image2d import ImagePyramid, LevelDetail, _rescale_for_display, _round_half_away
 from .subband import Pyramid1D, _check_chain
 
 CONTAINER_MAGIC = "wavekit-pyr1"
@@ -59,29 +64,59 @@ def _format_array_line(row) -> str:
     return ",".join(map(format_value, row))
 
 
+def _nonblank_lines(path: str) -> tuple:
+    """The stripped nonblank lines of a text file, and their line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        stripped = list(map(str.strip, fh))
+    return list(filter(None, stripped)), compress(count(1), stripped)
+
+
+def _read_numbers(
+    path: str, texts: list[str], numbers, width: int | None = None, sep: str | None = ","
+) -> np.ndarray:
+    """Every value on the nonempty list of lines ``texts``, in order, as one
+    flat array: ``width`` cells to a line split at ``sep`` or, with both
+    None, any number of cells split at runs of whitespace. ``numbers`` holds
+    the line number of each text; a line of another width or with a bad cell
+    raises FormatError naming ``path:line``.
+
+    All cells go through one ``map(parse_value, ...)``, and the failing line
+    is looked for, and ``numbers`` read, only after a failure: a guarded
+    parse per line read a 2^16-line signal CSV markedly slower.
+    """
+    joined = (sep or " ").join(texts)
+    if width == 1:  # one cell a line: the joins are the only separators
+        cells = texts if joined.count(sep) == len(texts) - 1 else None
+    else:
+        fits = width is None or set(map(str.count, texts, repeat(sep))) == {width - 1}
+        cells = joined.split(sep) if fits else None
+    if cells is not None:
+        try:
+            return np.asarray(list(map(parse_value, cells)))
+        except FormatError:
+            pass
+    for lineno, text in zip(numbers, texts):
+        cells = text.split(sep)
+        try:
+            if width is not None and len(cells) != width:
+                raise FormatError(f"expected {width} column(s), got {len(cells)}")
+            for cell in cells:
+                parse_value(cell)
+        except FormatError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    raise AssertionError("unreachable: a failed parse has a failing line")
+
+
 # ---------------------------------------------------------------------------
 # signal CSV (one value per line)
 
 
 def read_signal_csv(path: str) -> np.ndarray:
     """Signal CSV: one real or complex value per line, blank lines skipped."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if "," in text:
-                raise FormatError(
-                    f"{path}:{lineno}: expected one value per line, got a row"
-                )
-            try:
-                values.append(parse_value(text))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not values:
+    texts, numbers = _nonblank_lines(path)
+    if not texts:
         raise FormatError(f"{path}: no samples found")
-    return np.asarray(values)
+    return _read_numbers(path, texts, numbers, 1)
 
 
 def write_signal_csv(path: str, values) -> None:
@@ -155,9 +190,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 def _to_gray(arr: np.ndarray) -> np.ndarray:
     """Clip to [0, 255] and round half away from zero to uint8."""
-    a = np.asarray(arr, dtype=float)
-    a = np.clip(a, 0.0, 255.0)
-    return np.floor(a + 0.5).astype(np.uint8)
+    return _round_half_away(np.clip(np.asarray(arr, dtype=float), 0.0, 255.0)).astype(np.uint8)
 
 
 def write_pgm(path: str, array, binary: bool = True) -> None:
@@ -187,12 +220,11 @@ def read_filter_file(path: str) -> FilterSpec:
     Line 1: ``name: <identifier>``; line 2: ``start: <integer>``; line 3:
     ``coeffs: <space-separated values>``. Values are decimals or a+bi pairs.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) != 3:
-        raise FormatError(f"{path}: expected exactly 3 nonblank lines, got {len(lines)}")
+    texts, numbers = _nonblank_lines(path)
+    if len(texts) != 3:
+        raise FormatError(f"{path}: expected exactly 3 nonblank lines, got {len(texts)}")
     fields = {}
-    for lineno, (expected, line) in enumerate(zip(("name", "start", "coeffs"), lines), 1):
+    for expected, lineno, line in zip(("name", "start", "coeffs"), numbers, texts):
         key, sep, rest = line.partition(":")
         if not sep or key.strip() != expected:
             raise FormatError(f"{path}:{lineno}: expected '{expected}: ...'")
@@ -203,10 +235,10 @@ def read_filter_file(path: str) -> FilterSpec:
         start = int(fields["start"])
     except ValueError:
         raise FormatError(f"{path}: start must be an integer") from None
-    coeffs = [parse_value(tok) for tok in fields["coeffs"].split()]
-    if not coeffs:
+    coeffs = _read_numbers(path, [fields["coeffs"]], [lineno], sep=None)  # the loop ended on it
+    if not coeffs.size:
         raise FormatError(f"{path}: no coefficients")
-    return FilterSpec(name=fields["name"], h=np.asarray(coeffs), start=start)
+    return FilterSpec(name=fields["name"], h=coeffs, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +280,7 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     else:
         raise FormatError(f"cannot serialize {type(pyramid).__name__} as a pyramid")
     # The inverses' chain rule, before the file is opened: what is written reads back.
-    shape = _check_chain(pyramid.approx, levels, ndim)
+    shape, _ = _check_chain(pyramid.approx, levels, ndim)
     size = f"len: {shape[0]}" if ndim == 1 else f"dims: {shape[0]}x{shape[1]}"
     planes = [p.reshape(len(p), -1) for bands in (*levels, (pyramid.approx,)) for p in bands]
     lines = [
@@ -264,87 +296,58 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class _ContainerReader:
-    def __init__(self, path: str):
-        self.path = path
-        with open(path, "r", encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise FormatError(f"{self.path}:{self.pos}: {message}")
-
-    def header(self, key: str) -> str:
-        if self.pos >= len(self.lines):
-            self.fail(f"missing '{key}:' header")
-        line = self.lines[self.pos]
-        self.pos += 1
-        k, sep, rest = line.partition(":")
-        if not sep or k.strip() != key:
-            self.fail(f"expected '{key}: ...', got {line!r}")
-        return rest.strip()
-
-    def block(self, label: str, rows: int, cols: int) -> np.ndarray:
-        if self.pos >= len(self.lines) or self.lines[self.pos].strip() != f"[{label}]":
-            got = self.lines[self.pos] if self.pos < len(self.lines) else "<eof>"
-            self.fail(f"expected block [{label}], got {got!r}")
-        self.pos += 1
-        body = self.lines[self.pos : self.pos + rows]
-        if len(body) < rows:
-            self.fail(f"block needs {rows} rows, file ends early")
-        for i, line in enumerate(body):
-            if line.count(",") != cols - 1:
-                raise FormatError(
-                    f"{self.path}:{self.pos + i + 1}: expected {cols} columns, "
-                    f"got {line.count(',') + 1}"
-                )
-        self.pos += rows
-        cells = ",".join(body).split(",")
-        return np.asarray(list(map(parse_value, cells))).reshape(rows, cols)
-
-    def done(self):
-        while self.pos < len(self.lines):
-            if self.lines[self.pos].strip():
-                self.fail(f"trailing content {self.lines[self.pos]!r}")
-            self.pos += 1
-
-
 def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
     """Parse a container; returns the pyramid and the filter name it names."""
-    r = _ContainerReader(path)
-    if r.header("magic") != CONTAINER_MAGIC:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = {}
+    for i, keys in enumerate((("magic",), ("filter",), ("levels",), ("len", "dims"))):
+        line = lines[i] if i < len(lines) else "<eof>"
+        key, sep, rest = line.partition(":")
+        if not sep or key.strip() not in keys:
+            raise FormatError(f"{path}:{i + 1}: expected '{keys[-1]}: ...', got {line!r}")
+        header[key.strip()] = rest.strip()
+    if header["magic"] != CONTAINER_MAGIC:
         raise FormatError(f"{path}: magic is not {CONTAINER_MAGIC!r}")
-    filter_name = r.header("filter")
     try:
-        levels = int(r.header("levels"))
+        levels = int(header["levels"])
     except ValueError:
         raise FormatError(f"{path}: levels must be an integer") from None
     if levels < 1:
         raise FormatError(f"{path}: levels must be at least 1")
-
-    next_line = r.lines[r.pos] if r.pos < len(r.lines) else ""
-    if next_line.startswith("len"):
+    if "len" in header:
         try:
-            shape = (int(r.header("len")),)
+            shape = (int(header["len"]),)
         except ValueError:
             raise FormatError(f"{path}: len must be an integer") from None
     else:
-        dims = r.header("dims")
-        m = re.fullmatch(r"(\d+)x(\d+)", dims)
+        m = re.fullmatch(r"(\d+)x(\d+)", header["dims"])
         if not m:
-            raise FormatError(f"{path}: dims must look like <rows>x<cols>, got {dims!r}")
+            raise FormatError(f"{path}: dims must look like <rows>x<cols>, got {header['dims']!r}")
         shape = (int(m.group(1)), int(m.group(2)))
     # Shifts rather than 1 << levels, so a huge level count costs nothing.
     if any(n >> levels < 1 or n >> levels << levels != n for n in shape):
         size = "x".join(str(n) for n in shape)
         raise FormatError(f"{path}: size {size} does not admit {levels} levels")
-    planes = [r.block(label, *plane) for label, plane in _layout(levels, shape)]
-    r.done()
+    planes, pos = [], 4
+    for label, (rows, cols) in _layout(levels, shape):
+        got = lines[pos] if pos < len(lines) else "<eof>"
+        if got.strip() != f"[{label}]":
+            raise FormatError(f"{path}:{pos + 1}: expected block [{label}], got {got!r}")
+        body = lines[pos + 1 : pos + 1 + rows]
+        if len(body) < rows:
+            raise FormatError(f"{path}:{len(lines)}: block needs {rows} rows, file ends early")
+        values = _read_numbers(path, body, range(pos + 2, pos + 2 + rows), cols)
+        planes.append(values.reshape(rows, cols))
+        pos += 1 + rows
+    for i in range(pos, len(lines)):
+        if lines[i].strip():
+            raise FormatError(f"{path}:{i + 1}: trailing content {lines[i]!r}")
     if len(shape) == 1:
         vectors = [p.ravel() for p in planes]
-        return Pyramid1D(details=tuple(vectors[:-1]), approx=vectors[-1]), filter_name
+        return Pyramid1D(details=tuple(vectors[:-1]), approx=vectors[-1]), header["filter"]
     details = tuple(LevelDetail(*planes[i : i + 3]) for i in range(0, 3 * levels, 3))
-    return ImagePyramid(details=details, approx=planes[-1]), filter_name
+    return ImagePyramid(details=details, approx=planes[-1]), header["filter"]
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +373,7 @@ def write_scalogram_csv(path: str, c) -> None:
 
 def write_heatmap_pgm(path: str, c) -> None:
     """Coefficient magnitudes affinely mapped onto the 0..255 gray ramp."""
-    mag = np.abs(np.atleast_2d(c.matrix))
-    lo, hi = float(mag.min()), float(mag.max())
-    if hi <= lo:
-        gray = np.full(mag.shape, 128, dtype=np.uint8)
-    else:
-        gray = _to_gray(255.0 * (mag - lo) / (hi - lo))
-    write_pgm(path, gray)
+    write_pgm(path, _rescale_for_display(np.abs(np.atleast_2d(c.matrix))))
 
 
 def require_file(path: str) -> str:

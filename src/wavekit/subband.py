@@ -340,11 +340,12 @@ def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
     return arr
 
 
-def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[int, ...]:
+def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...], np.dtype]:
     """The chain rule of every pyramid, 1-d (``ndim=1``) or 2-d: the averages
     are a nonempty ``ndim``-d array, each band of level l (``levels[l - 1]``)
-    has the shape of the averages it merges with, and every plane is numeric.
-    Returns the shape of the signal or image the pyramid inverts to."""
+    has the shape of the averages it merges with, and the planes have a
+    common numeric dtype, promoted once over their distinct dtypes. Returns
+    the shape of the signal or image the pyramid inverts to, and that dtype."""
     shape = approx.shape
     if len(shape) != ndim or approx.size == 0:
         raise ShapeError(
@@ -357,18 +358,21 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[int, ...]:
                     f"detail level {level} has shape {band.shape}, expected {shape}"
                 )
         shape = tuple(2 * n for n in shape)
-    if any(b.dtype.kind not in "biufc" for b in (approx, *(b for bands in levels for b in bands))):
+    try:
+        dtype = np.result_type(*{b.dtype for bands in (*levels, (approx,)) for b in bands})
+    except TypeError:  # no common dtype, e.g. strings among numbers
+        dtype = None
+    if dtype is None or dtype.kind not in "biufc":
         raise DomainError("bands must be numeric (bool, integer, float or complex)")
-    return shape
+    return shape, dtype
 
 
 def _unpyramid(
     approx: np.ndarray, levels, f: FilterSpec, axes: tuple[int, ...], scale: float
 ) -> np.ndarray:
-    """Every inverse on the kernel: after ``_check_chain``, merge ``approx``
-    with the bands of each level in ``levels``, deepest (last) first, as
-    ``_merge`` along ``axes`` with ``scale``."""
-    _check_chain(approx, levels, len(axes))
+    """Every inverse on the kernel, once its input passed ``_check_chain``:
+    merge ``approx`` with the bands of each level in ``levels``, deepest
+    (last) first, as ``_merge`` along ``axes`` with ``scale``."""
     for bands in reversed(levels):
         approx = _merge((approx, *bands), f, axes, scale)
     return approx
@@ -438,7 +442,9 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
 
 def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     """Merge an averages/details pair back into a double-length signal."""
-    return _unpyramid(p.y, [(p.z,)], f, (0,), SQRT2)
+    levels = [(p.z,)]
+    _check_chain(p.y, levels, 1)
+    return _unpyramid(p.y, levels, f, (0,), SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
@@ -491,8 +497,8 @@ def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     ``_OPERATOR_MAX_N`` samples the inverse is the adjoint product
     conj(M) @ c of the cached ``_pyramid_operator``."""
     levels = [(z,) for z in p.details]
-    (n,) = _check_chain(p.approx, levels, 1)
-    op = _pyramid_operator(f, n, p.levels, np.result_type(p.approx, *p.details))
+    (n,), dtype = _check_chain(p.approx, levels, 1)
+    op = _pyramid_operator(f, n, p.levels, dtype)
     if op is None:
         return _unpyramid(p.approx, levels, f, (0,), SQRT2)
     return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)

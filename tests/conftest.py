@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Subprocesses (the CLI and demo tests) import the checkout's package too.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+# One Hypothesis profile for every property: the same examples on every run,
+# no time limit per example and no example database.
+settings.register_profile("wavekit", derandomize=True, deadline=None, database=None)
+settings.load_profile("wavekit")
 
 
 def lattice_lowpass(angles) -> np.ndarray:

@@ -423,6 +423,32 @@ def test_complex_value_with_overflowing_modulus_exits_two(tmp_path, command):
     assert "Traceback" not in r.stdout + r.stderr
 
 
+@pytest.mark.parametrize(
+    "mode, text, lineno",
+    [
+        ("idwt1d", "len: 2\n[detail-1]\nabc\n[approx]\n1\n", 6),
+        ("idwt2d", "dims: 2x2\n[h-1]\n1\n[v-1]\n1\n[d-1]\nabc\n[a]\n1\n", 10),
+        ("verify", "name: x\nstart: 0\ncoeffs: 0.5 abc\n", 3),
+    ],
+)
+def test_bad_cell_exits_two_naming_path_and_line(tmp_path, capsys, mode, text, lineno):
+    """A cell that does not parse in a container block or on a filter
+    file's coeffs line ends in exit status 2 and one error line that names
+    the file and the line."""
+    from wavekit.cli import main
+
+    path = tmp_path / "bad.txt"
+    if mode == "verify":
+        path.write_text(text)
+        argv = ["verify", "--filter", str(path)]
+    else:
+        path.write_text("magic: wavekit-pyr1\nfilter: haar\nlevels: 1\n" + text)
+        argv = ["transform", mode, "--in", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{lineno}: cannot parse number 'abc'\n"
+
+
 # --- top level -------------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavekit.errors import DomainError, FormatError, ShapeError
+from wavekit.errors import DomainError, FormatError, ShapeError, WavekitError
 from wavekit.filters import builtin_filter
 from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
 from wavekit.io import (
@@ -333,6 +336,126 @@ def test_container_rejects_sizes_that_do_not_admit_the_levels(tmp_path, levels, 
     path.write_text(f"magic: wavekit-pyr1\nfilter: haar\nlevels: {levels}\n{size}\n[a]\n")
     with pytest.raises(FormatError, match="does not admit"):
         read_pyramid_container(str(path))
+
+
+def _container(tmp_path, kind: str) -> Path:
+    """A haar container of a 16-sample real or complex signal (``1d``,
+    ``complex``) or of an 8 x 8 image (``2d``), two levels deep."""
+    f = builtin_filter("haar")
+    if kind == "2d":
+        p = dwt2d(RNG.standard_normal((8, 8)), f, 2)
+    else:
+        x = RNG.standard_normal(16)
+        p = dwt1d(x + 1j * RNG.standard_normal(16) if kind == "complex" else x, f, 2)
+    path = tmp_path / f"{kind}.pyr"
+    write_pyramid_container(str(path), p, "haar")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d", "complex"])
+@pytest.mark.parametrize("where", ["first block", "last block"])
+def test_bad_container_cell_names_path_and_line(tmp_path, kind, where):
+    """A cell that does not parse, in the first row of the first block
+    (line 6, after four header lines and a label) or in the second-to-last
+    line of the file, is named by path and line."""
+    path = _container(tmp_path, kind)
+    lines = path.read_text().splitlines()
+    lineno = 6 if where == "first block" else len(lines) - 1
+    cells = lines[lineno - 1].split(",")
+    cells[-1] = "abc"
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:{lineno}: cannot parse number 'abc'"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_pyramid_container(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.5\n\n2.5,3.5\n", "3: expected 1 column(s), got 2"),
+        ("1.5\n\n2.5\nabc\n", "4: cannot parse number 'abc'"),
+    ],
+)
+def test_bad_signal_csv_line_names_path_and_line(tmp_path, text, message):
+    path = tmp_path / "sig.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{message}")):
+        read_signal_csv(str(path))
+
+
+def test_container_row_of_wrong_width_names_path_and_line(tmp_path):
+    path = _container(tmp_path, "2d")
+    lines = path.read_text().splitlines()
+    lines[5] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:6: expected 4 column(s), got 5")):
+        read_pyramid_container(str(path))
+
+
+def test_bad_filter_coefficient_names_path_and_line(tmp_path):
+    """Line numbers count blank lines too."""
+    path = tmp_path / "f.txt"
+    path.write_text("name: x\n\nstart: 0\ncoeffs: 0.5 abc\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:4: cannot parse number 'abc'")):
+        read_filter_file(str(path))
+    path.write_text("name: x\nstart: 0\ncoeffs: 0.5,0.5\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: cannot parse number '0.5,0.5'")):
+        read_filter_file(str(path))
+
+
+@pytest.fixture(scope="module")
+def mutation_sources(tmp_path_factory):
+    """The bytes of one valid file per reader, and that reader."""
+    d = tmp_path_factory.mktemp("sources")
+    image = RNG.integers(0, 256, size=(4, 6)).astype(float)
+    write_pgm(str(d / "p5.pgm"), image)
+    write_pgm(str(d / "p2.pgm"), image, binary=False)
+    (d / "f.txt").write_text("name: db4ish\nstart: -1\ncoeffs: 0.25 0.25+0i 0.25 0.25\n")
+    files = {k: (_container(d, k), read_pyramid_container) for k in ("1d", "2d", "complex")}
+    files.update(p5=(d / "p5.pgm", read_pgm), p2=(d / "p2.pgm", read_pgm))
+    files.update(filter=(d / "f.txt", read_filter_file))
+    return d, {kind: (path.read_bytes(), read) for kind, (path, read) in files.items()}
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "insert", "delete")),
+        st.integers(0, 1 << 16),
+        st.one_of(st.integers(0, 255), st.sampled_from(b"\n\r ,:.+-ei0123456789")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d", "complex", "p5", "p2", "filter"])
+@settings(max_examples=40)
+@given(edits=_EDITS)
+def test_mutated_files_raise_only_wavekit_errors(mutation_sources, kind, edits):
+    """One to three bytes replaced, inserted or deleted anywhere in a valid
+    container, PGM or filter file: reading it succeeds or raises a
+    WavekitError (or UnicodeDecodeError for bytes that are not UTF-8), and
+    every FormatError names the path."""
+    d, sources = mutation_sources
+    data, read = sources[kind]
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        pos %= len(buf) + (op == "insert")
+        if op == "replace":
+            buf[pos] = byte
+        elif op == "insert":
+            buf.insert(pos, byte)
+        else:
+            del buf[pos]
+    path = d / f"mutant-{kind}"
+    path.write_bytes(bytes(buf))
+    try:
+        read(str(path))
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+    except (WavekitError, UnicodeDecodeError):
+        pass
 
 
 # --- analysis exports ---------------------------------------------------------------

@@ -437,7 +437,7 @@ def test_level_error_exactly_past_max_levels(lattice_filters):
                         dwt1d(x, f, lev)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(
     free=st.lists(st.floats(0.0, 2.0 * np.pi), max_size=5),
     upsample=st.booleans(),
@@ -694,3 +694,33 @@ def test_gates_hold_below_the_operator_threshold(n):
     listed = Pyramid1D(details=tuple(z.tolist() for z in p.details), approx=p.approx.tolist())
     assert np.array_equal(idwt1d(listed, f), idwt1d(p, f))
     assert_allclose(idwt1d(p, f), x, atol=1e-13)
+
+
+def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp_path):
+    """synthesis_step, idwt1d on the operator path and on the kernel, idwt2d
+    and the container writer each run the chain rule exactly once."""
+    import wavekit.image2d as image2d
+    import wavekit.io as io
+
+    check, calls = subband._check_chain, []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (subband, image2d, io):
+        monkeypatch.setattr(module, "_check_chain", counted)
+    f = builtin_filter("db4")
+    x = RNG.standard_normal(64)
+    p = dwt1d(x, f, 2)
+    q = image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2)
+    for run in (
+        lambda: synthesis_step(analysis_step(x, f), f),
+        lambda: idwt1d(p, f),
+        lambda: _on_the_kernel(monkeypatch, lambda: idwt1d(p, f)),
+        lambda: image2d.idwt2d(q, f),
+        lambda: io.write_pyramid_container(str(tmp_path / "p.pyr"), q, "db4"),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1

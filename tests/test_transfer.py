@@ -153,7 +153,7 @@ def test_svd_rank_matches_pivoted_qr_rank(lattice_filters):
             assert v.multiplicity >= 2
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(st.lists(st.floats(0.0, 2.0 * np.pi), max_size=5))
 def test_lattice_filters_are_onb_with_unit_integer_sum(free):
     """Any lattice angles with K = 1..6 stages give an orthogonal filter whose
