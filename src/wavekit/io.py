@@ -6,16 +6,22 @@ bytes. Complex values are written as ``a+bi`` with both parts at full
 precision; real arrays stay plain decimals. PGM covers both the ASCII (P2)
 and binary (P5) flavors with maxval up to 255.
 
-Every number on a text line (a signal CSV sample, a container block row, the
-``coeffs:`` line of a filter file) is read by one helper, ``_read_numbers``,
-so a bad cell or a row of the wrong width names ``path:line`` in all three.
+Each job on a text file has one private helper: ``_lines`` splits at line
+ends only (LF, CRLF, CR), ``_header`` parses ``key: value`` lines,
+``_integer`` parses every integer header field, ``_read_numbers`` every
+number on a line (naming ``path:line`` for a bad cell or a row of the wrong
+width) and ``_write_lines`` writes every text file. Numbers are ASCII
+decimals: ``parse_value`` and ``_integer`` refuse the digit separators and
+non-ASCII digits that ``float`` and ``int`` take.
 """
 from __future__ import annotations
 
 import math
 import os
 import re
-from itertools import compress, count, repeat
+from contextlib import suppress
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +50,8 @@ def parse_value(token: str):
     text = token.strip()
     if not text:
         raise FormatError("empty numeric field")
+    if "_" in text or not text.isascii():  # float() and complex() take both
+        raise FormatError(f"cannot parse number {token!r}")
     try:
         if text.endswith("i") or text.endswith("I"):
             value = complex(text[:-1].replace(" ", "") + "j")
@@ -64,11 +72,46 @@ def _format_array_line(row) -> str:
     return ",".join(map(format_value, row))
 
 
+def _lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, split at LF, CRLF and CR only, where
+    ``str.splitlines`` would also split at form feeds, U+0085, U+2028 and more."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write the strings ``lines`` as UTF-8 text, each ended by LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([*lines, ""]))
+
+
 def _nonblank_lines(path: str) -> tuple:
     """The stripped nonblank lines of a text file, and their line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        stripped = list(map(str.strip, fh))
+    stripped = list(map(str.strip, _lines(path)))
     return list(filter(None, stripped)), compress(count(1), stripped)
+
+
+def _header(path: str, lines: list[str], numbers, keys: tuple) -> dict:
+    """``{key: value}`` of ``key: value`` lines, one per slot of ``keys`` (the
+    tuple of keys the slot accepts) and numbered by ``numbers``; a missing
+    line or another key raises FormatError naming ``path:line`` and the line."""
+    fields = {}
+    for slot, lineno, line in zip(keys, numbers, chain(lines, repeat("<eof>"))):
+        key, sep, value = line.partition(":")
+        if not sep or key.strip() not in slot:
+            raise FormatError(f"{path}:{lineno}: expected '{slot[-1]}: ...', got {line!r}")
+        fields[key.strip()] = value.strip()
+    return fields
+
+
+def _integer(path: str, what: str, text: str) -> int:
+    """The integer field ``what`` of ``path`` (``path:line`` in a file of
+    lines): ASCII digits after an optional sign."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        with suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise FormatError(f"{path}: {what} must be an integer, got {text!r}")
 
 
 def _read_numbers(
@@ -120,14 +163,15 @@ def read_signal_csv(path: str) -> np.ndarray:
 
 
 def write_signal_csv(path: str, values) -> None:
-    arr = np.atleast_1d(np.asarray(values))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in arr:
-            fh.write(format_value(v) + "\n")
+    _write_lines(path, map(format_value, np.atleast_1d(np.asarray(values))))
 
 
 # ---------------------------------------------------------------------------
 # PGM (P2 ASCII / P5 binary, maxval <= 255)
+
+
+#: A header comment where a token may start, else a token (group 1).
+_PGM_TOKEN = re.compile(rb"#[^\n\r]*|(\S+)")
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -137,33 +181,17 @@ def read_pgm(path: str) -> np.ndarray:
     if data[:2] not in (b"P2", b"P5"):
         raise FormatError(f"{path}: not a PGM file (magic {data[:2]!r})")
     binary = data[:2] == b"P5"
-
-    # Tokenize the header: magic, width, height, maxval; '#' starts a comment.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
+    tokens = list(islice(filter(itemgetter(1), _PGM_TOKEN.finditer(data, 2)), 3))
     if len(tokens) < 3:
         raise FormatError(f"{path}: truncated PGM header")
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError(f"{path}: non-integer PGM header fields") from None
+    header = (str(m[1], "latin-1") for m in tokens)
+    width, height, maxval = (_integer(path, "PGM header field", t) for t in header)
     if width <= 0 or height <= 0:
         raise FormatError(f"{path}: bad PGM dimensions {width}x{height}")
     if not (0 < maxval <= 255):
         raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
 
+    pos = tokens[-1].end()
     if binary:
         pos += 1  # single whitespace byte after maxval
         raster = data[pos : pos + width * height]
@@ -171,18 +199,13 @@ def read_pgm(path: str) -> np.ndarray:
             raise FormatError(f"{path}: PGM raster shorter than promised")
         pixels = np.frombuffer(raster, dtype=np.uint8).astype(float)
     else:
-        body = b"\n".join(
-            line.split(b"#", 1)[0] for line in data[pos:].splitlines()
-        )
-        fields = body.split()
+        body = b"\n".join(line.split(b"#", 1)[0] for line in data[pos:].splitlines())
+        fields = body.split()[: width * height]
         if len(fields) < width * height:
             raise FormatError(f"{path}: PGM raster shorter than promised")
-        try:
-            pixels = np.array(
-                [int(t) for t in fields[: width * height]], dtype=float
-            )
-        except ValueError:
-            raise FormatError(f"{path}: non-integer PGM pixel") from None
+        if not b"".join(fields).isdigit():  # ASCII digits only: no sign, no '_'
+            raise FormatError(f"{path}: PGM pixels must be unsigned decimal integers")
+        pixels = np.array(fields, dtype=float)
     if pixels.max(initial=0.0) > maxval:
         raise FormatError(f"{path}: pixel exceeds maxval {maxval}")
     return pixels.reshape(height, width)
@@ -200,14 +223,13 @@ def write_pgm(path: str, array, binary: bool = True) -> None:
         raise FormatError("PGM needs a nonempty 2-d array")
     gray = a if a.dtype == np.uint8 else _to_gray(a)
     height, width = gray.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n255\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n255"
+    if binary:
+        with open(path, "wb") as fh:
+            fh.write(f"{header}\n".encode("ascii"))
             fh.write(gray.tobytes())
-        else:
-            for row in gray:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+    else:
+        _write_lines(path, [header, *(" ".join(map(str, row)) for row in gray.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +245,14 @@ def read_filter_file(path: str) -> FilterSpec:
     texts, numbers = _nonblank_lines(path)
     if len(texts) != 3:
         raise FormatError(f"{path}: expected exactly 3 nonblank lines, got {len(texts)}")
-    fields = {}
-    for expected, lineno, line in zip(("name", "start", "coeffs"), numbers, texts):
-        key, sep, rest = line.partition(":")
-        if not sep or key.strip() != expected:
-            raise FormatError(f"{path}:{lineno}: expected '{expected}: ...'")
-        fields[expected] = rest.strip()
+    numbers = list(numbers)
+    fields = _header(path, texts, numbers, (("name",), ("start",), ("coeffs",)))
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.-]*", fields["name"]):
-        raise FormatError(f"{path}: bad filter name {fields['name']!r}")
-    try:
-        start = int(fields["start"])
-    except ValueError:
-        raise FormatError(f"{path}: start must be an integer") from None
-    coeffs = _read_numbers(path, [fields["coeffs"]], [lineno], sep=None)  # the loop ended on it
+        raise FormatError(f"{path}:{numbers[0]}: bad filter name {fields['name']!r}")
+    start = _integer(f"{path}:{numbers[1]}", "start", fields["start"])
+    coeffs = _read_numbers(path, [fields["coeffs"]], numbers[2:], sep=None)
     if not coeffs.size:
-        raise FormatError(f"{path}: no coefficients")
+        raise FormatError(f"{path}:{numbers[2]}: no coefficients")
     return FilterSpec(name=fields["name"], h=coeffs, start=start)
 
 
@@ -292,43 +307,33 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     for (label, _), plane in zip(_layout(pyramid.levels, shape), planes):
         lines.append(f"[{label}]")
         lines.extend(map(_format_array_line, plane.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
     """Parse a container; returns the pyramid and the filter name it names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    for i, keys in enumerate((("magic",), ("filter",), ("levels",), ("len", "dims"))):
-        line = lines[i] if i < len(lines) else "<eof>"
-        key, sep, rest = line.partition(":")
-        if not sep or key.strip() not in keys:
-            raise FormatError(f"{path}:{i + 1}: expected '{keys[-1]}: ...', got {line!r}")
-        header[key.strip()] = rest.strip()
+    lines = _lines(path)
+    keys = (("magic",), ("filter",), ("levels",), ("len", "dims"))
+    header = _header(path, lines, count(1), keys)
+    # The header is always lines 1 to 4, so its errors name those lines.
     if header["magic"] != CONTAINER_MAGIC:
-        raise FormatError(f"{path}: magic is not {CONTAINER_MAGIC!r}")
-    try:
-        levels = int(header["levels"])
-    except ValueError:
-        raise FormatError(f"{path}: levels must be an integer") from None
+        raise FormatError(f"{path}:1: magic is not {CONTAINER_MAGIC!r}")
+    levels = _integer(f"{path}:3", "levels", header["levels"])
     if levels < 1:
-        raise FormatError(f"{path}: levels must be at least 1")
+        raise FormatError(f"{path}:3: levels must be at least 1")
     if "len" in header:
-        try:
-            shape = (int(header["len"]),)
-        except ValueError:
-            raise FormatError(f"{path}: len must be an integer") from None
+        shape = (_integer(f"{path}:4", "len", header["len"]),)
     else:
-        m = re.fullmatch(r"(\d+)x(\d+)", header["dims"])
+        m = re.fullmatch(r"(\d+)x(\d+)", header["dims"], re.ASCII)
         if not m:
-            raise FormatError(f"{path}: dims must look like <rows>x<cols>, got {header['dims']!r}")
-        shape = (int(m.group(1)), int(m.group(2)))
+            raise FormatError(
+                f"{path}:4: dims must look like <rows>x<cols>, got {header['dims']!r}"
+            )
+        shape = tuple(_integer(f"{path}:4", "dims", n) for n in m.groups())
     # Shifts rather than 1 << levels, so a huge level count costs nothing.
     if any(n >> levels < 1 or n >> levels << levels != n for n in shape):
         size = "x".join(str(n) for n in shape)
-        raise FormatError(f"{path}: size {size} does not admit {levels} levels")
+        raise FormatError(f"{path}:4: size {size} does not admit {levels} levels")
     planes, pos = [], 4
     for label, (rows, cols) in _layout(levels, shape):
         got = lines[pos] if pos < len(lines) else "<eof>"
@@ -356,19 +361,13 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
 
 def write_dyadic_csv(path: str, d) -> None:
     """x,value rows at the function's own grid resolution."""
-    xs = d.xs
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, v in zip(xs, d.values):
-            fh.write(f"{format_value(x)},{format_value(v)}\n")
+    _write_lines(path, map(_format_array_line, zip(d.xs, d.values)))
 
 
 def write_scalogram_csv(path: str, c) -> None:
     """Header rows named ``scales`` and ``shifts``, then the matrix."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scales," + _format_array_line(c.scales) + "\n")
-        fh.write("shifts," + _format_array_line(c.shifts) + "\n")
-        for row in np.atleast_2d(c.matrix):
-            fh.write(_format_array_line(row) + "\n")
+    head = ["scales," + _format_array_line(c.scales), "shifts," + _format_array_line(c.shifts)]
+    _write_lines(path, head + list(map(_format_array_line, np.atleast_2d(c.matrix))))
 
 
 def write_heatmap_pgm(path: str, c) -> None:

@@ -449,6 +449,34 @@ def test_bad_cell_exits_two_naming_path_and_line(tmp_path, capsys, mode, text, l
     assert err == f"error: {path}:{lineno}: cannot parse number 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["transform", "idwt1d"], "levels: 1\nlen: 2\n[detail-1]\n1_0\n[approx]\n1\n",
+         "6: cannot parse number '1_0'"),
+        (["transform", "idwt1d"], "levels: \u0663\nlen: 8\n", "3: levels must be an integer, got '\u0663'"),
+        (["verify", "--filter"], "name: x\nstart: 0_1\ncoeffs: 0.5 0.5\n",
+         "2: start must be an integer, got '0_1'"),
+    ],
+    ids=["block-cell", "levels", "start"],
+)
+def test_number_forms_outside_ascii_decimals_exit_two(tmp_path, capsys, argv, text, message):
+    """A digit separator or a non-ASCII digit, which Python's float() and
+    int() take, ends in exit status 2 and one error line naming the file
+    and the line."""
+    from wavekit.cli import main
+
+    path = tmp_path / "bad.txt"
+    if argv[0] == "verify":
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    else:
+        path.write_text("magic: wavekit-pyr1\nfilter: haar\n" + text, encoding="utf-8")
+        argv = [*argv, "--in", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+
 # --- top level -------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavekit.errors import DomainError, FormatError, ShapeError, WavekitError
+from wavekit.cascade import scaling_function
 from wavekit.filters import builtin_filter
 from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
 from wavekit.io import (
@@ -19,6 +20,7 @@ from wavekit.io import (
     read_pyramid_container,
     read_signal_csv,
     require_file,
+    write_dyadic_csv,
     write_heatmap_pgm,
     write_pgm,
     write_pyramid_container,
@@ -54,7 +56,9 @@ def test_complex_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "  ", "abc", "1+2", "nan", "inf", "1e999"):
+    """Among the refused tokens, forms float() takes that are not ASCII
+    decimals: a digit separator, Arabic-Indic and fullwidth digits."""
+    for bad in ("", "  ", "abc", "1+2", "nan", "inf", "1e999", "1_0", "1+2_0i", "\u0663", "\uff11.\uff15"):
         with pytest.raises(FormatError):
             parse_value(bad)
 
@@ -68,13 +72,12 @@ def test_parse_rejects_garbage():
         ("1+infi", None),
         ("1e308+1e308i", complex(1e308, 1e308)),
         ("1.7e308+1.7e308i", None),
-        ("1_0", 10.0),
     ],
 )
 def test_parse_finiteness_edge_tokens(token, expected):
     """Overflow and non-finite tokens are refused, a complex value whose
     modulus overflows among them; a complex value whose modulus is still
-    finite and Python's digit separators are accepted."""
+    finite is accepted."""
     if expected is None:
         with pytest.raises(FormatError, match="non-finite"):
             parse_value(token)
@@ -162,6 +165,16 @@ def test_pgm_rejects_short_raster(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n4 4\n255\nxy")
     with pytest.raises(FormatError):
+        read_pgm(str(path))
+
+
+@pytest.mark.parametrize("pixel", [b"-3", b"+3", b"1_0"])
+def test_pgm_rejects_pixels_that_are_not_unsigned_decimals(tmp_path, pixel):
+    """P2 pixels are ASCII digits only: a sign or a digit separator, which
+    int() takes, is refused with an error naming the path."""
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n7 " + pixel + b"\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: PGM pixels must be unsigned")):
         read_pgm(str(path))
 
 
@@ -269,6 +282,13 @@ def test_container_header_text(tmp_path):
     assert lines[2] == "levels: 1"
     assert lines[3] == "len: 8"
     assert lines[4] == "[detail-1]"
+    # A whole container, byte for byte.
+    write_pyramid_container(str(path), dwt1d(np.arange(1.0, 5.0), f, 1), "haar")
+    assert path.read_bytes() == (
+        b"magic: wavekit-pyr1\nfilter: haar\nlevels: 1\nlen: 4\n"
+        b"[detail-1]\n-0.70710678118654757\n-0.70710678118654746\n"
+        b"[approx]\n2.1213203435596428\n4.9497474683058336\n"
+    )
 
 
 def test_container_writer_refuses_pyramids_that_do_not_chain(tmp_path):
@@ -304,7 +324,7 @@ def test_container_rejects_truncation(tmp_path):
     write_pyramid_container(str(path), p, "haar")
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-2]) + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(f"{path}:12: block needs 4 rows, file ends early")):
         read_pyramid_container(str(path))
 
 
@@ -404,6 +424,87 @@ def test_bad_filter_coefficient_names_path_and_line(tmp_path):
         read_filter_file(str(path))
 
 
+_PYR = "magic: wavekit-pyr1\nfilter: haar\n"
+
+#: A file per site of a number or an integer header field, with ``{d}``
+#: where digit d goes; the reader; the line named, None for the PGM header.
+_NUMBER_SITES = {
+    "signal": ("0.5\n{1}\n", read_signal_csv, 2),
+    "block": (_PYR + "levels: 1\nlen: 2\n[detail-1]\n{1}\n[approx]\n1\n", read_pyramid_container, 6),
+    "coeffs": ("name: x\nstart: 0\ncoeffs: 0.5 0.{5}\n", read_filter_file, 3),
+    "start": ("name: x\n\nstart: {1}\ncoeffs: 0.5 0.5\n", read_filter_file, 3),
+    "levels": (_PYR + "levels: {1}\nlen: 2\n[detail-1]\n1\n[approx]\n1\n", read_pyramid_container, 3),
+    "len": (_PYR + "levels: 1\nlen: {2}\n[detail-1]\n1\n[approx]\n1\n", read_pyramid_container, 4),
+    "dims": (_PYR + "levels: 1\ndims: {2}x2\n[h-1]\n1\n[v-1]\n1\n[d-1]\n1\n[a]\n1\n",
+             read_pyramid_container, 4),
+    "pgm": ("P2\n1 1\n{2}55\n7\n", read_pgm, None),
+}
+
+
+@pytest.mark.parametrize(
+    "form",
+    [lambda d: f"0_{d}", lambda d: chr(0x660 + d), lambda d: chr(0xFF10 + d)],
+    ids=["separator", "arabic-indic", "fullwidth"],
+)
+@pytest.mark.parametrize("site", list(_NUMBER_SITES))
+def test_number_forms_outside_ascii_decimals_are_refused(tmp_path, site, form):
+    """Numbers are ASCII decimals at every site: the same file with ASCII
+    digits reads, and with a digit separator or a non-ASCII digit (which
+    float() and int() take) raises FormatError naming the path and line."""
+    template, read, lineno = _NUMBER_SITES[site]
+    path = tmp_path / "f"
+    path.write_text(template.format(*map(str, range(10))), encoding="utf-8")
+    read(str(path))
+    path.write_text(template.format(*map(form, range(10))), encoding="utf-8")
+    where = f"{path}:" if lineno is None else f"{path}:{lineno}: "
+    with pytest.raises(FormatError, match="^" + re.escape(where)):
+        read(str(path))
+
+
+@pytest.mark.parametrize(
+    "byte", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_line_break_bytes_stay_inside_their_cell(tmp_path, byte):
+    """Lines end at LF, CRLF and CR only: in a container block and in a
+    signal CSV, a byte that str.splitlines would break at stays inside its
+    cell, so a cell holding it inside fails on its own line and one holding
+    it at the end reads as the number."""
+    files = [
+        (_PYR + "levels: 1\nlen: 2\n[detail-1]\n{}\n[approx]\n1\n", read_pyramid_container, 6),
+        ("1\n{}\n", read_signal_csv, 2),
+    ]
+    path = tmp_path / "f"
+    for template, read, lineno in files:
+        path.write_text(template.format(f"2.5{byte}3"), encoding="utf-8")
+        message = f"{path}:{lineno}: cannot parse number {f'2.5{byte}3'!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(str(path))
+        path.write_text(template.format(f"2.5{byte}"), encoding="utf-8")
+        result = read(str(path))
+        values = result[0].details[0] if read is read_pyramid_container else result
+        assert values[-1] == 2.5
+
+
+@pytest.mark.parametrize(
+    "text, read, message",
+    [
+        (_PYR.replace("filter: haar", "filter") + "levels: 1\nlen: 2\n", read_pyramid_container,
+         "2: expected 'filter: ...', got 'filter'"),
+        ("name: x\n\nstart 0\ncoeffs: 1.0\n", read_filter_file, "3: expected 'start: ...', got 'start 0'"),
+        (_PYR + f"levels: {'9' * 5000}\nlen: 2\n", read_pyramid_container, "3: levels must be an integer"),
+        (_PYR + f"levels: 1\ndims: {'9' * 5000}x2\n", read_pyramid_container, "4: dims must be an integer"),
+    ],
+    ids=["container-colon", "filter-colon", "levels-digits", "dims-digits"],
+)
+def test_bad_header_line_names_path_and_line(tmp_path, text, read, message):
+    """A header line without its key and colon, or an integer field with
+    more digits than int() converts, is refused naming path and line."""
+    path = tmp_path / "f"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{message}")):
+        read(str(path))
+
+
 @pytest.fixture(scope="module")
 def mutation_sources(tmp_path_factory):
     """The bytes of one valid file per reader, and that reader."""
@@ -415,6 +516,8 @@ def mutation_sources(tmp_path_factory):
     files = {k: (_container(d, k), read_pyramid_container) for k in ("1d", "2d", "complex")}
     files.update(p5=(d / "p5.pgm", read_pgm), p2=(d / "p2.pgm", read_pgm))
     files.update(filter=(d / "f.txt", read_filter_file))
+    write_signal_csv(str(d / "s.csv"), RNG.standard_normal(8))
+    files.update(csv=(d / "s.csv", read_signal_csv))
     return d, {kind: (path.read_bytes(), read) for kind, (path, read) in files.items()}
 
 
@@ -422,19 +525,19 @@ _EDITS = st.lists(
     st.tuples(
         st.sampled_from(("replace", "insert", "delete")),
         st.integers(0, 1 << 16),
-        st.one_of(st.integers(0, 255), st.sampled_from(b"\n\r ,:.+-ei0123456789")),
+        st.one_of(st.integers(0, 255), st.sampled_from(b"\n\r ,:.+-ei0123456789_")),
     ),
     min_size=1,
     max_size=3,
 )
 
 
-@pytest.mark.parametrize("kind", ["1d", "2d", "complex", "p5", "p2", "filter"])
+@pytest.mark.parametrize("kind", ["1d", "2d", "complex", "p5", "p2", "filter", "csv"])
 @settings(max_examples=40)
 @given(edits=_EDITS)
 def test_mutated_files_raise_only_wavekit_errors(mutation_sources, kind, edits):
     """One to three bytes replaced, inserted or deleted anywhere in a valid
-    container, PGM or filter file: reading it succeeds or raises a
+    container, PGM, filter file or signal CSV: reading it succeeds or raises a
     WavekitError (or UnicodeDecodeError for bytes that are not UTF-8), and
     every FormatError names the path."""
     d, sources = mutation_sources
@@ -479,6 +582,26 @@ def test_scalogram_csv_layout(tmp_path):
     assert lines[1] == "shifts,0,1,2"
     assert lines[2] == "0,1,2"
     assert len(lines) == 4
+    assert path.read_bytes() == b"scales,1,2\nshifts,0,1,2\n0,1,2\n3,4,5\n"
+
+
+@pytest.mark.parametrize(
+    "write, expected",
+    [
+        (lambda p: write_signal_csv(p, [0.1, -2.5, 1e-300]), b"0.10000000000000001\n-2.5\n1e-300\n"),
+        (lambda p: write_signal_csv(p, [1 + 2j, -0.5j, 1 / 3]), b"1+2i\n-0-0.5i\n0.33333333333333331+0i\n"),
+        (lambda p: write_dyadic_csv(p, scaling_function(builtin_filter("haar"), 1)), b"0,1\n0.5,1\n1,0\n"),
+        (
+            lambda p: write_pgm(p, np.array([[0, 1.5, 255], [300, -4, 17.49]]), binary=False),
+            b"P2\n3 2\n255\n0 2 255\n255 0 17\n",
+        ),
+    ],
+    ids=["signal-real", "signal-complex", "dyadic", "p2"],
+)
+def test_text_writers_write_these_bytes(tmp_path, write, expected):
+    path = tmp_path / "out"
+    write(str(path))
+    assert path.read_bytes() == expected
 
 
 def test_heatmap_constant_matrix_mid_gray(tmp_path):
