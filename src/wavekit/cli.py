@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (WavekitError, OSError, UnicodeDecodeError) as exc:
+    except (WavekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -218,9 +218,11 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     """Estimate C = integral |psi_hat(w)|^2/|w| dw by FFT quadrature.
 
     The wavelet is sampled at roughly dx = width/(1024*refine) on a window
-    padded by max(64, 2*width) on each side of its support, transformed, and
-    the integrand is trapezoid-summed over the negative and positive
-    frequency half-axes separately, excluding the w = 0 bin. ``refine``
+    padded by max(64, 2*width) on each side of its support, and by more
+    zeros on the right up to the next length of the form 2^a 3^b 5^c 7^d,
+    where the FFT is fast. It is transformed, and the integrand is
+    trapezoid-summed over the negative and positive frequency half-axes
+    separately, excluding the w = 0 bin. ``refine``
     doubles (etc.) the sampling density for stability checks. The result for
     refine=1 is computed once per wavelet; later calls return the same float.
 
@@ -238,6 +240,22 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     if refine == 1:
         return psi._admissibility
     return _estimate_admissibility(psi, refine)
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d >= n."""
+    best = 1 << (n - 1).bit_length()
+    m7 = 1
+    while m7 < best:
+        m5 = m7
+        while m5 < best:
+            m3 = m5
+            while m3 < best:  # m3 times the least power of two reaching n
+                best = min(best, m3 << (-(-n // m3) - 1).bit_length())
+                m3 *= 3
+            m5 *= 5
+        m7 *= 7
+    return best
 
 
 def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
@@ -264,9 +282,11 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
         )
 
     pad = int(np.ceil(max(ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
-    n = xs.size + 2 * pad
-    window = (lo - pad * dx) + dx * np.arange(n)
-    spectrum = dx * np.fft.fft(psi.evaluate(window))
+    window = (lo - pad * dx) + dx * np.arange(xs.size + 2 * pad)
+    # A length with a large prime factor (67,074 = 2·3·7·1597 points for a
+    # level-8 db4 cascade) transforms several times slower.
+    n = _smooth_length(window.size)
+    spectrum = dx * np.fft.fft(psi.evaluate(window), n)
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     power = np.abs(spectrum) ** 2
     integrand = power / np.where(w == 0.0, 1.0, np.abs(w))
@@ -543,26 +563,43 @@ def parseval_ratio(
     family that resolves the identity the ratio climbs to 1 as the ranges
     grow; each term is nonnegative, so it is monotone in the ranges. Empty
     ranges give 0.
+
+    psi_{j,k} is evaluated only on the samples near its support: a k whose
+    support misses the grid adds nothing, and where the support spans fewer
+    samples than the grid, each inner product runs over its own window.
     """
     norm_sq = float((np.abs(f.values) ** 2).sum() * f.dx)
     if norm_sq == 0.0:
         raise DomainError("parseval ratio needs a nonzero function")
     j_lo, j_hi = int(j_range[0]), int(j_range[1])
+    n = f.size
+    lo = psi.support[0]
     total = 0.0
-    xs = f.xs
     for j in range(j_lo, j_hi + 1):
-        if k_range is None:
-            k_lo, k_hi = _auto_k_range(psi, j, float(xs[0]), float(xs[-1]))
-        else:
-            k_lo, k_hi = int(k_range[0]), int(k_range[1])
-        if k_hi < k_lo:
-            continue
+        k_lo, k_hi = _auto_k_range(psi, j, f.x_min, f.x_max)
+        if k_range is not None:
+            k_lo, k_hi = max(k_lo, int(k_range[0])), min(k_hi, int(k_range[1]))
         scale = 2.0 ** float(j)
         amp = math.sqrt(scale) * f.dx
-        scaled_xs = scale * xs
+        # Samples across the support, plus one either side for rounding.
+        w = int(np.ceil(psi.width / (scale * f.dx))) + 4
+        if w < n:
+            # Grid and values padded by w samples each side, so every window
+            # that meets the grid lies inside them; the padded values are 0.
+            scaled_xs = scale * (f.x_min + f.dx * np.arange(-w, n + w))
+            values = np.pad(f.values, w)
+        else:
+            scaled_xs = scale * f.xs
         for block_lo in range(k_lo, k_hi + 1, 256):
             ks = np.arange(block_lo, min(block_lo + 256, k_hi + 1))
-            block = psi.evaluate(scaled_xs[None, :] - ks[:, None])
-            coeffs = amp * (np.conj(block) @ f.values)
+            if w < n:
+                starts = np.floor(((lo + ks) / scale - f.x_min) / f.dx).astype(np.intp) - 1
+                meets = (starts > -w) & (starts < n)
+                ks, idx = ks[meets], (starts[meets] + w)[:, None] + np.arange(w)
+                block = psi.evaluate(scaled_xs[idx] - ks[:, None])
+                coeffs = amp * np.einsum("kt,kt->k", np.conj(block), values[idx])
+            else:
+                block = psi.evaluate(scaled_xs[None, :] - ks[:, None])
+                coeffs = amp * (np.conj(block) @ f.values)
             total += float((np.abs(coeffs) ** 2).sum())
     return total / norm_sq

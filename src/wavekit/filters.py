@@ -65,7 +65,7 @@ class FilterSpec:
         if self.normalized and abs(arr.sum() - 1.0) > SUM_TOLERANCE:
             raise DomainError(
                 f"filter {self.name!r} is flagged normalized but sum(h) = "
-                f"{arr.sum()!r}"
+                f"{arr.sum().item()!r}"
             )
 
     @property

@@ -7,10 +7,11 @@ precision; real arrays stay plain decimals. PGM covers both the ASCII (P2)
 and binary (P5) flavors with maxval up to 255.
 
 Each job on a text file has one private helper: ``_lines`` splits at line
-ends only (LF, CRLF, CR), ``_header`` parses ``key: value`` lines,
-``_integer`` parses every integer header field, ``_read_numbers`` every
-number on a line (naming ``path:line`` for a bad cell or a row of the wrong
-width) and ``_write_lines`` writes every text file. Numbers are ASCII
+ends only (LF, CRLF, CR) and names ``path:line`` of bytes that are not
+UTF-8, ``_header`` parses ``key: value`` lines, ``_integer`` parses every
+integer header field, ``_read_numbers`` every number on a line (naming
+``path:line`` for a bad cell or a row of the wrong width) and
+``_write_lines`` writes every text file. Numbers are ASCII
 decimals: ``parse_value`` and ``_integer`` refuse the digit separators and
 non-ASCII digits that ``float`` and ``int`` take.
 """
@@ -25,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .filters import FilterSpec
 from .image2d import ImagePyramid, LevelDetail, _rescale_for_display, _round_half_away
 from .subband import Pyramid1D, _check_chain
@@ -74,9 +75,18 @@ def _format_array_line(row) -> str:
 
 def _lines(path: str) -> list[str]:
     """The lines of a UTF-8 text file, split at LF, CRLF and CR only, where
-    ``str.splitlines`` would also split at form feeds, U+0085, U+2028 and more."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    ``str.splitlines`` would also split at form feeds, U+0085, U+2028 and more.
+    Bytes that are not UTF-8 raise FormatError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        bad = data[exc.start : exc.end].hex(" ")
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason}: {bad})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 
@@ -114,12 +124,22 @@ def _integer(path: str, what: str, text: str) -> int:
     raise FormatError(f"{path}: {what} must be an integer, got {text!r}")
 
 
+#: A run of anything but ASCII spaces and tabs.
+_WORD = re.compile(r"[^ \t]+")
+
+
+def _cells(text: str, sep: str | None) -> list[str]:
+    """``text`` split at ``sep``, or with None at runs of ASCII spaces and
+    tabs: not at the other whitespace ``str.split()`` takes, such as U+2028."""
+    return _WORD.findall(text) if sep is None else text.split(sep)
+
+
 def _read_numbers(
     path: str, texts: list[str], numbers, width: int | None = None, sep: str | None = ","
 ) -> np.ndarray:
     """Every value on the nonempty list of lines ``texts``, in order, as one
     flat array: ``width`` cells to a line split at ``sep`` or, with both
-    None, any number of cells split at runs of whitespace. ``numbers`` holds
+    None, any number of cells split by ``_cells``. ``numbers`` holds
     the line number of each text; a line of another width or with a bad cell
     raises FormatError naming ``path:line``.
 
@@ -132,14 +152,14 @@ def _read_numbers(
         cells = texts if joined.count(sep) == len(texts) - 1 else None
     else:
         fits = width is None or set(map(str.count, texts, repeat(sep))) == {width - 1}
-        cells = joined.split(sep) if fits else None
+        cells = _cells(joined, sep) if fits else None
     if cells is not None:
         try:
             return np.asarray(list(map(parse_value, cells)))
         except FormatError:
             pass
     for lineno, text in zip(numbers, texts):
-        cells = text.split(sep)
+        cells = _cells(text, sep)
         try:
             if width is not None and len(cells) != width:
                 raise FormatError(f"expected {width} column(s), got {len(cells)}")
@@ -240,7 +260,9 @@ def read_filter_file(path: str) -> FilterSpec:
     """Three-line filter description.
 
     Line 1: ``name: <identifier>``; line 2: ``start: <integer>``; line 3:
-    ``coeffs: <space-separated values>``. Values are decimals or a+bi pairs.
+    ``coeffs: <values separated by spaces or tabs>``. Values are decimals or
+    a+bi pairs. Coefficients that ``FilterSpec`` refuses raise its
+    DomainError, naming ``path:line`` of the coeffs line.
     """
     texts, numbers = _nonblank_lines(path)
     if len(texts) != 3:
@@ -253,7 +275,10 @@ def read_filter_file(path: str) -> FilterSpec:
     coeffs = _read_numbers(path, [fields["coeffs"]], numbers[2:], sep=None)
     if not coeffs.size:
         raise FormatError(f"{path}:{numbers[2]}: no coefficients")
-    return FilterSpec(name=fields["name"], h=coeffs, start=start)
+    try:
+        return FilterSpec(name=fields["name"], h=coeffs, start=start)
+    except DomainError as exc:
+        raise DomainError(f"{path}:{numbers[2]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

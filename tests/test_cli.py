@@ -73,6 +73,26 @@ def test_verify_non_qmf_filter_file(tmp_path):
     assert "lawton: SKIPPED" in r.stdout
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"name: x\nstart: 0\ncoeffs: 0.25 0.25 0.25 0.26\n",
+         "3: filter 'x' is flagged normalized but sum(h) = 1.01"),
+        (b"name: x\nstart: 0\ncoeffs: 0.5 \xff0.5\n", "3: not UTF-8 text"),
+    ],
+    ids=["refused-taps", "not-utf8"],
+)
+def test_verify_bad_filter_file_names_path_and_line(tmp_path, capsys, data, message):
+    from wavekit.cli import main
+
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    assert main(["verify", "--filter", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{message}")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_cuntz_n_over_byte_budget_exits_two(monkeypatch, capsys):
     import wavekit.subband
     from wavekit.cli import main

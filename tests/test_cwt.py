@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -30,10 +31,13 @@ from wavekit.cwt import (
     wavelet_from_filter,
     wavelet_from_samples,
 )
-from wavekit.cwt import _scaled_kernel, _trapezoid_weights_of
+from wavekit.cwt import _auto_k_range, _scaled_kernel, _smooth_length, _trapezoid_weights_of
 from wavekit.filters import builtin_filter
 
 RNG = np.random.default_rng(31415926)
+
+#: The module itself: the package exports the function ``cwt`` under its name.
+CWT_MODULE = importlib.import_module("wavekit.cwt")
 
 
 def windowed_sine(n=256, period=32.0):
@@ -195,6 +199,59 @@ def test_cascade_wavelet_admissible():
     psi2 = wavelet_from_filter(builtin_filter("db4"), resolution=8)
     c2 = admissibility(psi2, refine=2)
     assert abs(c2 - c) / c < 0.002
+
+
+def test_smooth_length_is_the_next_7_smooth_integer():
+    def smooth(m):
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in [*range(1, 2000), 9216, 67074, 132096, 260127]:
+        m = _smooth_length(n)
+        assert m >= n and smooth(m) and not any(map(smooth, range(n, m))), n
+
+
+def _admissibility_pair(monkeypatch, psi, refine):
+    """The constant on the smooth FFT length, and on the unpadded window of
+    support plus 2 pad points that the estimate used before."""
+    new = CWT_MODULE._estimate_admissibility(psi, refine)
+    with monkeypatch.context() as m:
+        m.setattr(CWT_MODULE, "_smooth_length", lambda n: n)
+        old = CWT_MODULE._estimate_admissibility(psi, refine)
+    return new, old
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_mexican_hat_window_is_already_smooth(monkeypatch, refine):
+    new, old = _admissibility_pair(monkeypatch, named_wavelet("mexican_hat"), refine)
+    assert new == old
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("level", [None, *range(4, 11)])
+def test_haar_type_constant_moves_toward_two_log_two(monkeypatch, level, refine):
+    """For the square wave, catalog or cascade-built, the longer window
+    refines the frequency grid: the constant moves by at most 2.5e-6 of
+    itself, and toward the closed form 2 ln 2, whose distance (about 1.2e-4
+    of it) the change does not grow."""
+    if level is None:
+        psi = named_wavelet("haar_psi")
+    else:
+        psi = wavelet_from_filter(builtin_filter("haar"), level)
+    new, old = _admissibility_pair(monkeypatch, psi, refine)
+    assert new == pytest.approx(old, rel=2.5e-6, abs=0)
+    exact = 2.0 * math.log(2.0)
+    assert abs(new - exact) <= abs(old - exact)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("level", range(4, 11))
+def test_db4_cascade_constant_keeps_eight_digits(monkeypatch, level, refine):
+    psi = wavelet_from_filter(builtin_filter("db4"), level)
+    new, old = _admissibility_pair(monkeypatch, psi, refine)
+    assert new == pytest.approx(old, rel=1e-8, abs=0)
 
 
 def test_wavelet_from_dyadic_haar_matches_catalog():
@@ -551,6 +608,72 @@ def test_parseval_ratio_explicit_k_range():
     # k range excluding the support -> zero
     assert parseval_ratio(f, psi, (0, 2), k_range=(50, 40)) == 0.0
     assert parseval_ratio(f, psi, (0, 2), k_range=(1000, 1010)) == 0.0
+
+
+def dense_parseval_ratio(f, psi, j_range, k_range=None):
+    """The reference loop: every psi_{j,k} evaluated on the whole grid, in
+    blocks of 256 shifts, with the ranges exactly as given."""
+    total = 0.0
+    xs = f.xs
+    for j in range(j_range[0], j_range[1] + 1):
+        k_lo, k_hi = k_range or _auto_k_range(psi, j, float(xs[0]), float(xs[-1]))
+        scale = 2.0**j
+        for block_lo in range(k_lo, k_hi + 1, 256):
+            ks = np.arange(block_lo, min(block_lo + 256, k_hi + 1))
+            block = psi.evaluate(scale * xs[None, :] - ks[:, None])
+            coeffs = math.sqrt(scale) * f.dx * (np.conj(block) @ f.values)
+            total += float((np.abs(coeffs) ** 2).sum())
+    return total / float((np.abs(f.values) ** 2).sum() * f.dx)
+
+
+@pytest.fixture(scope="module")
+def dyadic_wavelets():
+    cascade = wavelet_from_filter(builtin_filter("db4"), 8)
+    return {"haar_psi": named_wavelet("haar_psi"), "mexican_hat": named_wavelet("mexican_hat"), "cascade:db4:8": cascade}
+
+
+def _box(x_min=-2.0, dx=2.0**-10, n=6 * 1024):
+    xs = x_min + dx * np.arange(n)
+    return SampledFunction(x_min, dx, ((xs >= 0.0) & (xs < 1.0)).astype(float))
+
+
+_PARSEVAL_SIGNALS = {
+    "box": _box(),
+    "real": SampledFunction(1.7, 0.02, RNG.standard_normal(500)),
+    "complex": SampledFunction(-3.3, 0.01, RNG.standard_normal(700) + 1j * RNG.standard_normal(700)),
+}
+
+
+@pytest.mark.parametrize(
+    "j_range, k_range",
+    [
+        ((-8, 4), None),  # coarse scales on dense blocks, fine ones on windows
+        ((-8, -4), None),  # coarse only: every support spans the grid
+        ((2, 6), None),  # fine only
+        ((1, 5), (-10, 40)),  # partly outside the grid
+        ((0, 3), (-1000, -900)),  # wholly outside
+        ((-3, 6), (200, 400)),  # outside for coarse j, partly inside for fine j
+    ],
+)
+@pytest.mark.parametrize("signal", list(_PARSEVAL_SIGNALS))
+@pytest.mark.parametrize("wavelet", ["haar_psi", "mexican_hat", "cascade:db4:8"])
+def test_parseval_ratio_matches_dense_reference(dyadic_wavelets, wavelet, signal, j_range, k_range):
+    """Evaluating psi_{j,k} only near its own support gives the dense
+    ratio to 1e-12 relative, on grids that do not start at 0."""
+    psi, f = dyadic_wavelets[wavelet], _PARSEVAL_SIGNALS[signal]
+    expect = dense_parseval_ratio(f, psi, j_range, k_range)
+    assert parseval_ratio(f, psi, j_range, k_range) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_parseval_ratio_evaluates_psi_near_its_supports():
+    """On the box against the square waves j = -8..4, at most a fifth of the
+    dense loop's psi evaluations are made."""
+    dense, dense_count = counting(named_wavelet("haar_psi"))
+    windowed, count = counting(named_wavelet("haar_psi"))
+    f = _box()
+    expect = dense_parseval_ratio(f, dense, (-8, 4))
+    assert parseval_ratio(f, windowed, (-8, 4)) == pytest.approx(expect, rel=1e-12, abs=0)
+    assert 0 < count[0] <= dense_count[0] / 5
 
 
 def test_parseval_ratio_zero_function_rejected():

@@ -424,6 +424,55 @@ def test_bad_filter_coefficient_names_path_and_line(tmp_path):
         read_filter_file(str(path))
 
 
+def test_filter_coefficients_split_at_spaces_and_tabs_only(tmp_path):
+    """Tabs separate taps like spaces; U+2028, U+0085 and the \\x1c-\\x1f
+    separators, which str.split() also splits at, stay inside their cell."""
+    path = tmp_path / "f.txt"
+    path.write_text("name: x\nstart: 0\ncoeffs: 0.25 \t0.25\t0.5\n")
+    assert_allclose(read_filter_file(str(path)).h, [0.25, 0.25, 0.5], atol=0)
+    path.write_text("name: x\nstart: 0\ncoeffs: \t\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: no coefficients")):
+        read_filter_file(str(path))
+    for byte in ("\u2028", "\x85", "\x1c", "\x1f"):
+        path.write_text(f"name: x\nstart: 0\ncoeffs: 0.5{byte}0.5\n", encoding="utf-8")
+        message = f"{path}:3: cannot parse number {f'0.5{byte}0.5'!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_filter_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name: x\n\nstart: 0\ncoeffs: 0.25 0.25 0.25 0.26\n",
+         "4: filter 'x' is flagged normalized but sum(h) = 1.01"),
+        ("name: x\nstart: 0\ncoeffs: 0.5+0.5i 0.5\n",
+         "3: filter 'x' is flagged normalized but sum(h) = (1+0.5j)"),
+        ("name: x\nstart: 0\ncoeffs: 0 0\n", "3: filter coefficients must not be identically zero"),
+    ],
+    ids=["sum", "complex-sum", "zero"],
+)
+def test_refused_filter_coefficients_name_path_and_line(tmp_path, text, message):
+    """FilterSpec's DomainError comes back naming the file and the coeffs
+    line, with the sum as a plain number."""
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="^" + re.escape(f"{path}:{message}") + "$"):
+        read_filter_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "data, lineno",
+    [(b"1.0\n2\xff\n", 2), (b"1.0\r\n\r\n2\r3\xc3\x28\n", 4), (b"\x80", 1)],
+    ids=["lf", "crlf-and-cr", "first-byte"],
+)
+def test_text_that_is_not_utf8_names_path_and_line(tmp_path, data, lineno):
+    """Line numbers count LF, CRLF and CR line ends, as the readers split."""
+    path = tmp_path / "sig.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}:{lineno}: not UTF-8 text")):
+        read_signal_csv(str(path))
+
+
 _PYR = "magic: wavekit-pyr1\nfilter: haar\n"
 
 #: A file per site of a number or an integer header field, with ``{d}``
@@ -538,8 +587,8 @@ _EDITS = st.lists(
 def test_mutated_files_raise_only_wavekit_errors(mutation_sources, kind, edits):
     """One to three bytes replaced, inserted or deleted anywhere in a valid
     container, PGM, filter file or signal CSV: reading it succeeds or raises a
-    WavekitError (or UnicodeDecodeError for bytes that are not UTF-8), and
-    every FormatError names the path."""
+    WavekitError, every FormatError names the path, and so does every error
+    of the filter reader."""
     d, sources = mutation_sources
     data, read = sources[kind]
     buf = bytearray(data)
@@ -555,10 +604,9 @@ def test_mutated_files_raise_only_wavekit_errors(mutation_sources, kind, edits):
     path.write_bytes(bytes(buf))
     try:
         read(str(path))
-    except FormatError as exc:
-        assert str(exc).startswith(f"{path}:"), str(exc)
-    except (WavekitError, UnicodeDecodeError):
-        pass
+    except WavekitError as exc:
+        if isinstance(exc, FormatError) or read is read_filter_file:
+            assert str(exc).startswith(f"{path}:"), str(exc)
 
 
 # --- analysis exports ---------------------------------------------------------------
