@@ -13,10 +13,18 @@ right endpoint fixed at zero, so the haar filter yields the half-open box
 phi = 1 on [0, 1). A degenerate lattice is retried without its zero end
 taps; when the eigenspace is still not one dimensional (stretched_haar,
 whose true solution is discontinuous) a DegeneracyError reports the
-dimension instead of silently picking a vector. Each refinement doubles the
-grid by evaluating the identity at the new midpoints (``_two_scale_eval``,
-which also turns phi into the wavelet), so computed values satisfy it at
-every level.
+dimension instead of silently picking a vector.
+
+Each refinement doubles the grid by evaluating the identity at the new
+midpoints, so computed values satisfy it at every level. A level-J midpoint
+reads phi only at odd level-J samples, and a level-J wavelet sample reads it
+only at even ones, which are phi at level J - 1. Cut into rows of 2^(J-1)
+samples, one row per unit of x, those samples give every row of outputs,
+half a unit apart, as one product with a small banded two-scale matrix
+M[b, a] = 2 c_{b-a} of the taps c (``_two_scale_eval``; the matrix comes
+from the transfer operator's builder and is cached on the filter). At J = 0
+the same rule reads the integer samples. The samples of a level-J grid are
+charged against ``_CASCADE_BYTE_BUDGET`` before anything is allocated.
 """
 from __future__ import annotations
 
@@ -33,6 +41,15 @@ from .errors import (
 )
 from .filters import FilterSpec, derive_highpass, qmf_check
 from .transfer import EIGENVALUE_BUCKET, _two_scale_matrix, _unit_eigenspace
+
+#: Most bytes ``scaling_function`` and ``wavelet_function`` may allocate,
+#: charged as _CASCADE_CHARGE samples of the grid's dtype per sample of the
+#: (L-1) 2^J + 1 grid (tracemalloc peaks at J >= 12: 2.25 grids for phi,
+#: 2.05 to 2.34 for psi, and 3.0 for the haar psi, whose zero-padded last
+#: row of phi is a third of its input), so a float64 filter of length 4
+#: stays under it up to J = 23, and one of length 20 up to J = 20.
+_CASCADE_BYTE_BUDGET = 1 << 30
+_CASCADE_CHARGE = 4
 
 
 @dataclass(frozen=True)
@@ -117,26 +134,45 @@ def integer_values(f: FilterSpec, experimental: bool = False) -> np.ndarray:
 
 
 def _two_scale_eval(
-    c: np.ndarray, c_start: int, phi: DyadicFunction, x_first: float, count: int
+    c: FilterSpec, phi: DyadicFunction, x_first: float, count: int, level: int
 ) -> np.ndarray:
-    """out[m] = 2 sum_t c_t phi(2 x_m - c_start - t) at x_m = x_first + m/2^J,
-    J = phi.level: each argument is phi's grid point base + 2m - t 2^J, and
-    phi reads as zero off its grid."""
-    per_unit = 1 << phi.level
-    base = round((2.0 * x_first - c_start - phi.x0) * per_unit)
-    q0 = base + 2 * np.arange(count)
-    out = np.zeros(count, dtype=np.result_type(phi.values.dtype, c.dtype))
-    for t in range(c.size):
-        q = q0 - t * per_unit
-        ok = (q >= 0) & (q < phi.values.size)
-        if np.any(ok):
-            out[ok] += 2.0 * c[t] * phi.values[q[ok]]
-    return out
+    """out[m] = 2 sum_t c_t phi(2 x_m - c.start - t) at x_m = x_first + m/2^level,
+    phi read as zero off its grid, for level = phi.level + 1, or level 0 on a
+    level-0 phi (every other output of level 1).
+
+    Cut into rows of R = 2^phi.level samples, phi's row a starts at
+    phi.x0 + a and output row b at x_first + b/2. Sample r of output row b
+    reads sample r of the phi rows that start at 2 (x_first + b/2) - c.start
+    - t, so the output rows are M @ (phi's rows), with M the two-scale matrix
+    of c on those row starts, cached on c. 2 x_first - c.start - phi.x0 must
+    be an integer.
+    """
+    stride = 1 << (phi.level + 1 - level)
+    count = stride * (count - 1) + 1
+    per_row = 1 << phi.level
+    n_in = -(-phi.values.size // per_row)
+    n_out = -(-count // per_row)
+    key = ("cascade", round(2 * x_first - c.start - phi.x0), n_out, n_in)
+    M = c._tap_cache.get(key)
+    if M is None:
+        M = _two_scale_matrix(
+            c.h, c.start, x_first + np.arange(n_out) / 2, phi.x0 + np.arange(n_in)
+        )
+        M.setflags(write=False)
+        c._tap_cache[key] = M
+    rows = np.zeros((n_in, per_row), dtype=phi.values.dtype)
+    rows.reshape(-1)[: phi.values.size] = phi.values
+    return (M @ rows).reshape(-1)[:count:stride]
 
 
 def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
     """One dyadic refinement: keep existing samples, fill midpoints through
-    the two-scale identity."""
+    the two-scale identity. ``phi`` must start at the filter's ``start``."""
+    if phi.x0 != f.start:
+        raise ParameterError(
+            f"refine needs phi on the filter's lattice, starting at {f.start}; "
+            f"got x0 = {phi.x0!r}"
+        )
     J = phi.level
     expected = (f.length - 1) * (1 << J) + 1
     if phi.values.size != expected:
@@ -144,22 +180,42 @@ def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
             f"level-{J} grid for this filter needs {expected} samples, got "
             f"{phi.values.size}"
         )
-    out = np.zeros(2 * expected - 1, dtype=np.result_type(phi.values.dtype, f.h.dtype))
+    out = np.empty(2 * expected - 1, dtype=np.result_type(phi.values.dtype, f.h.dtype))
     out[0::2] = phi.values
-    out[1::2] = _two_scale_eval(f.h, f.start, phi, phi.x0 + phi.step / 2, expected - 1)
+    # Above J = 0 the midpoints read phi's odd samples only.
+    src = phi if J == 0 else DyadicFunction(phi.x0 + phi.step, J - 1, phi.values[1::2])
+    out[1::2] = _two_scale_eval(f, src, phi.x0 + phi.step / 2, expected - 1, J)
     return DyadicFunction(x0=phi.x0, level=J + 1, values=out, kind=phi.kind)
 
 
-def scaling_function(f: FilterSpec, resolution: int, experimental: bool = False) -> DyadicFunction:
-    """Scaling function sampled at spacing 2^-resolution over its support."""
+def _checked_grid(f: FilterSpec, resolution) -> int:
+    """The resolution as an int, after refusing a bad one and a grid of
+    (L-1) 2^resolution + 1 samples over ``_CASCADE_BYTE_BUDGET``."""
     if not isinstance(resolution, (int, np.integer)) or resolution < 0:
         raise ParameterError(
             f"resolution must be a nonnegative integer, got {resolution!r}"
         )
+    resolution = int(resolution)
+    samples = (f.length - 1) * (1 << resolution) + 1
+    need = _CASCADE_CHARGE * samples * np.result_type(f.h.dtype, np.float64).itemsize
+    if need > _CASCADE_BYTE_BUDGET:
+        raise SizeError(
+            f"cascade at resolution {resolution} needs about {need >> 20} MiB "
+            f"for {samples} samples, over its {_CASCADE_BYTE_BUDGET >> 20} MiB budget"
+        )
+    return resolution
+
+
+def _refined(f: FilterSpec, resolution: int, experimental: bool) -> DyadicFunction:
     phi = DyadicFunction(float(f.start), 0, integer_values(f, experimental))
     for _ in range(resolution):
         phi = refine(phi, f)
     return phi
+
+
+def scaling_function(f: FilterSpec, resolution: int, experimental: bool = False) -> DyadicFunction:
+    """Scaling function sampled at spacing 2^-resolution over its support."""
+    return _refined(f, _checked_grid(f, resolution), experimental)
 
 
 def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False) -> DyadicFunction:
@@ -167,9 +223,12 @@ def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False)
 
     Uses psi(x) = 2 * sum_i g_i phi(2x - i) with the derived high-pass g;
     the support is [(2-L)/2, L/2], the same width as the scaling function.
+    At resolution J it reads phi's even level-J samples, so phi is refined to
+    J - 1 only.
     """
-    phi = scaling_function(f, resolution, experimental)
-    g = derive_highpass(f)
+    J = _checked_grid(f, resolution)
+    phi = _refined(f, max(J - 1, 0), experimental)
     x0 = (2.0 - f.length) / 2.0
-    values = _two_scale_eval(g.h, g.start, phi, x0, phi.values.size)
-    return DyadicFunction(x0=x0, level=resolution, values=values, kind="psi")
+    count = (f.length - 1) * (1 << J) + 1
+    values = _two_scale_eval(derive_highpass(f), phi, x0, count, J)
+    return DyadicFunction(x0=x0, level=J, values=values, kind="psi")

@@ -94,9 +94,10 @@ class FilterSpec:
     @cached_property
     def _tap_cache(self) -> dict:
         # The filter-bank kernel's offsets and scaled taps, filled by
-        # wavekit.subband._kernel_taps, which alone knows their layout, and
-        # the pyramid operators of wavekit.subband._pyramid_operator; not a
-        # field, so a dataclasses.replace copy starts empty.
+        # wavekit.subband._kernel_taps, which alone knows their layout, the
+        # pyramid operators of wavekit.subband._pyramid_operator and the
+        # cascade's two-scale row matrices (wavekit.cascade._two_scale_eval);
+        # not a field, so a dataclasses.replace copy starts empty.
         return {}
 
 

@@ -11,7 +11,8 @@ window |n| <= L-1 (which R leaves invariant). For a filter that passes
 ``qmf_check``, the translates of its scaling function form an orthonormal
 system exactly when the eigenvalue 1 of R is simple (Lawton 1991). R and the
 cascade lattice matrix are both two-scale matrices M[i, j] = 2 c_{2p_i - p_j}
-(``_two_scale_matrix``), and ``_unit_eigenspace`` counts the eigenvalue-1
+(``_two_scale_matrix``, which also builds the cascade's refinement rows on
+separate row and column points), and ``_unit_eigenspace`` counts the eigenvalue-1
 dimension of both from the singular values of M - I; ``lawton_test``
 cross-checks that count against direct eigenvalue bucketing.
 """
@@ -99,12 +100,17 @@ def build_transfer_matrix(f: FilterSpec) -> TransferMatrix:
     )
 
 
-def _two_scale_matrix(c: np.ndarray, c_start: int, points: np.ndarray) -> np.ndarray:
-    """M[i, j] = 2 c[2 p_i - p_j - c_start] on the integer points p, zero where
-    the index leaves c (coefficient k of c sits at c_start + k)."""
-    idx = 2 * points[:, None] - points[None, :] - c_start
+def _two_scale_matrix(
+    c: np.ndarray, c_start: int, points: np.ndarray, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """M[i, j] = 2 c[2 p_i - q_j - c_start] on the row points p and the
+    column points q (q = p unless given), zero where the index leaves c
+    (coefficient k of c sits at c_start + k). Row points may be half
+    integers; each 2 p_i - q_j must be an integer."""
+    cols = points if cols is None else cols
+    idx = np.rint(np.subtract.outer(2 * points, cols) - c_start).astype(np.intp)
     valid = (idx >= 0) & (idx < c.size)
-    M = np.zeros((points.size, points.size), dtype=np.result_type(c.dtype, np.float64))
+    M = np.zeros(idx.shape, dtype=np.result_type(c.dtype, np.float64))
     M[valid] = 2.0 * c[idx[valid]]
     return M
 

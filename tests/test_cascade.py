@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import lattice_lowpass
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wavekit import cascade
 from wavekit.cascade import (
     DyadicFunction,
     integer_values,
@@ -19,6 +25,32 @@ from wavekit.errors import (
 from wavekit.filters import FilterSpec, builtin_filter, derive_highpass
 
 SQRT3 = np.sqrt(3.0)
+
+#: Filters beyond the orthogonal lattice family, cascaded with
+#: experimental=True: the odd-length cubic B-spline, whose wavelet starts at a
+#: half integer, and a complex filter.
+EXPERIMENTAL_FILTERS = (
+    np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16,
+    np.array([1 + 1j, 3 + 1j, 3 - 1j, 1 - 1j]) / 8,
+)
+
+
+def masked_two_scale_eval(
+    c: np.ndarray, c_start: int, phi: DyadicFunction, x_first: float, count: int
+) -> np.ndarray:
+    """Reference tap-by-tap evaluation: out[m] = 2 sum_t c_t phi(2 x_m -
+    c_start - t) at x_m = x_first + m/2^J, J = phi.level; each argument is
+    phi's grid point base + 2m - t 2^J, and phi reads as zero off its grid."""
+    per_unit = 1 << phi.level
+    base = round((2.0 * x_first - c_start - phi.x0) * per_unit)
+    q0 = base + 2 * np.arange(count)
+    out = np.zeros(count, dtype=np.result_type(phi.values.dtype, c.dtype))
+    for t in range(c.size):
+        q = q0 - t * per_unit
+        ok = (q >= 0) & (q < phi.values.size)
+        if np.any(ok):
+            out[ok] += 2.0 * c[t] * phi.values[q[ok]]
+    return out
 
 
 def two_scale_residual(
@@ -262,3 +294,105 @@ def test_cascade_values_real_for_real_filters():
     for name in ("haar", "db4"):
         phi = scaling_function(builtin_filter(name), 4)
         assert not np.iscomplexobj(phi.values)
+
+
+@settings(max_examples=60)
+@given(which=st.integers(0, 41), level=st.integers(0, 6), start=st.integers(-3, 3))
+@example(which=40, level=0, start=0)
+@example(which=40, level=5, start=-2)
+@example(which=41, level=0, start=1)
+@example(which=41, level=4, start=0)
+def test_row_products_match_the_masked_loop(lattice_filters, which, level, start):
+    """refine and wavelet_function agree with the tap-by-tap loop to 1e-13 of
+    max |values| on lattice filters, the odd-length B-spline and a complex
+    filter; refine keeps its input bit for bit, the wavelet reads phi's even
+    samples, which are the level below bit for bit, and both satisfy their
+    two-scale identities."""
+    h = (*lattice_filters, *EXPERIMENTAL_FILTERS)[which]
+    experimental = which >= len(lattice_filters)
+    f = FilterSpec("f", h, start)
+    phi = scaling_function(f, level, experimental)
+
+    finer = refine(phi, f)
+    midpoints = masked_two_scale_eval(
+        f.h, f.start, phi, phi.x0 + phi.step / 2, phi.values.size - 1
+    )
+    assert np.array_equal(finer.values[0::2], phi.values)
+    assert np.abs(finer.values[1::2] - midpoints).max() <= 1e-13 * np.abs(finer.values).max()
+    assert two_scale_residual(finer, f) <= 1e-12
+
+    g = derive_highpass(f)
+    psi = wavelet_function(f, level, experimental)
+    reference = masked_two_scale_eval(g.h, g.start, phi, psi.x0, phi.values.size)
+    assert psi.x0 == (2.0 - f.length) / 2 and psi.values.dtype == reference.dtype
+    assert np.abs(psi.values - reference).max() <= 1e-13 * np.abs(reference).max()
+    if level > 0:
+        coarser = scaling_function(f, level - 1, experimental)
+        assert np.array_equal(phi.values[0::2], coarser.values)
+    assert two_scale_residual(psi, g, phi) <= 1e-12
+
+
+def test_refine_refuses_phi_off_the_filter_lattice():
+    """A phi whose grid does not start at the filter's start is refused
+    before any arithmetic, not refined into wrong midpoints."""
+    f = builtin_filter("db4")
+    phi = scaling_function(f, 3)
+    moved = DyadicFunction(phi.x0 + 5, phi.level, phi.values)
+    with pytest.raises(ParameterError, match="lattice"):
+        refine(moved, f)
+    shifted = FilterSpec("db4", f.h, f.start - 1)
+    with pytest.raises(ParameterError, match="lattice"):
+        refine(phi, shifted)
+
+
+@pytest.mark.parametrize("build", (scaling_function, wavelet_function))
+def test_cascade_over_byte_budget_is_refused(monkeypatch, build):
+    """The (L-1) 2^J + 1 grid is charged _CASCADE_CHARGE samples each before
+    anything is refined; a grid over the budget raises SizeError."""
+    f = builtin_filter("db4")
+    charge = cascade._CASCADE_CHARGE * 8
+    monkeypatch.setattr(cascade, "_CASCADE_BYTE_BUDGET", (3 * 2**5 + 1) * charge)
+    assert build(f, 5).values.size == 3 * 2**5 + 1
+    with pytest.raises(SizeError, match="resolution 6"):
+        build(f, 6)
+    complex_f = FilterSpec("c", EXPERIMENTAL_FILTERS[1])
+    with pytest.raises(SizeError, match="resolution 5"):
+        build(complex_f, 5, experimental=True)
+    with pytest.raises(SizeError, match="resolution 60"):
+        build(f, np.int64(60))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["cascade", "--filter", "db4", "--resolution", "6", "--out", "x.csv"],
+        ["cwt", "--in", "x.csv", "--wavelet", "cascade:db4:6", "--scales", "2:8:2"],
+    ),
+)
+def test_cli_cascade_over_byte_budget_exits_two(monkeypatch, capsys, tmp_path, argv):
+    from wavekit.cli import main
+    from wavekit.io import write_signal_csv
+
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv("x.csv", np.sin(np.arange(64.0)))
+    monkeypatch.setattr(cascade, "_CASCADE_BYTE_BUDGET", 1 << 12)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cascade at resolution 6 needs about")
+    assert len(err.splitlines()) == 1
+
+
+def test_scaling_function_peak_memory_within_budget_formula():
+    """The tracemalloc peak of a length-20 cascade at J = 12 stays under the
+    _CASCADE_CHARGE samples per grid sample that the byte budget charges."""
+    free = np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, size=9)
+    f = FilterSpec("lattice20", lattice_lowpass(np.append(free, np.pi / 4 - free.sum())))
+    assert f.length == 20
+    scaling_function(f, 12)
+    tracemalloc.start()
+    try:
+        scaling_function(f, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cascade._CASCADE_CHARGE * (19 * 2**12 + 1) * 8
