@@ -167,7 +167,13 @@ def _two_scale_eval(
 
 def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
     """One dyadic refinement: keep existing samples, fill midpoints through
-    the two-scale identity. ``phi`` must start at the filter's ``start``."""
+    the two-scale identity. ``phi`` must be a scaling function (``kind``
+    "phi", the default of a user-built ``DyadicFunction``) starting at the
+    filter's ``start``; a psi obeys another identity and is refused."""
+    if phi.kind != "phi":
+        raise ParameterError(
+            f"refine fills midpoints of a scaling function, got kind {phi.kind!r}"
+        )
     if phi.x0 != f.start:
         raise ParameterError(
             f"refine needs phi on the filter's lattice, starting at {f.start}; "

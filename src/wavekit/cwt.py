@@ -15,13 +15,13 @@ the inversion measure contributes the same amount, so ``icwt`` folds it in
 as a factor 2.
 
 When every shift is a sample point of the signal (as with ``shifts = f.xs``
-or any subset of it), each scale of ``cwt`` is one FFT correlation with psi
-sampled at the 2n - 1 sample lags, and ``icwt`` is the matching convolution
-summed in the frequency domain (Torrence & Compo 1998, "A Practical Guide to
-Wavelet Analysis"): O(S n log n) time for S scales and O(n) work memory per
-scale. Any other shift grid takes a dense (shifts x n) kernel per scale,
-O(S shifts n). Both paths evaluate psi through ``_scaled_kernel``, in x, so
-sampled and cascade wavelets need no analytic spectrum.
+or any subset of it), ``cwt`` is an FFT cross-correlation with psi at the
+2n - 1 sample lags and ``icwt`` the matching convolution summed over scales
+(Torrence & Compo 1998, "A Practical Guide to Wavelet Analysis"), both on one
+ladder of kernel spectra held on the wavelet: O(S n log n) time for S scales,
+3S + 2 FFTs per round trip, work memory of one block of scales plus the held
+ladder. Other shift grids take a dense (shifts x n) kernel per scale. Both
+evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed.
 
 ``dyadic_sample`` and ``parseval_ratio`` cover the dyadic family
 psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
@@ -57,6 +57,12 @@ ADMISSIBILITY_SAMPLES = 1024
 #: least twice the support width, so the frequency grid resolves the spectrum).
 ADMISSIBILITY_RADIUS = 64.0
 
+#: Bytes of kernel spectra per block of scales and per held ladder, and bytes
+#: ``cwt`` may allocate for its result and one block.
+_BLOCK_BYTES = 1 << 19
+_LADDER_BYTES = 1 << 22
+_CWT_BYTE_BUDGET = 1 << 30
+
 
 @dataclass(frozen=True)
 class SampledFunction:
@@ -91,11 +97,7 @@ class SampledFunction:
         return self.x_min + self.dx * np.arange(self.values.size)
 
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.values.size, self.dx)
-        if w.size > 1:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return w
+        return _trapezoid_weights(np.full(self.size - 1, self.dx), self.dx)
 
     def norm(self) -> float:
         """Trapezoidal L2 norm."""
@@ -142,6 +144,24 @@ class AnalyzingWavelet:
         # Filled on first use by admissibility(psi); not a field, so it
         # cannot be passed in, and a raised error leaves nothing cached.
         return _estimate_admissibility(self, 1)
+
+    @cached_property
+    def _ladder(self) -> dict:
+        # One ladder of kernel spectra, filled by _kernel_spectra; not a
+        # field, so a dataclasses.replace copy starts empty.
+        return {}
+
+
+def _trapezoid_weights(steps: np.ndarray, single: float = 0.0) -> np.ndarray:
+    """Composite trapezoid weights of points ``steps`` apart. A single point
+    gets ``single``: dx for a sampled function's norm, and zero for the sums
+    over scales and shifts, so a degenerate quadrature gives a zero integral
+    rather than an arbitrary scale factor."""
+    if steps.size == 0:
+        return np.array([single])
+    w = np.append(0.5 * steps, 0.0)
+    w[1:] += 0.5 * steps
+    return w
 
 
 def _mexican_hat(x: np.ndarray) -> np.ndarray:
@@ -294,7 +314,7 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
 
     total = 0.0
     for half in (w < 0.0, w > 0.0):  # fftfreq lists each half in increasing order
-        total += float(integrand[half] @ _trapezoid_weights_of(w[half]))
+        total += float(integrand[half] @ _trapezoid_weights(np.diff(w[half])))
     if not np.isfinite(total) or total <= 0.0:
         raise AdmissibilityError(
             f"admissibility quadrature for {psi.name!r} returned {total!r}"
@@ -348,6 +368,8 @@ def geometric_scales(r_min: float, r_max: float, voices: int = 8) -> np.ndarray:
     if r_max == r_min:
         return np.array([float(r_min)])
     count = int(np.ceil(voices * np.log2(r_max / r_min))) + 1
+    if 8 * count > _CWT_BYTE_BUDGET:
+        raise SizeError(f"{count} scales pass the {_CWT_BYTE_BUDGET >> 20} MiB cwt budget")
     return np.geomspace(r_min, r_max, max(count, 2))
 
 
@@ -383,8 +405,9 @@ class CwtCoefficients:
 
 
 def _scaled_kernel(psi: AnalyzingWavelet, offsets: np.ndarray, r: float) -> np.ndarray:
-    """psi_{r,s}(x) = psi((x - s)/r)/sqrt(r) at the given offsets x - s."""
-    return psi.evaluate(offsets / r) / math.sqrt(r)
+    """psi_{r,s}(x) = psi((x - s)/r)/sqrt(r) at the given offsets x - s; ``r``
+    may be an array that broadcasts against them."""
+    return psi.evaluate(offsets / r) / np.sqrt(r)
 
 
 def _sample_indices(xs: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray | None:
@@ -397,29 +420,63 @@ def _sample_indices(xs: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray
 
 
 def _fft_length(n: int) -> int:
-    """Power of two >= 2n - 1. Convolving n samples with a kernel on the
-    2n - 1 lags at this length wraps only the outputs past 2n - 2, and they
-    land below index n - 1, so the n outputs read from n - 1 on are exact."""
+    """Power of two >= 2n - 1. Correlating or convolving n samples with a
+    kernel on the 2n - 1 lags at this length wraps no lag onto the n outputs
+    that ``cwt`` and ``icwt`` read."""
     return 1 << (2 * n - 2).bit_length()
 
 
-def _fft_pair(*arrays: np.ndarray) -> tuple[Callable, Callable]:
-    """Forward and inverse FFT: the real-input pair when every array is real."""
-    if any(np.iscomplexobj(a) for a in arrays):
-        return np.fft.fft, np.fft.ifft
-    return np.fft.rfft, np.fft.irfft
+def _kernel_spectra(psi: AnalyzingWavelet, n: int, dx: float, scales: np.ndarray, complex_data: bool):
+    """Yield (scale slice, spectra, (forward, inverse, dtype)) per block of scales.
+
+    Row i of ``spectra`` is the FFT at ``_fft_length(n)`` of psi_{r_i}
+    at the lags (1 - n) dx ... (n - 1) dx, stored from column 0: real FFTs
+    when data and kernels are real. A block is one ``_scaled_kernel`` call
+    and one FFT along the last axis, about ``_BLOCK_BYTES`` of spectra. The
+    wavelet holds the last ladder that fits ``_LADDER_BYTES``, so the
+    ``icwt`` after a ``cwt`` on the same grid evaluates no psi.
+    """
+    key = (n, dx, scales.tobytes(), complex_data)
+    held = psi._ladder.get(key)
+    if held is not None:
+        yield from held
+        return
+    length = _fft_length(n)
+    lags = dx * np.arange(1 - n, n)
+    step = max(1, _BLOCK_BYTES // (16 * length))
+    blocks, kept = [], 0
+    for lo in range(0, scales.size, step):
+        rows = slice(lo, lo + step)
+        kernels = _scaled_kernel(psi, lags, scales[rows, None])
+        complex_kernel = np.iscomplexobj(kernels)
+        if complex_data or complex_kernel:
+            fft = np.fft.fft, np.fft.ifft, np.complex128
+        else:
+            fft = np.fft.rfft, np.fft.irfft, np.float64
+        spectra = fft[0](kernels, length)
+        spectra.setflags(write=False)
+        kept += spectra.nbytes
+        blocks = blocks + [(rows, spectra, fft)] if kept <= _LADDER_BYTES else None
+        yield rows, spectra, fft
+    if blocks is not None:
+        psi._ladder.clear()
+        # Complex kernels take complex FFTs for real and complex data alike.
+        for kind in (False, True) if complex_kernel else (complex_data,):
+            psi._ladder[key[:-1] + (kind,)] = blocks
 
 
 def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoefficients:
     """Trapezoidal <psi_{r,s}|f> for every grid point.
 
-    When every shift is a sample point of f, each scale's row is one FFT
-    correlation of the weighted samples with psi_r sampled at the 2n - 1
-    lags: O(n log n) time and O(n) work memory per scale. Other shift grids
+    When every shift is a sample point of f, each row is the FFT
+    cross-correlation of the weighted samples with psi_r at the 2n - 1 lags,
+    a block of scales at a time: 2S + 1 FFTs (S + 1 on a held ladder), work
+    memory of one block plus the ladder held for ``icwt``. Other shift grids
     take a dense (shifts x n) kernel per scale.
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
-    fewer than 4 grid steps (the quadrature cannot see the oscillation).
+    fewer than 4 grid steps, and SizeError, before allocating, when the
+    complex S x shifts result and one block pass ``_CWT_BYTE_BUDGET``.
     """
     smallest = float(grid.scales[0])
     if smallest * psi.width < 4.0 * f.dx:
@@ -427,49 +484,41 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
             f"scale {smallest:g} leaves fewer than 4 samples across the "
             f"wavelet support (dx = {f.dx:g}); shrink dx or raise the scale"
         )
-    weighted = f.values * f.trapezoid_weights()
     xs = f.xs
     idx = _sample_indices(xs, f.dx, grid.shifts)
-    rows = []
+    n, (count, m) = f.size, grid.shape
+    length = _fft_length(n)
+    need = 16 * count * m + (16 * m * n if idx is None else max(_BLOCK_BYTES, 16 * length))
+    if need > _CWT_BYTE_BUDGET:
+        raise SizeError(f"cwt of {n} samples on a {count} x {m} grid needs {need / 2**20:.3g} MiB, "
+                        f"over its {_CWT_BYTE_BUDGET / 2**20:.3g} MiB budget")
+    weighted = f.values * f.trapezoid_weights()
     if idx is None:
         offsets = xs[None, :] - grid.shifts[:, None]
-        for r in grid.scales:
-            rows.append(np.conj(_scaled_kernel(psi, offsets, float(r))) @ weighted)
+        matrix = np.stack(
+            [np.conj(_scaled_kernel(psi, offsets, float(r))) @ weighted for r in grid.scales]
+        )
     else:
-        n = f.size
-        length = _fft_length(n)
-        # Lags n-1 down to 1-n: the correlation becomes a convolution whose
-        # output n - 1 + m is the coefficient at sample m.
-        offsets = f.dx * np.arange(n - 1, -n, -1)
-        for i, r in enumerate(grid.scales):
-            kernel = np.conj(_scaled_kernel(psi, offsets, float(r)))
-            if i == 0:
-                forward, inverse = _fft_pair(weighted, kernel)
-                spectrum = forward(weighted, length)
-            full = inverse(spectrum * forward(kernel, length), length)
-            rows.append(full[n - 1 + idx])
+        # Column t of the circular cross-correlation pairs sample k with lag
+        # k - t, so sample m reads t = m - (n - 1) mod length.
+        cols = (idx - (n - 1)) % length
+        matrix = None
+        for rows, spectra, (forward, inverse, dtype) in _kernel_spectra(
+            psi, n, f.dx, grid.scales, np.iscomplexobj(weighted)
+        ):
+            if matrix is None:
+                signal = forward(weighted, length)
+                matrix = np.empty(grid.shape, dtype)
+            product = np.conj(spectra)
+            product *= signal
+            matrix[rows] = inverse(product, length)[:, cols]
     return CwtCoefficients(
-        matrix=np.stack(rows),
+        matrix=matrix,
         grid=grid,
         x_min=f.x_min,
         dx=f.dx,
         n_samples=f.size,
     )
-
-
-def _trapezoid_weights_of(points: np.ndarray) -> np.ndarray:
-    """Composite trapezoid weights for samples at arbitrary increasing points.
-
-    A single point gets weight zero: the quadrature is degenerate and the
-    caller sees a zero integral rather than an arbitrary scale factor.
-    """
-    if points.size < 2:
-        return np.zeros(points.size)
-    w = np.zeros(points.size)
-    w[1:-1] = 0.5 * (points[2:] - points[:-2])
-    w[0] = 0.5 * (points[1] - points[0])
-    w[-1] = 0.5 * (points[-1] - points[-2])
-    return w
 
 
 def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
@@ -481,16 +530,17 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
     amount. Accuracy is set by the grid; a single-scale grid yields the zero
     function (degenerate quadrature) rather than an error.
 
-    When every shift is a sample point, the weighted coefficients of each
-    scale are spread onto the samples and convolved with psi_r in the
-    frequency domain, summed over scales before one inverse FFT:
-    O(n log n) time and O(n) work memory per scale. Other shift grids take a
-    dense (shifts x n) kernel per scale.
+    When every shift is a sample point, a block of scales' weighted
+    coefficients is spread onto the samples, transformed in one FFT, times
+    the kernel spectra (held from a ``cwt`` on the same grid) and summed over
+    scales before one inverse FFT: S + 1 FFTs on a held ladder (2S + 1
+    otherwise), work memory of one block plus the held ladder. Other shift
+    grids take a dense (shifts x n) kernel per scale.
     """
     constant = admissibility(psi)
     xs = c.sample_grid()
-    wr = _trapezoid_weights_of(c.scales)
-    ws = _trapezoid_weights_of(c.shifts)
+    wr = _trapezoid_weights(np.diff(c.scales))
+    ws = _trapezoid_weights(np.diff(c.shifts))
     idx = _sample_indices(xs, c.dx, c.shifts)
     if idx is None:
         offsets = xs[None, :] - c.shifts[:, None]
@@ -501,15 +551,16 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
     else:
         n = xs.size
         length = _fft_length(n)
-        offsets = c.dx * np.arange(1 - n, n)
-        spread = np.zeros(n, dtype=np.result_type(c.matrix, ws))
+        dtype = np.result_type(c.matrix, ws)
         total = 0.0
-        for i, r in enumerate(c.scales):
-            kernel = _scaled_kernel(psi, offsets, float(r))
-            spread[idx] = c.matrix[i] * ws
-            if i == 0:
-                forward, inverse = _fft_pair(spread, kernel)
-            total += (wr[i] / (r * r)) * forward(spread, length) * forward(kernel, length)
+        for rows, spectra, (forward, inverse, _) in _kernel_spectra(
+            psi, n, c.dx, c.scales, np.iscomplexobj(c.matrix)
+        ):
+            spread = np.zeros((spectra.shape[0], n), dtype)
+            spread[:, idx] = c.matrix[rows] * ws
+            product = forward(spread, length)
+            product *= spectra
+            total = total + (wr[rows] / c.scales[rows] ** 2) @ product
         out = inverse(total, length)[n - 1 : 2 * n - 1]
     return SampledFunction(x_min=c.x_min, dx=c.dx, values=out * (2.0 / constant))
 

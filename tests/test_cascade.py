@@ -332,6 +332,17 @@ def test_row_products_match_the_masked_loop(lattice_filters, which, level, start
     assert two_scale_residual(psi, g, phi) <= 1e-12
 
 
+def test_refine_refuses_a_wavelet():
+    """A psi satisfies the wavelet identity, not the scaling one, so refining
+    it would give wrong midpoints; a DyadicFunction built without a kind is a
+    scaling function and stays refinable."""
+    haar = builtin_filter("haar")
+    with pytest.raises(ParameterError, match="kind 'psi'"):
+        refine(wavelet_function(haar, 1), haar)
+    built = DyadicFunction(0.0, 1, scaling_function(haar, 1).values)
+    assert np.array_equal(refine(built, haar).values, scaling_function(haar, 2).values)
+
+
 def test_refine_refuses_phi_off_the_filter_lattice():
     """A phi whose grid does not start at the filter's start is refused
     before any arithmetic, not refined into wrong midpoints."""

@@ -417,6 +417,29 @@ def test_cwt_bad_scales_syntax(sine_csv):
     assert r.returncode == 2
 
 
+def test_cwt_absurd_scales_exit_two(sine_csv):
+    """A ladder of 10^12 voices per octave is refused by the cwt byte budget
+    before it is allocated: one error line, no traceback."""
+    r = run_cli("cwt", "--in", sine_csv, "--wavelet", "mexican_hat",
+                "--scales", "1:2:1000000000000")
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "budget" in lines[0]
+    assert "Traceback" not in r.stdout + r.stderr
+
+
+def test_cwt_over_byte_budget_exits_two(monkeypatch, capsys, sine_csv):
+    import importlib
+
+    from wavekit.cli import main
+
+    monkeypatch.setattr(importlib.import_module("wavekit.cwt"), "_CWT_BYTE_BUDGET", 1 << 19)
+    assert main(["cwt", "--in", sine_csv, "--wavelet", "mexican_hat", "--scales", "1:48:8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cwt of 256 samples on a 46 x 256 grid")
+    assert len(err.splitlines()) == 1
+
+
 def test_cwt_unknown_wavelet(sine_csv):
     r = run_cli("cwt", "--in", sine_csv, "--wavelet", "sombrero",
                 "--scales", "1:8:4")

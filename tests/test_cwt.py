@@ -1,9 +1,12 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavekit.cascade import wavelet_function
@@ -13,6 +16,7 @@ from wavekit.errors import (
     DomainError,
     ParameterError,
     ResolutionError,
+    SizeError,
 )
 from wavekit.cwt import (
     AnalyzingWavelet,
@@ -31,7 +35,7 @@ from wavekit.cwt import (
     wavelet_from_filter,
     wavelet_from_samples,
 )
-from wavekit.cwt import _auto_k_range, _scaled_kernel, _smooth_length, _trapezoid_weights_of
+from wavekit.cwt import _auto_k_range, _scaled_kernel, _smooth_length, _trapezoid_weights
 from wavekit.filters import builtin_filter
 
 RNG = np.random.default_rng(31415926)
@@ -79,6 +83,15 @@ def test_sampled_function_validation():
 def test_norm_matches_closed_form():
     f = SampledFunction(0.0, 0.01, np.ones(101))
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_one_trapezoid_rule_and_its_single_points():
+    """One rule for every trapezoid sum: half of each step to either end. A
+    lone sample keeps its step, so its norm is |v| sqrt(dx); a lone scale or
+    shift weighs zero (icwt of one scale is the zero function)."""
+    assert_allclose(_trapezoid_weights(np.diff([1.0, 2.0, 4.0, 4.5])), [0.5, 1.5, 1.25, 0.25], atol=0)
+    assert_allclose(_trapezoid_weights(np.array([])), [0.0], atol=0)
+    assert SampledFunction(2.0, 0.5, np.array([-3.0])).norm() == pytest.approx(3.0 * math.sqrt(0.5), rel=1e-15)
 
 
 # --- catalog ----------------------------------------------------------------
@@ -150,15 +163,21 @@ def test_wavelet_fields_cannot_change_under_cached_constant():
 
 
 def test_icwt_reuses_cached_admissibility():
-    """Once the constant is known, icwt evaluates psi only for its own
-    correlations (2n - 1 lags per scale)."""
+    """Once the constant is known, icwt after a cwt on the same ladder
+    evaluates psi nowhere (the kernel spectra are held), and on a fresh
+    wavelet only for its own kernels (2n - 1 lags per scale)."""
     f = windowed_sine(n=64)
     counted, count = counting(named_wavelet("mexican_hat"))
     admissibility(counted)
     c = cwt(f, counted, CwtGrid(scales=geometric_scales(1.0, 8.0, 2), shifts=f.xs))
     before = count[0]
     icwt(c, counted)
-    assert count[0] - before == c.scales.size * (2 * f.size - 1)
+    assert count[0] == before
+    fresh, fresh_count = counting(named_wavelet("mexican_hat"))
+    admissibility(fresh)
+    before = fresh_count[0]
+    icwt(c, fresh)
+    assert fresh_count[0] - before == c.scales.size * (2 * f.size - 1)
 
 
 def test_haar_psi_admissibility_two_log_two():
@@ -423,8 +442,8 @@ def dense_cwt_matrix(f, psi, grid):
 def dense_icwt_values(c, psi):
     """Reference icwt: the dense kernel summed scale by scale."""
     xs = c.sample_grid()
-    wr = _trapezoid_weights_of(c.scales)
-    ws = _trapezoid_weights_of(c.shifts)
+    wr = _trapezoid_weights(np.diff(c.scales))
+    ws = _trapezoid_weights(np.diff(c.shifts))
     offsets = xs[None, :] - c.shifts[:, None]
     out = np.zeros(xs.size, dtype=c.matrix.dtype)
     for i, r in enumerate(c.scales):
@@ -533,6 +552,170 @@ def test_icwt_real_coefficients_complex_wavelet(offset):
         CwtCoefficients(c.matrix.astype(complex), grid, 0.0, 1.0, 64), psi
     )
     assert np.abs(rec.values - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+# --- the spectral ladder -------------------------------------------------------
+
+
+def _ladder_wavelet(name):
+    """A fresh wavelet and the scale at which its support spans 4 samples of
+    step 1."""
+    if name == "mexican_hat":
+        return named_wavelet(name), 0.25
+    if name == "haar_psi":
+        return named_wavelet(name), 4.0
+    if name == "morlet":
+        return morlet_sampled(), 1.0 / 3.0
+    return wavelet_from_filter(builtin_filter("db4"), 6), 4.0 / 3.0
+
+
+def _assert_close(got, want):
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 40),
+    name=st.sampled_from(["mexican_hat", "haar_psi", "morlet", "cascade_db4"]),
+    complex_signal=st.booleans(),
+    ladder=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 40.0), st.integers(1, 4)),
+    block=st.sampled_from([1, 16 * 3 * 64, 1 << 19]),
+    data=st.data(),
+)
+@example(n=1, name="mexican_hat", complex_signal=False, ladder=(1.0, 8.0, 2), block=1 << 19, data=None)
+@example(n=2, name="morlet", complex_signal=True, ladder=(1.0, 8.0, 2), block=1, data=None)
+def test_ladder_matches_dense_references(n, name, complex_signal, ladder, block, data):
+    """Over lengths (1 and 2 included), ladders, blocks of scales and shift
+    subsets, the batched paths agree with the dense references to 1e-12 of
+    the peak; cwt evaluates psi once per scale and lag, and the icwt that
+    follows evaluates it nowhere."""
+    psi, r_min = _ladder_wavelet(name)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_signal else 0.0)
+    f = SampledFunction(-0.5, 0.75, values)
+    lo, ratio, voices = ladder
+    scales = geometric_scales(lo * r_min * f.dx, lo * r_min * f.dx * ratio, voices)
+    picks = np.arange(n) if data is None else np.array(
+        sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    )
+    grid = CwtGrid(scales, f.xs[picks])
+    counted, count = counting(psi)
+    admissibility(counted)
+    before = count[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CWT_MODULE, "_BLOCK_BYTES", block)
+        c = cwt(f, counted, grid)
+        assert count[0] - before == scales.size * (2 * n - 1)
+        rec = icwt(c, counted)
+    assert count[0] - before == scales.size * (2 * n - 1)
+    _assert_close(c.matrix, dense_cwt_matrix(f, psi, grid))
+    _assert_close(rec.values, dense_icwt_values(c, psi))
+
+
+def test_held_ladder_serves_interleaved_grids():
+    """One wavelet on interleaved lengths and ladders holds one ladder, the
+    last one computed, and gives the results of a fresh wavelet, bit for
+    bit: each icwt, and a cwt repeated on the held grid, evaluate no psi."""
+    psi, count = counting(named_wavelet("mexican_hat"))
+    admissibility(psi)
+    plan = [(64, 1.0, 16.0), (96, 1.0, 16.0), (64, 2.0, 8.0), (64, 1.0, 16.0), (96, 1.0, 16.0)]
+    for n, lo, hi in plan:
+        f = windowed_sine(n)
+        grid = CwtGrid(geometric_scales(lo, hi, 4), f.xs)
+        before = count[0]
+        c = cwt(f, psi, grid)
+        rec = icwt(c, psi)
+        other = SampledFunction(0.0, 1.0, RNG.standard_normal(n))
+        again = cwt(other, psi, grid)
+        assert count[0] - before == grid.scales.size * (2 * n - 1)
+        assert len(psi._ladder) == 1
+        fresh = named_wavelet("mexican_hat")
+        expect = cwt(f, fresh, grid)
+        assert_allclose(c.matrix, expect.matrix, atol=0, rtol=0)
+        assert_allclose(rec.values, icwt(expect, fresh).values, atol=0, rtol=0)
+        assert_allclose(again.matrix, cwt(other, fresh, grid).matrix, atol=0, rtol=0)
+        _assert_close(rec.values, dense_icwt_values(c, fresh))
+    assert all(not spectra.flags.writeable for _, spectra, _ in next(iter(psi._ladder.values())))
+
+
+def test_ladder_over_the_cap_is_not_held(monkeypatch):
+    """A ladder whose spectra pass the cap is computed block by block and
+    dropped; the wavelet keeps the ladder it held, and icwt recomputes."""
+    f = windowed_sine(n=64)
+    psi, count = counting(named_wavelet("mexican_hat"))
+    admissibility(psi)
+    per_scale = 16 * (128 // 2 + 1)  # one real FFT row at length 128
+    monkeypatch.setattr(CWT_MODULE, "_LADDER_BYTES", 4 * per_scale)
+    monkeypatch.setattr(CWT_MODULE, "_BLOCK_BYTES", 1)
+    small = CwtGrid(geometric_scales(1.0, 2.0, 2), f.xs)
+    cwt(f, psi, small)
+    held = dict(psi._ladder)
+    assert len(held) == 1
+    big = CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs)
+    before = count[0]
+    c = cwt(f, psi, big)
+    assert psi._ladder == held
+    rec = icwt(c, psi)
+    assert count[0] - before == 2 * big.scales.size * (2 * f.size - 1)
+    _assert_close(rec.values, dense_icwt_values(c, psi))
+
+
+def test_replaced_wavelet_holds_no_ladder():
+    f = windowed_sine(n=64)
+    psi, count = counting(named_wavelet("mexican_hat"))
+    c = cwt(f, psi, CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs))
+    copy = dataclasses.replace(psi)
+    assert psi._ladder and copy._ladder == {}
+    admissibility(copy)
+    before = count[0]
+    rec = icwt(c, copy)
+    assert count[0] - before == c.scales.size * (2 * f.size - 1)
+    assert_allclose(rec.values, icwt(c, psi).values, atol=0, rtol=0)
+
+
+def test_round_trip_peak_memory():
+    """The tracemalloc peak of an n = 1024, 73-scale round trip on a fresh
+    wavelet stays within 5.1 result sizes (5.06 measured): the S x n result,
+    the held ladder (73 rows of 1025 complex bins, 2.0 result sizes) and one
+    block of scales' kernels, spectra and products."""
+    f = SampledFunction(0.0, 1.0, RNG.standard_normal(1024))
+    grid = CwtGrid(geometric_scales(1.0, 512.0, 8), f.xs)
+    assert grid.scales.size == 73
+    psi = named_wavelet("mexican_hat")
+    admissibility(psi)
+    tracemalloc.start()
+    try:
+        icwt(cwt(f, psi, grid), psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.1 * 73 * 1024 * 8
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])
+def test_cwt_over_byte_budget_is_refused_before_allocating(monkeypatch, offset):
+    """cwt charges its complex result and one block of scales (one dense
+    shifts x n kernel off the samples) and raises SizeError past the budget,
+    before evaluating psi."""
+    f = windowed_sine(n=64)
+    grid = CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs + offset)
+    block = CWT_MODULE._BLOCK_BYTES if offset == 0.0 else 16 * 64 * 64
+    need = 16 * grid.scales.size * 64 + block
+    monkeypatch.setattr(CWT_MODULE, "_CWT_BYTE_BUDGET", need)
+    cwt(f, named_wavelet("mexican_hat"), grid)
+    monkeypatch.setattr(CWT_MODULE, "_CWT_BYTE_BUDGET", need - 1)
+    psi, count = counting(named_wavelet("mexican_hat"))
+    with pytest.raises(SizeError, match="budget"):
+        cwt(f, psi, grid)
+    assert count[0] == 0
+
+
+def test_geometric_scales_over_byte_budget_is_refused():
+    """A ladder whose own scales pass the cwt budget is refused before
+    anything is allocated."""
+    with pytest.raises(SizeError, match="budget"):
+        geometric_scales(1.0, 2.0, 10**12)
 
 
 # --- dyadic family -----------------------------------------------------------
