@@ -12,9 +12,14 @@ window |n| <= L-1 (which R leaves invariant). For a filter that passes
 system exactly when the eigenvalue 1 of R is simple (Lawton 1991). R and the
 cascade lattice matrix are both two-scale matrices M[i, j] = 2 c_{2p_i - p_j}
 (``_two_scale_matrix``, which also builds the cascade's refinement rows on
-separate row and column points), and ``_unit_eigenspace`` counts the eigenvalue-1
+separate row and column points), and ``_unit_count`` counts the eigenvalue-1
 dimension of both from the singular values of M - I; ``lawton_test``
 cross-checks that count against direct eigenvalue bucketing.
+
+For a real filter w_{-k} = w_k, so R commutes with the reflection J: n -> -n
+and splits in the orthonormal basis e_0, (e_m +- e_{-m})/sqrt 2 into an even
+block of size L and an odd block of size L - 1 (Cantoni & Butler 1976), which
+``lawton_test`` takes instead; a complex filter, J R J = conj(R), keeps R whole.
 """
 from __future__ import annotations
 
@@ -68,7 +73,9 @@ class OnbVerdict:
     ``multiplicity`` is the eigenvalue-1 dimension counted from the singular
     values of R - I (the deciding route); ``bucket_multiplicity`` counts
     eigenvalues within tolerance of 1 as a cross-check. ``eigenvalues`` are
-    sorted for deterministic reporting.
+    sorted for deterministic reporting. For a real filter both come from the
+    even and odd blocks of R, so against the whole matrix the last digits of
+    near-tied or defective eigenvalues, and hence their order, may differ.
     """
 
     verdict: str
@@ -121,14 +128,29 @@ def _two_scale_matrix(
 EIGENVALUE_BUCKET = 1e-8
 
 
+def _unit_count(sigma: np.ndarray, tol: float) -> int:
+    """Number of singular values of M - I at most ``tol * max(1, sigma_max)``."""
+    return int(np.count_nonzero(sigma <= tol * max(1.0, float(sigma.max()))))
+
+
 def _unit_eigenspace(M: np.ndarray, tol: float) -> tuple[int, np.ndarray | None]:
-    """Dimension of the eigenvalue-1 eigenspace of M: the number of singular
-    values of M - I at most ``tol * max(1, sigma_max)``. When it is 1, also
-    the last right singular vector, a unit vector spanning it (else None)."""
+    """Dimension of the eigenvalue-1 eigenspace of M (``_unit_count``) and, when
+    it is 1, the last right singular vector, a unit vector spanning it (else None)."""
     _, sigma, vh = np.linalg.svd(M - np.eye(M.shape[0]))
-    threshold = tol * max(1.0, float(sigma.max()))
-    nullity = int(np.count_nonzero(sigma <= threshold))
+    nullity = _unit_count(sigma, tol)
     return nullity, (vh[-1].conj() if nullity == 1 else None)
+
+
+def _reflection_blocks(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a real R with R[-n, -m] = R[n, m], folded from
+    rows n >= 0: E[n, m] = R[n, m] + R[n, -m] on modes 0..K, row and column 0
+    scaled by 1/sqrt 2, and O[n, m] = R[n, m] - R[n, -m] on modes 1..K."""
+    K = R.shape[0] // 2
+    right, left = R[K:, K:], R[K:, K::-1]
+    even = right + left
+    even[0] *= np.sqrt(0.5)
+    even[:, 0] *= np.sqrt(0.5)
+    return even, (right - left)[1:, 1:]
 
 
 def lawton_test(f: FilterSpec, tol: float = EIGENVALUE_BUCKET) -> OnbVerdict:
@@ -137,7 +159,8 @@ def lawton_test(f: FilterSpec, tol: float = EIGENVALUE_BUCKET) -> OnbVerdict:
     Precondition: ``f`` passes ``qmf_check`` (raises PreconditionError
     otherwise, since the verdict is meaningless for non-orthogonal filters).
     The verdict is ONB exactly when the eigenvalue-1 multiplicity, the number
-    of singular values of R - I at most ``tol * max(1, sigma_max)``, is 1.
+    of singular values of R - I at most ``tol * max(1, sigma_max)``, is 1;
+    for a real filter, those of both reflection blocks under one threshold.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError("tol must be a positive finite float")
@@ -147,8 +170,10 @@ def lawton_test(f: FilterSpec, tol: float = EIGENVALUE_BUCKET) -> OnbVerdict:
             "orthogonality-satisfying filter"
         )
     R = build_transfer_matrix(f).matrix
-    multiplicity, _ = _unit_eigenspace(R, tol)
-    eigenvalues = np.sort_complex(np.linalg.eigvals(R))
+    blocks = _reflection_blocks(R) if np.isrealobj(R) else (R,)
+    sigma = [np.linalg.svd(B - np.eye(B.shape[0]), compute_uv=False) for B in blocks]
+    multiplicity = _unit_count(np.concatenate(sigma), tol)
+    eigenvalues = np.sort_complex(np.concatenate([np.linalg.eigvals(B) for B in blocks]))
     bucket = int(np.count_nonzero(np.abs(eigenvalues - 1.0) <= tol))
     return OnbVerdict(
         verdict="ONB" if multiplicity == 1 else "NOT_ONB",

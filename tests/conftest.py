@@ -46,3 +46,37 @@ def lattice_filters() -> list[np.ndarray]:
             free = rng.uniform(0.0, 2.0 * np.pi, size=k - 1)
             out.append(lattice_lowpass(np.append(free, np.pi / 4 - free.sum())))
     return out
+
+
+def complex_lattice_lowpass(unitaries) -> np.ndarray:
+    """Complex orthogonal low-pass filter of length 2K from K - 1 unitary
+    2x2 matrices U_1 .. U_{K-1}, scaled to sum 1.
+
+    The polyphase pair starts at v_0 = (U_{K-1} ... U_1)^-1 (1, 1)/sqrt 2;
+    each stage delays the odd component by one sample and applies U_i.
+    Unitary stages and delays are lossless, so the even-lag autocorrelation
+    vanishes, and at z = 1 the pair is (1, 1)/sqrt 2, so the taps sum to
+    sqrt 2 before scaling.
+    """
+    product = np.eye(2)
+    for u in unitaries:
+        product = u @ product
+    pair = (product.conj().T @ np.array([1.0, 1.0]) / np.sqrt(2))[:, None]
+    for u in unitaries:
+        pair = u @ np.stack([np.append(pair[0], 0.0), np.insert(pair[1], 0, 0.0)])
+    h = np.empty(2 * pair.shape[1], dtype=complex)
+    h[0::2], h[1::2] = pair
+    return h / h.sum()
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """A 2x2 unitary from the QR factors of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.fixture(scope="session")
+def complex_lattice_filters() -> list[np.ndarray]:
+    """One seeded complex lattice filter for each K = 2, 3, 4 (lengths 4..8)."""
+    rng = np.random.default_rng(19910301)
+    return [complex_lattice_lowpass([random_unitary(rng) for _ in range(k - 1)]) for k in (2, 3, 4)]

@@ -44,6 +44,29 @@ def test_verify_stretched_haar_fails_lawton():
     assert "multiplicity 2" in r.stdout
 
 
+GOLDEN_VERIFY_LAWTON = {
+    "haar": (0, "filter: haar (2 taps, start 0)\n"
+                "qmf: PASS (max residual 0.000e+00, tol 1e-12)\n"
+                "cuntz[n=16]: PASS (max deviation 2.220e-16, tol 1e-10)\n"
+                "lawton: ONB (eigenvalue-1 multiplicity 1)\n"),
+    "db4": (0, "filter: db4 (4 taps, start 0)\n"
+               "qmf: PASS (max residual 1.110e-16, tol 1e-12)\n"
+               "cuntz[n=16]: PASS (max deviation 1.110e-16, tol 1e-10)\n"
+               "lawton: ONB (eigenvalue-1 multiplicity 1)\n"),
+    "stretched_haar": (1, "filter: stretched_haar (4 taps, start 0)\n"
+                          "qmf: PASS (max residual 0.000e+00, tol 1e-12)\n"
+                          "cuntz[n=16]: PASS (max deviation 2.220e-16, tol 1e-10)\n"
+                          "lawton: NOT_ONB (eigenvalue-1 multiplicity 2)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_LAWTON))
+def test_verify_lawton_golden_output(name):
+    """The whole standard output and the exit status, byte for byte."""
+    r = run_cli("verify", "--filter", name, "--lawton")
+    assert (r.returncode, r.stdout, r.stderr) == (*GOLDEN_VERIFY_LAWTON[name], "")
+
+
 def test_verify_without_lawton_flag_passes():
     r = run_cli("verify", "--filter", "stretched_haar")
     assert r.returncode == 0

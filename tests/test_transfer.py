@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import wavekit.transfer
 from wavekit.cascade import integer_values
 from wavekit.errors import ParameterError, PreconditionError
-from wavekit.filters import FilterSpec, builtin_filter
+from wavekit.filters import BUILTIN_NAMES, FilterSpec, builtin_filter
 from wavekit.transfer import (
+    EIGENVALUE_BUCKET,
     autocorrelation,
     build_transfer_matrix,
     format_verdict,
@@ -166,3 +168,125 @@ def test_lattice_filters_are_onb_with_unit_integer_sum(free):
     assert (v.verdict, v.multiplicity, v.bucket_multiplicity) == ("ONB", 1, 1)
     values = integer_values(f)
     assert abs(values.sum() - 1.0) <= 1e-12 * np.abs(values).sum()
+
+
+def whole_matrix_lawton(f: FilterSpec, tol: float = EIGENVALUE_BUCKET):
+    """Reference Lawton count on the whole (2L-1)-square R: a full SVD of
+    R - I (U and Vh included) and eigvals(R). Returns (verdict,
+    multiplicity, bucket multiplicity, sorted eigenvalues)."""
+    R = build_transfer_matrix(f).matrix
+    _, sigma, _ = np.linalg.svd(R - np.eye(R.shape[0]))
+    multiplicity = int(np.count_nonzero(sigma <= tol * max(1.0, float(sigma.max()))))
+    eigenvalues = np.sort_complex(np.linalg.eigvals(R))
+    bucket = int(np.count_nonzero(np.abs(eigenvalues - 1.0) <= tol))
+    return ("ONB" if multiplicity == 1 else "NOT_ONB"), multiplicity, bucket, eigenvalues
+
+
+def assert_matches_whole_matrix(f: FilterSpec):
+    """lawton_test gives the reference's verdict and both counts, and its
+    eigenvalues equal the reference's as multisets within 1e-7: every point
+    of each set lies that close to a point of the other. Sorted order is not
+    compared, since a defective eigenvalue (db4's double 0.25) moves by
+    about the square root of the rounding."""
+    v = lawton_test(f)
+    verdict, multiplicity, bucket, eigenvalues = whole_matrix_lawton(f)
+    assert (v.verdict, v.multiplicity, v.bucket_multiplicity) == (verdict, multiplicity, bucket)
+    assert v.eigenvalues.shape == eigenvalues.shape
+    distance = np.abs(v.eigenvalues[:, None] - eigenvalues[None, :])
+    assert distance.min(axis=0).max() <= 1e-7
+    assert distance.min(axis=1).max() <= 1e-7
+    return v
+
+
+def test_reflection_blocks_are_r_in_the_even_odd_basis():
+    """Q R Q^T, for Q the orthonormal basis e_0, (e_m + e_-m)/sqrt 2 (even)
+    then (e_m - e_-m)/sqrt 2 (odd), is block diagonal with the two blocks."""
+    R = build_transfer_matrix(FilterSpec("lattice", lattice_lowpass([0.3, -1.1, np.pi / 4 + 0.8]))).matrix
+    K = R.shape[0] // 2
+    Q = np.zeros_like(R)
+    Q[0, K] = 1.0
+    for m in range(1, K + 1):
+        Q[m, [K + m, K - m]] = np.sqrt(0.5)
+        Q[K + m, [K + m, K - m]] = np.sqrt(0.5), -np.sqrt(0.5)
+    even, odd = wavekit.transfer._reflection_blocks(R)
+    assert (even.shape, odd.shape) == ((K + 1, K + 1), (K, K))
+    expected = np.zeros_like(R)
+    expected[: K + 1, : K + 1], expected[K + 1 :, K + 1 :] = even, odd
+    assert_allclose(Q @ R @ Q.T, expected, atol=1e-15)
+
+
+def test_lawton_matches_whole_matrix_on_fixed_families(lattice_filters, complex_lattice_filters):
+    """The 40 lattice filters and their x3 and x5 upsamplings, the builtins
+    and the complex lattice filters."""
+    for h in lattice_filters:
+        assert assert_matches_whole_matrix(FilterSpec("lattice", h)).is_onb
+        for factor in (3, 5):
+            assert not assert_matches_whole_matrix(FilterSpec("up", _upsampled(h, factor))).is_onb
+    for name in BUILTIN_NAMES:
+        assert_matches_whole_matrix(builtin_filter(name))
+    for h in complex_lattice_filters:
+        assert_matches_whole_matrix(FilterSpec("complex", h))
+
+
+def test_complex_filter_takes_the_whole_matrix(monkeypatch, complex_lattice_filters):
+    """A complex filter has J R J = conj(R), not R, so its R does not split:
+    lawton_test never folds it, and still finds a simple eigenvalue 1, which
+    becomes degenerate when the filter is upsampled by 3."""
+    def no_fold(R):
+        raise AssertionError("a complex R was folded")
+
+    monkeypatch.setattr(wavekit.transfer, "_reflection_blocks", no_fold)
+    for h in complex_lattice_filters:
+        f = FilterSpec("complex", h)
+        R = build_transfer_matrix(f).matrix
+        assert_allclose(R[::-1, ::-1], R.conj(), atol=1e-15)
+        assert np.abs(R[::-1, ::-1] - R).max() > 1e-2
+        v = lawton_test(f)
+        assert (v.verdict, v.multiplicity, v.bucket_multiplicity) == ("ONB", 1, 1)
+        up = np.zeros(3 * (h.size - 1) + 1, dtype=complex)
+        up[::3] = h
+        assert not lawton_test(FilterSpec("complex up3", up)).is_onb
+
+
+def test_real_filter_takes_the_reflection_blocks(monkeypatch):
+    sizes = []
+    fold = wavekit.transfer._reflection_blocks
+
+    def spy(R):
+        sizes.append(R.shape[0])
+        return fold(R)
+
+    monkeypatch.setattr(wavekit.transfer, "_reflection_blocks", spy)
+    lawton_test(builtin_filter("db4"))
+    assert sizes == [7]
+
+
+def test_one_threshold_over_both_blocks():
+    """The rank threshold scales with sigma_max over both blocks, as on the
+    whole R: with a tol that puts a singular value of the block with the
+    smaller sigma_max between its own threshold and the common one, the
+    count follows the common one."""
+    f = builtin_filter("stretched_haar")
+    blocks = wavekit.transfer._reflection_blocks(build_transfer_matrix(f).matrix)
+    small, big = sorted(
+        (np.linalg.svd(B - np.eye(B.shape[0]), compute_uv=False) for B in blocks), key=np.max
+    )
+    floor = max(1.0, small.max())
+    assert floor < big.max() / 1.2
+    tol = small[small > 1e-6].min() / np.sqrt(big.max() * floor)
+    per_block = sum(int(np.count_nonzero(s <= tol * max(1.0, s.max()))) for s in (small, big))
+    v = lawton_test(f, tol)
+    assert v.multiplicity == whole_matrix_lawton(f, tol)[1] > per_block
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(0.0, 2.0 * np.pi), max_size=4), st.sampled_from([1, 3, 5]))
+def test_lawton_matches_whole_matrix_on_lattice_upsamplings(free, factor):
+    """Generated lattice filters (K = 1..5) and their x3 and x5 upsamplings
+    get the whole-matrix verdict, counts and eigenvalues; an odd upsampling
+    keeps the QMF relations but is never ONB."""
+    h = _upsampled(lattice_lowpass(free + [np.pi / 4 - sum(free)]), factor)
+    v = assert_matches_whole_matrix(FilterSpec("lattice", h))
+    if factor > 1:
+        assert v.verdict == "NOT_ONB"
+        assert v.multiplicity >= 2
