@@ -24,7 +24,7 @@ half a unit apart, as one product with a small banded two-scale matrix
 M[b, a] = 2 c_{b-a} of the taps c (``_two_scale_eval``; the matrix comes
 from the transfer operator's builder and is cached on the filter). At J = 0
 the same rule reads the integer samples. The samples of a level-J grid are
-charged against ``_CASCADE_BYTE_BUDGET`` before anything is allocated.
+charged against the byte budget before anything is allocated.
 """
 from __future__ import annotations
 
@@ -38,17 +38,15 @@ from .errors import (
     ParameterError,
     PreconditionError,
     SizeError,
+    _charge,
 )
 from .filters import FilterSpec, derive_highpass, qmf_check
 from .transfer import EIGENVALUE_BUCKET, _two_scale_matrix, _unit_eigenspace
 
-#: Most bytes ``scaling_function`` and ``wavelet_function`` may allocate,
-#: charged as _CASCADE_CHARGE samples of the grid's dtype per sample of the
-#: (L-1) 2^J + 1 grid (tracemalloc peaks at J >= 12: 2.25 grids for phi,
-#: 2.05 to 2.34 for psi, and 3.0 for the haar psi, whose zero-padded last
-#: row of phi is a third of its input), so a float64 filter of length 4
-#: stays under it up to J = 23, and one of length 20 up to J = 20.
-_CASCADE_BYTE_BUDGET = 1 << 30
+#: Samples of the grid's dtype charged per sample of the (L-1) 2^J + 1 grid
+#: of ``scaling_function`` and ``wavelet_function`` (tracemalloc peaks at
+#: J >= 12: 2.25 grids for phi, 2.05 to 2.34 for psi, and 3.0 for the haar
+#: psi, whose zero-padded last row of phi is a third of its input).
 _CASCADE_CHARGE = 4
 
 
@@ -196,19 +194,15 @@ def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
 
 def _checked_grid(f: FilterSpec, resolution) -> int:
     """The resolution as an int, after refusing a bad one and a grid of
-    (L-1) 2^resolution + 1 samples over ``_CASCADE_BYTE_BUDGET``."""
+    (L-1) 2^resolution + 1 samples over the byte budget."""
     if not isinstance(resolution, (int, np.integer)) or resolution < 0:
         raise ParameterError(
             f"resolution must be a nonnegative integer, got {resolution!r}"
         )
     resolution = int(resolution)
-    samples = (f.length - 1) * (1 << resolution) + 1
-    need = _CASCADE_CHARGE * samples * np.result_type(f.h.dtype, np.float64).itemsize
-    if need > _CASCADE_BYTE_BUDGET:
-        raise SizeError(
-            f"cascade at resolution {resolution} needs about {need >> 20} MiB "
-            f"for {samples} samples, over its {_CASCADE_BYTE_BUDGET >> 20} MiB budget"
-        )
+    samples = (f.length - 1) * 2.0 ** min(resolution, 1023) + 1  # a float, inf past 2^1023
+    need = _CASCADE_CHARGE * np.result_type(f.h.dtype, np.float64).itemsize * samples
+    _charge(f"cascade at resolution {resolution}", need)
     return resolution
 
 

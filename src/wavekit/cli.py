@@ -59,10 +59,6 @@ from .io import (
 from .subband import Pyramid1D, cuntz_check, dwt1d, idwt1d, max_levels
 from .transfer import lawton_test
 
-#: Cap on cascade refinement depth reachable from the command line; 2^24
-#: samples per support unit is already far past plotting needs.
-MAX_CLI_RESOLUTION = 24
-
 
 def _resolve_filter(token: str) -> FilterSpec:
     """Builtin name first, then a filter file path."""
@@ -90,16 +86,8 @@ def _resolve_wavelet(token: str):
             raise FormatError(
                 f"wavelet {token!r}: resolution {level_text!r} is not an integer"
             ) from None
-        return wavelet_from_filter(_resolve_filter(filter_token), _capped(level))
+        return wavelet_from_filter(_resolve_filter(filter_token), level)
     return named_wavelet("haar_psi" if token == "haar" else token)
-
-
-def _capped(resolution: int) -> int:
-    if resolution > MAX_CLI_RESOLUTION:
-        raise ParameterError(
-            f"cascade resolution {resolution} exceeds the CLI cap {MAX_CLI_RESOLUTION}"
-        )
-    return resolution
 
 
 def _parse_scales(token: str) -> np.ndarray:
@@ -250,7 +238,7 @@ def _run_transform(args) -> int:
 def _run_cascade(args) -> int:
     f = _resolve_filter(args.filter)
     build = scaling_function if args.which == "phi" else wavelet_function
-    d = build(f, _capped(args.resolution))
+    d = build(f, args.resolution)
     write_dyadic_csv(args.out, d)
     x_hi = d.x0 + d.step * (d.values.size - 1)
     integral = d.riemann_integral()

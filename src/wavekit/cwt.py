@@ -44,6 +44,7 @@ from .errors import (
     ResolutionError,
     ShapeError,
     SizeError,
+    _charge,
 )
 from .filters import FilterSpec
 
@@ -57,11 +58,9 @@ ADMISSIBILITY_SAMPLES = 1024
 #: least twice the support width, so the frequency grid resolves the spectrum).
 ADMISSIBILITY_RADIUS = 64.0
 
-#: Bytes of kernel spectra per block of scales and per held ladder, and bytes
-#: ``cwt`` may allocate for its result and one block.
+#: Bytes of kernel spectra per block of scales and per held ladder.
 _BLOCK_BYTES = 1 << 19
 _LADDER_BYTES = 1 << 22
-_CWT_BYTE_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -367,10 +366,12 @@ def geometric_scales(r_min: float, r_max: float, voices: int = 8) -> np.ndarray:
         raise ParameterError(f"voices must be a positive integer, got {voices!r}")
     if r_max == r_min:
         return np.array([float(r_min)])
-    count = int(np.ceil(voices * np.log2(r_max / r_min))) + 1
-    if 8 * count > _CWT_BYTE_BUDGET:
-        raise SizeError(f"{count} scales pass the {_CWT_BYTE_BUDGET >> 20} MiB cwt budget")
-    return np.geomspace(r_min, r_max, max(count, 2))
+    ratio = r_max / r_min
+    octaves = np.log2(ratio) if np.isfinite(ratio) else np.log2(r_max) - np.log2(r_min)
+    # At most 2,098 octaves: under 2^1000 voices the product stays a finite float.
+    count = np.ceil(voices * octaves) + 1 if voices < 1 << 1000 else np.inf
+    _charge(f"a ladder of {count:.3g} scales", 8 * count)
+    return np.geomspace(r_min, r_max, max(int(count), 2))
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps, and SizeError, before allocating, when the
-    complex S x shifts result and one block pass ``_CWT_BYTE_BUDGET``.
+    complex S x shifts result and one block pass the byte budget.
     """
     smallest = float(grid.scales[0])
     if smallest * psi.width < 4.0 * f.dx:
@@ -489,9 +490,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     n, (count, m) = f.size, grid.shape
     length = _fft_length(n)
     need = 16 * count * m + (16 * m * n if idx is None else max(_BLOCK_BYTES, 16 * length))
-    if need > _CWT_BYTE_BUDGET:
-        raise SizeError(f"cwt of {n} samples on a {count} x {m} grid needs {need / 2**20:.3g} MiB, "
-                        f"over its {_CWT_BYTE_BUDGET / 2**20:.3g} MiB budget")
+    _charge(f"cwt of {n} samples on a {count} x {m} grid", need)
     weighted = f.values * f.trapezoid_weights()
     if idx is None:
         offsets = xs[None, :] - grid.shifts[:, None]

@@ -8,6 +8,10 @@ families to distinct exit statuses.
 """
 from __future__ import annotations
 
+#: Most bytes one wavekit call may allocate: each gate charges its measured
+#: peak against it, through ``_charge``, before allocating anything.
+_BYTE_BUDGET = 1 << 30
+
 
 class WavekitError(Exception):
     """Base class for every error raised by wavekit."""
@@ -27,6 +31,14 @@ class DomainError(WavekitError, ValueError):
 
 class SizeError(WavekitError, ValueError):
     """A signal or image is too short, odd-length, or otherwise missized."""
+
+
+def _charge(what: str, need) -> None:
+    """Raise SizeError naming ``what`` when ``need`` bytes pass ``_BYTE_BUDGET``."""
+    if need > _BYTE_BUDGET:
+        need = need if need < 1e308 else float("inf")  # no float holds more
+        raise SizeError(f"{what} needs about {need / 2**20:.4g} MiB, over the "
+                        f"{_BYTE_BUDGET / 2**20:.4g} MiB budget")
 
 
 class LevelError(WavekitError, ValueError):

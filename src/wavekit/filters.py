@@ -32,6 +32,9 @@ SUM_TOLERANCE = 1e-12
 #: How far |z| may sit from 1 in ``symbol_eval``.
 UNIT_CIRCLE_TOLERANCE = 1e-9
 
+#: Largest |start| of a filter: past it the cascade's lattice is inexact in floats.
+_START_LIMIT = 1 << 52
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -62,6 +65,8 @@ class FilterSpec:
         arr.setflags(write=False)
         object.__setattr__(self, "h", arr)
         object.__setattr__(self, "start", int(self.start))
+        if abs(self.start) > _START_LIMIT:
+            raise DomainError(f"filter start {self.start} is past the 2^52 limit")
         if self.normalized and abs(arr.sum() - 1.0) > SUM_TOLERANCE:
             raise DomainError(
                 f"filter {self.name!r} is flagged normalized but sum(h) = "

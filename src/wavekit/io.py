@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .filters import FilterSpec
+from .filters import FilterSpec, _START_LIMIT
 from .image2d import ImagePyramid, LevelDetail, _rescale_for_display, _round_half_away
 from .subband import Pyramid1D, _check_chain
 
@@ -262,7 +262,8 @@ def read_filter_file(path: str) -> FilterSpec:
     Line 1: ``name: <identifier>``; line 2: ``start: <integer>``; line 3:
     ``coeffs: <values separated by spaces or tabs>``. Values are decimals or
     a+bi pairs. Coefficients that ``FilterSpec`` refuses raise its
-    DomainError, naming ``path:line`` of the coeffs line.
+    DomainError, naming ``path:line`` of the coeffs line; a start it refuses
+    (past 2^52) names the start line.
     """
     texts, numbers = _nonblank_lines(path)
     if len(texts) != 3:
@@ -278,7 +279,8 @@ def read_filter_file(path: str) -> FilterSpec:
     try:
         return FilterSpec(name=fields["name"], h=coeffs, start=start)
     except DomainError as exc:
-        raise DomainError(f"{path}:{numbers[2]}: {exc}") from None
+        line = numbers[1] if abs(start) > _START_LIMIT else numbers[2]
+        raise DomainError(f"{path}:{line}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

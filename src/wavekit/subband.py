@@ -51,15 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
+from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeError, _charge
 from .filters import FilterSpec, derive_highpass
 
 SQRT2 = float(np.sqrt(2.0))
-
-#: Most bytes ``cuntz_check`` may allocate, counted as ten n-vectors of the
-#: filter's dtype (tracemalloc peaks: 8.0 to 8.4 of them, n = 2^10 ... 2^20),
-#: so a float64 filter stays under it up to n = 13,421,772.
-_CUNTZ_BYTE_BUDGET = 1 << 30
 
 #: Most outputs per channel that one block of ``_polyphase_product``
 #: computes (64 KiB of float64). Its gather buffer, about twice that, stays
@@ -280,9 +275,12 @@ def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
     band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
     with the offsets (o_h, o_g) and taps C of ``_kernel_taps``.
     """
-    offsets, taps = _kernel_taps(f, False, scale, x.dtype)
-    base = min(offsets)
-    return _polyphase_product([(x, base)], taps, [o - base for o in offsets], axis)
+    (o_h, o_g), taps = _kernel_taps(f, False, scale, x.dtype)
+    # Offsets count mod half; the shorter way from o_h to o_g bounds the gather buffer.
+    half = x.shape[axis] // 2
+    gap = (o_g - o_h) % half
+    base, dsts = (o_h, [0, gap]) if 2 * gap < half else (o_g, [half - gap, 0])
+    return _polyphase_product([(x, base)], taps, dsts, axis)
 
 
 def _synthesize(
@@ -512,6 +510,8 @@ def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:
     """
     if n % 2 != 0 or n < 2:
         raise SizeError(f"n must be even and positive, got {n}")
+    # Four n^2 entries of 8 bytes or more (tracemalloc peaks: 3.5 float64, 3.0 complex128).
+    _charge(f"subband_matrices at n = {n}", 4 * n * n * max(f.h.itemsize, 8))
     hp, gp = (_periodized(c.h, c.start, n) for c in (f, derive_highpass(f)))
     # Synthesis entry (i, j) is tap i - 2j mod n; analysis entry (j, i) its conj.
     syn = (np.arange(n)[:, None] - 2 * np.arange(n // 2)[None, :]) % n
@@ -538,17 +538,11 @@ def cuntz_check(f: FilterSpec, n: int, tol: float = 1e-10) -> CuntzReport:
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError("tol must be a nonneg finite float")
-    if n < 2 * f.length:
-        raise SizeError(f"cuntz_check needs n >= 2L = {2 * f.length}, got {n}")
+    if n % 2 != 0 or n < 2 * f.length:
+        raise SizeError(f"cuntz_check needs an even n >= 2L = {2 * f.length}, got {n}")
     dtype = np.result_type(f.h.dtype, np.float64)
-    need = 10 * n * dtype.itemsize
-    if need > _CUNTZ_BYTE_BUDGET:
-        raise SizeError(
-            f"cuntz_check at n = {n} needs about {need >> 20} MiB, over its "
-            f"{_CUNTZ_BYTE_BUDGET >> 20} MiB budget"
-        )
-    if n % 2 != 0:
-        raise SizeError(f"n must be even and positive, got {n}")
+    # Ten n-vectors (tracemalloc peaks: 8.0 to 8.4 of them, n = 2^10 ... 2^20).
+    _charge(f"cuntz_check at n = {n}", 10 * n * dtype.itemsize)
     half = n // 2
     # Columns 0 and 1 of S_0 A_0 + S_1 A_1 - I: e0 and e1 (the rows of e),
     # split then merged.

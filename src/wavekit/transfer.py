@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, _charge
 from .filters import FilterSpec, qmf_check
 
 
@@ -113,11 +113,17 @@ def _two_scale_matrix(
     """M[i, j] = 2 c[2 p_i - q_j - c_start] on the row points p and the
     column points q (q = p unless given), zero where the index leaves c
     (coefficient k of c sits at c_start + k). Row points may be half
-    integers; each 2 p_i - q_j must be an integer."""
+    integers; each 2 p_i - q_j must be an integer. M is charged five entries
+    of its dtype per entry, for the SVD of M - I its eigenvalue-1 callers take
+    (tracemalloc peaks, L = 64 to 400: 3.2 entries to build M or to run
+    ``lawton_test``, 4.2 for ``integer_values``)."""
     cols = points if cols is None else cols
+    dtype = np.result_type(c.dtype, np.float64)
+    _charge(f"a {len(points)} x {len(cols)} two-scale matrix",
+            5 * dtype.itemsize * len(points) * len(cols))
     idx = np.rint(np.subtract.outer(2 * points, cols) - c_start).astype(np.intp)
     valid = (idx >= 0) & (idx < c.size)
-    M = np.zeros(idx.shape, dtype=np.result_type(c.dtype, np.float64))
+    M = np.zeros(idx.shape, dtype=dtype)
     M[valid] = 2.0 * c[idx[valid]]
     return M
 

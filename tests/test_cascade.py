@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavekit import cascade
+from wavekit import cascade, errors
 from wavekit.cascade import (
     DyadicFunction,
     integer_values,
@@ -362,7 +362,7 @@ def test_cascade_over_byte_budget_is_refused(monkeypatch, build):
     anything is refined; a grid over the budget raises SizeError."""
     f = builtin_filter("db4")
     charge = cascade._CASCADE_CHARGE * 8
-    monkeypatch.setattr(cascade, "_CASCADE_BYTE_BUDGET", (3 * 2**5 + 1) * charge)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", (3 * 2**5 + 1) * charge)
     assert build(f, 5).values.size == 3 * 2**5 + 1
     with pytest.raises(SizeError, match="resolution 6"):
         build(f, 6)
@@ -386,7 +386,7 @@ def test_cli_cascade_over_byte_budget_exits_two(monkeypatch, capsys, tmp_path, a
 
     monkeypatch.chdir(tmp_path)
     write_signal_csv("x.csv", np.sin(np.arange(64.0)))
-    monkeypatch.setattr(cascade, "_CASCADE_BYTE_BUDGET", 1 << 12)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", 1 << 12)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cascade at resolution 6 needs about")
@@ -407,3 +407,17 @@ def test_scaling_function_peak_memory_within_budget_formula():
     finally:
         tracemalloc.stop()
     assert peak <= cascade._CASCADE_CHARGE * (19 * 2**12 + 1) * 8
+
+
+def test_cascade_grid_gate_at_the_budget():
+    """At 1 GiB the grid gate accepts haar at J = 24 and refuses it at
+    J = 25 (4 float64 samples each of 2^25 + 1 is 2^30 + 32 bytes), and
+    refuses db4 and stretched_haar at J = 24. A resolution far past float
+    range is refused the same way, never formatted as a sample count."""
+    assert cascade._checked_grid(builtin_filter("haar"), 24) == 24
+    for name, J in (("haar", 25), ("db4", 24), ("stretched_haar", 24)):
+        with pytest.raises(SizeError, match=f"^cascade at resolution {J} needs about"):
+            cascade._checked_grid(builtin_filter(name), J)
+    for J in (10**6, 10**30):
+        with pytest.raises(SizeError, match=f"^cascade at resolution {J} needs about inf MiB"):
+            scaling_function(builtin_filter("db4"), J)

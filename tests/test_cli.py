@@ -117,10 +117,10 @@ def test_verify_bad_filter_file_names_path_and_line(tmp_path, capsys, data, mess
 
 
 def test_verify_cuntz_n_over_byte_budget_exits_two(monkeypatch, capsys):
-    import wavekit.subband
+    import wavekit.errors
     from wavekit.cli import main
 
-    monkeypatch.setattr(wavekit.subband, "_CUNTZ_BYTE_BUDGET", 1 << 12)
+    monkeypatch.setattr(wavekit.errors, "_BYTE_BUDGET", 1 << 12)
     assert main(["verify", "--filter", "db4", "--cuntz-n", "32"]) == 0
     capsys.readouterr()
     assert main(["verify", "--filter", "db4", "--cuntz-n", "64"]) == 2
@@ -452,11 +452,10 @@ def test_cwt_absurd_scales_exit_two(sine_csv):
 
 
 def test_cwt_over_byte_budget_exits_two(monkeypatch, capsys, sine_csv):
-    import importlib
-
+    import wavekit.errors
     from wavekit.cli import main
 
-    monkeypatch.setattr(importlib.import_module("wavekit.cwt"), "_CWT_BYTE_BUDGET", 1 << 19)
+    monkeypatch.setattr(wavekit.errors, "_BYTE_BUDGET", 1 << 19)
     assert main(["cwt", "--in", sine_csv, "--wavelet", "mexican_hat", "--scales", "1:48:8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cwt of 256 samples on a 46 x 256 grid")
@@ -554,3 +553,67 @@ def test_no_command_exits_two():
 def test_unknown_command_exits_two():
     r = run_cli("fourier")
     assert r.returncode == 2
+
+
+_DB4_TAPS = "0.34150635094610965 0.5915063509461097 0.15849364905389035 -0.09150635094610965"
+
+
+@pytest.mark.parametrize(
+    "argv, status, budget",
+    [
+        (["verify", "--filter", "{far}"], 2, None),
+        (["transform", "dwt1d", "--in", "x.csv", "--filter", "{far}", "--out", "x.pyr"], 2, None),
+        (["cascade", "--filter", "{far}", "--resolution", "3", "--out", "c.csv"], 2, None),
+        (["cwt", "--in", "x.csv", "--wavelet", "cascade:{far}:4", "--scales", "4:16:2"], 2, None),
+        (["cascade", "--filter", "{int64}", "--resolution", "3", "--out", "c.csv"], 2, None),
+        (["cwt", "--in", "x.csv", "--wavelet", "mexican_hat", "--scales", "1e-300:1e300:8"], 3, None),
+        (["cwt", "--in", "x.csv", "--wavelet", "mexican_hat", "--scales", "1e-310:1:8"], 3, None),
+        (["cwt", "--in", "x.csv", "--wavelet", "mexican_hat", "--scales", "1:2:" + "9" * 401], 2, None),
+        (["verify", "--filter", "{long}", "--cuntz-n", "2000", "--lawton"], 2, 1 << 20),
+        (["cascade", "--filter", "haar", "--resolution", "25", "--out", "c.csv"], 2, None),
+        (["cascade", "--filter", "haar", "--resolution", "9" * 20, "--out", "c.csv"], 2, None),
+    ],
+    ids=[
+        "verify-start-1e20", "dwt1d-start-1e20", "cascade-start-1e20", "cwt-start-1e20",
+        "cascade-start-int64-max", "ladder-1e-300:1e300", "ladder-1e-310:1", "voices-401-digits",
+        "lawton-1000-taps", "haar-resolution-25", "resolution-20-digits",
+    ],
+)
+def test_cli_refusals_are_one_error_line(monkeypatch, capsys, tmp_path, argv, status, budget):
+    """Filter starts past 2^52, scale ladders whose ratio or voice count
+    overflows a float, a 1,000-tap stretched filter under a 1 MiB budget and
+    cascade grids past the budget each end in their exit status with one
+    error: line, before anything large is allocated."""
+    import wavekit.errors
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv("x.csv", np.sin(np.arange(64.0)))
+    for name, start in (("far", "99999999999999999999"), ("int64", "9223372036854775807")):
+        (tmp_path / f"{name}.txt").write_text(f"name: x\nstart: {start}\ncoeffs: {_DB4_TAPS}\n")
+    taps = ["0"] * 1000
+    taps[0] = taps[-1] = "0.5"
+    (tmp_path / "long.txt").write_text(f"name: long\nstart: 0\ncoeffs: {' '.join(taps)}\n")
+    if budget is not None:
+        monkeypatch.setattr(wavekit.errors, "_BYTE_BUDGET", budget)
+    argv = [a.format(far="far.txt", int64="int64.txt", long="long.txt") for a in argv]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_filter_start_counts_mod_n(tmp_path):
+    """A filter at start 10^12 (a multiple of 64) passes verify and gives the
+    64-sample dwt1d container of the same taps at start 0."""
+    sig = tmp_path / "x.csv"
+    write_signal_csv(str(sig), RNG.standard_normal(64))
+    outs = []
+    for start in (0, 10**12):
+        path = tmp_path / f"f{start}.txt"
+        path.write_text(f"name: x\nstart: {start}\ncoeffs: {_DB4_TAPS}\n")
+        assert run_cli("verify", "--filter", str(path), "--lawton").returncode == 0
+        out = tmp_path / f"{start}.pyr"
+        assert run_cli("transform", "dwt1d", "--in", str(sig), "--filter", str(path),
+                       "--out", str(out)).returncode == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wavekit import errors
 from wavekit.cascade import wavelet_function
 from wavekit.errors import (
     AdmissibilityError,
@@ -702,9 +703,9 @@ def test_cwt_over_byte_budget_is_refused_before_allocating(monkeypatch, offset):
     grid = CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs + offset)
     block = CWT_MODULE._BLOCK_BYTES if offset == 0.0 else 16 * 64 * 64
     need = 16 * grid.scales.size * 64 + block
-    monkeypatch.setattr(CWT_MODULE, "_CWT_BYTE_BUDGET", need)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", need)
     cwt(f, named_wavelet("mexican_hat"), grid)
-    monkeypatch.setattr(CWT_MODULE, "_CWT_BYTE_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", need - 1)
     psi, count = counting(named_wavelet("mexican_hat"))
     with pytest.raises(SizeError, match="budget"):
         cwt(f, psi, grid)
@@ -716,6 +717,20 @@ def test_geometric_scales_over_byte_budget_is_refused():
     anything is allocated."""
     with pytest.raises(SizeError, match="budget"):
         geometric_scales(1.0, 2.0, 10**12)
+
+
+def test_geometric_scales_count_without_overflow():
+    """r_max / r_min past the float range is counted as log2 r_max - log2 r_min,
+    and a voices count no float holds is refused, not converted. A finite
+    ratio keeps its own log2: at 5:20:8 the difference of logs would round
+    up to 17 steps."""
+    assert geometric_scales(5.0, 20.0, 8).size == 17
+    for r_min, r_max, count in ((1e-300, 1e300, 15947), (1e-310, 1.0, 8240)):
+        r = geometric_scales(r_min, r_max, 8)
+        assert r.size == count and np.all(np.isfinite(r)) and np.all(np.diff(r) > 0)
+    for voices in (int("9" * 401), 2**1000, np.int64(2**62)):
+        with pytest.raises(SizeError, match="^a ladder of .* scales needs about .* budget"):
+            geometric_scales(1.0, 2.0, voices)
 
 
 # --- dyadic family -----------------------------------------------------------

@@ -56,6 +56,16 @@ def test_normalization_enforced():
     assert f.h[1] == 0.6
 
 
+def test_start_past_two_to_the_52_is_refused():
+    """Past 2^52 the cascade's integer lattice points stop being exact floats."""
+    h = np.array([0.5, 0.5])
+    for start in (2**52, -(2**52)):
+        assert FilterSpec("edge", h, start).start == start
+    for start in (2**52 + 1, -(2**52) - 1, 2**63 - 1, 10**20):
+        with pytest.raises(DomainError, match="2\\^52"):
+            FilterSpec("far", h, start)
+
+
 def test_filterspec_is_frozen():
     f = builtin_filter("haar")
     with pytest.raises(Exception):

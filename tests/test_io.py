@@ -448,12 +448,14 @@ def test_filter_coefficients_split_at_spaces_and_tabs_only(tmp_path):
         ("name: x\nstart: 0\ncoeffs: 0.5+0.5i 0.5\n",
          "3: filter 'x' is flagged normalized but sum(h) = (1+0.5j)"),
         ("name: x\nstart: 0\ncoeffs: 0 0\n", "3: filter coefficients must not be identically zero"),
+        ("name: x\nstart: 99999999999999999999\ncoeffs: 0.5 0.5\n",
+         "2: filter start 99999999999999999999 is past the 2^52 limit"),
     ],
-    ids=["sum", "complex-sum", "zero"],
+    ids=["sum", "complex-sum", "zero", "start"],
 )
 def test_refused_filter_coefficients_name_path_and_line(tmp_path, text, message):
     """FilterSpec's DomainError comes back naming the file and the coeffs
-    line, with the sum as a plain number."""
+    line, with the sum as a plain number; a refused start names its own line."""
     path = tmp_path / "f.txt"
     path.write_text(text)
     with pytest.raises(DomainError, match="^" + re.escape(f"{path}:{message}") + "$"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import wavekit.errors
 import wavekit.subband as subband
 from wavekit.errors import DomainError, LevelError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
@@ -280,9 +281,7 @@ def test_cuntz_byte_budget_refuses_before_allocating(monkeypatch):
     """With the budget at 4 KiB a float64 check fits at n = 32 (ten 32-point
     vectors, 2.5 KiB) and is refused at n = 64 (5 KiB) before any kernel
     call."""
-    import wavekit.subband as subband
-
-    monkeypatch.setattr(subband, "_CUNTZ_BYTE_BUDGET", 1 << 12)
+    monkeypatch.setattr(wavekit.errors, "_BYTE_BUDGET", 1 << 12)
     assert cuntz_check(builtin_filter("db4"), n=32).passed
     for name in ("_split", "_merge"):
         monkeypatch.setattr(subband, name, lambda *a: pytest.fail("kernel ran"))
@@ -724,3 +723,69 @@ def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("start", (0, 3, -5))
+@pytest.mark.parametrize("k", (1, -7, 10**6))
+def test_kernel_depends_on_start_mod_n_only(monkeypatch, lattice_filters, start, k):
+    """Shifting a filter's start by k n shifts every window by whole periods:
+    analysis_step, dwt1d on the operator path (n = 64) and on the kernel
+    (n = 512), idwt1d and cuntz_check give the same bits."""
+    h = lattice_filters[5]
+    x = {n: RNG.standard_normal(n) + 1j * RNG.standard_normal(n) for n in (64, 512)}
+    for n, signal in x.items():
+        near, far = FilterSpec("h", h, start), FilterSpec("h", h, start + k * n)
+        depth = max_levels(n, near)
+        pairs = [(analysis_step(signal, f), dwt1d(signal, f, depth)) for f in (near, far)]
+        (p0, d0), (p1, d1) = pairs
+        assert _same_bits(p0.y, p1.y) and _same_bits(p0.z, p1.z)
+        assert all(_same_bits(a, b) for a, b in zip(d0.details + (d0.approx,), d1.details + (d1.approx,)))
+        assert _same_bits(idwt1d(d0, near), idwt1d(d1, far))
+        r0, r1 = cuntz_check(near, n), cuntz_check(far, n)
+        assert dataclasses.astuple(r0) == dataclasses.astuple(r1)
+    near, far = FilterSpec("h", h, start), FilterSpec("h", h, start + k * 64)
+    on_kernel = [_on_the_kernel(monkeypatch, lambda f=f: dwt1d(x[64], f, 3)) for f in (near, far)]
+    assert all(_same_bits(a, b) for a, b in zip(on_kernel[0].details, on_kernel[1].details))
+
+
+def test_short_dwt1d_peak_does_not_depend_on_start():
+    """The gather buffer spans less than half a period whatever the start: a
+    64-sample db4 dwt1d (which builds its operator) peaks alike at start 0
+    and at start 10^12."""
+    x = RNG.standard_normal(64)
+    peaks = []
+    for start in (0, 10**12):
+        f = FilterSpec("db4", builtin_filter("db4").h, start)
+        tracemalloc.start()
+        try:
+            dwt1d(x, f, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_subband_matrices_byte_budget(monkeypatch):
+    """subband_matrices is charged four n^2 entries of its dtype (tracemalloc
+    peaks 3.5 float64 and 3.0 complex128), refused past the budget before
+    anything is built."""
+    f = builtin_filter("db4")
+    for h in (f.h, f.h * (1 + 0j)):
+        g = FilterSpec("g", h)
+        tracemalloc.start()
+        try:
+            subband_matrices(g, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 256**2 * h.itemsize
+    monkeypatch.setattr(wavekit.errors, "_BYTE_BUDGET", 4 * 16**2 * 8)
+    assert subband_matrices(f, 16).n == 16
+    monkeypatch.setattr(subband, "_periodized", lambda *a: pytest.fail("built"))
+    with pytest.raises(SizeError, match="^subband_matrices at n = 18 .*budget"):
+        subband_matrices(f, 18)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import wavekit.errors
 import wavekit.transfer
 from wavekit.cascade import integer_values
 from wavekit.errors import ParameterError, PreconditionError
@@ -290,3 +291,46 @@ def test_lawton_matches_whole_matrix_on_lattice_upsamplings(free, factor):
     if factor > 1:
         assert v.verdict == "NOT_ONB"
         assert v.multiplicity >= 2
+
+
+@pytest.mark.parametrize("kind", ("real", "complex"))
+def test_two_scale_matrix_charge_covers_its_callers(monkeypatch, kind):
+    """A dense two-scale matrix is charged five entries of its dtype per
+    entry before it is built. The tracemalloc peaks of lawton_test,
+    build_transfer_matrix, refinement_matrix and integer_values stay under
+    that charge, and a budget one byte short of it refuses each of them."""
+    import tracemalloc
+
+    from conftest import complex_lattice_lowpass, random_unitary
+
+    from wavekit.cascade import refinement_matrix
+    from wavekit.errors import SizeError
+
+    rng = np.random.default_rng(64)
+    if kind == "real":
+        free = rng.uniform(0.0, 2.0 * np.pi, size=31)
+        f = FilterSpec("lattice64", lattice_lowpass(np.append(free, np.pi / 4 - free.sum())))
+    else:
+        f = FilterSpec("clattice64", complex_lattice_lowpass([random_unitary(rng) for _ in range(31)]))
+    L, itemsize = f.length, 16 if kind == "complex" else 8
+    calls = {
+        lawton_test: (2 * L - 1) ** 2,
+        build_transfer_matrix: (2 * L - 1) ** 2,
+        refinement_matrix: (L - 1) ** 2,
+        integer_values: (L - 1) ** 2,
+    }
+    for call, entries in calls.items():
+        charge = 5 * itemsize * entries
+        tracemalloc.start()
+        try:
+            call(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge, call.__name__
+        with monkeypatch.context() as patch:
+            patch.setattr(wavekit.errors, "_BYTE_BUDGET", charge)
+            call(f)
+            patch.setattr(wavekit.errors, "_BYTE_BUDGET", charge - 1)
+            with pytest.raises(SizeError, match="two-scale matrix needs about .* budget"):
+                call(f)
