@@ -9,10 +9,10 @@ constant
     C = integral |psi_hat(w)|^2 / |w| dw,
     psi_hat(t) = integral e^{-ixt} psi(x) dx,
 
-estimated by ``admissibility`` from an FFT on a padded window. The scale
-grid covers r > 0 only; for a real-valued wavelet the negative-scale half of
-the inversion measure contributes the same amount, so ``icwt`` folds it in
-as a factor 2.
+estimated by ``admissibility`` from an FFT of psi's zero-padded support
+samples. The scale grid covers r > 0 only; for a real-valued wavelet the
+negative-scale half of the inversion measure contributes the same amount,
+so ``icwt`` folds it in as a factor 2.
 
 When every shift is a sample point of the signal (as with ``shifts = f.xs``
 or any subset of it), ``cwt`` is an FFT cross-correlation with psi at the
@@ -20,8 +20,9 @@ or any subset of it), ``cwt`` is an FFT cross-correlation with psi at the
 (Torrence & Compo 1998, "A Practical Guide to Wavelet Analysis"), both on one
 ladder of kernel spectra held on the wavelet: O(S n log n) time for S scales,
 3S + 2 FFTs per round trip, work memory of one block of scales plus the held
-ladder. Other shift grids take a dense (shifts x n) kernel per scale. Both
-evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed.
+ladder. Other shift grids take a dense (shifts x n) kernel per scale. All
+evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed;
+the ladder and ``admissibility`` read psi as 0 outside its ``support``.
 
 ``dyadic_sample`` and ``parseval_ratio`` cover the dyadic family
 psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
@@ -236,12 +237,12 @@ def wavelet_from_filter(f: FilterSpec, resolution: int) -> AnalyzingWavelet:
 def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     """Estimate C = integral |psi_hat(w)|^2/|w| dw by FFT quadrature.
 
-    The wavelet is sampled at roughly dx = width/(1024*refine) on a window
-    padded by max(64, 2*width) on each side of its support, and by more
-    zeros on the right up to the next length of the form 2^a 3^b 5^c 7^d,
-    where the FFT is fast. It is transformed, and the integrand is
-    trapezoid-summed over the negative and positive frequency half-axes
-    separately, excluding the w = 0 bin. ``refine``
+    The wavelet is sampled at roughly dx = width/(1024*refine) on its support
+    only. The samples are zero-padded to the next length 2^a 3^b 5^c 7^d (where
+    the FFT is fast) at or above the support plus max(64, 2*width) each side,
+    and transformed (a real FFT for a real wavelet: |psi_hat| is even). The
+    integrand is trapezoid-summed on the grid k*dw over the negative and
+    positive half-axes separately, excluding w = 0. ``refine``
     doubles (etc.) the sampling density for stability checks. The result for
     refine=1 is computed once per wavelet; later calls return the same float.
 
@@ -251,8 +252,9 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     underlying step function instead of aliasing against its lattice.
 
     Raises AdmissibilityError when the mean is not numerically zero (the
-    integral diverges at w = 0) and ResolutionError when the spectrum has not
-    decayed by the Nyquist frequency (the estimate would be meaningless).
+    integral diverges at w = 0), ResolutionError when the spectrum has not
+    decayed by the Nyquist frequency (the estimate would be meaningless), and
+    SizeError before the FFT past the budget (24 bytes a point, 36 complex).
     """
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ParameterError(f"refine must be a positive integer, got {refine!r}")
@@ -300,28 +302,27 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
             "admissibility integral diverges at zero frequency"
         )
 
+    # The zero-padded support samples stand for psi on a window padded by
+    # ``pad`` each side: where psi sits in it moves only the phase of psi_hat.
+    # 67,074 = 2·3·7·1597 points (level-8 db4) transform slower than 67,200.
     pad = int(np.ceil(max(ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
-    window = (lo - pad * dx) + dx * np.arange(xs.size + 2 * pad)
-    # A length with a large prime factor (67,074 = 2·3·7·1597 points for a
-    # level-8 db4 cascade) transforms several times slower.
-    n = _smooth_length(window.size)
-    spectrum = dx * np.fft.fft(psi.evaluate(window), n)
-    w = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    power = np.abs(spectrum) ** 2
-    integrand = power / np.where(w == 0.0, 1.0, np.abs(w))
-    integrand[w == 0.0] = 0.0
-
-    total = 0.0
-    for half in (w < 0.0, w > 0.0):  # fftfreq lists each half in increasing order
-        total += float(integrand[half] @ _trapezoid_weights(np.diff(w[half])))
+    n = _smooth_length(xs.size + 2 * pad)
+    per_point = 36 if np.iscomplexobj(vals) else 24  # traced: 20.4 bytes real, 26 to 34 complex
+    _charge(f"admissibility of {psi.name!r} on {n} FFT points", per_point * n)
+    if np.iscomplexobj(vals):  # |psi_hat| at k dw for k = 1, 2, ... and at -k dw
+        power = np.abs(dx * np.fft.fft(vals, n)) ** 2
+        halves = power[1 : (n + 1) // 2], power[:0:-1][: n // 2]
+    else:  # |psi_hat| is even
+        power = np.abs(dx * np.fft.rfft(vals, n)) ** 2
+        halves = power[1 : (n + 1) // 2], power[1 : n // 2 + 1]
+    dw = 2.0 * np.pi / (n * dx)
+    total = tail_part = 0.0
+    for half in halves:  # 0 < |w| <= n dw / 2; the tail is |w| > 3/4 of that
+        integrand = half / (dw * np.arange(1, half.size + 1))
+        total += float(integrand @ _trapezoid_weights(np.full(half.size - 1, dw)))
+        tail_part += float(integrand[int(0.75 * (n // 2)) :].sum() * dw)
     if not np.isfinite(total) or total <= 0.0:
-        raise AdmissibilityError(
-            f"admissibility quadrature for {psi.name!r} returned {total!r}"
-        )
-
-    w_nyquist = float(np.abs(w).max())
-    tail = np.abs(w) > 0.75 * w_nyquist
-    tail_part = float(integrand[tail].sum() * (2.0 * np.pi / (n * dx)))
+        raise AdmissibilityError(f"admissibility quadrature for {psi.name!r} returned {total!r}")
     if tail_part > 0.02 * total:
         raise ResolutionError(
             f"spectrum of {psi.name!r} has not decayed at the sampling "
@@ -432,7 +433,8 @@ def _kernel_spectra(psi: AnalyzingWavelet, n: int, dx: float, scales: np.ndarray
 
     Row i of ``spectra`` is the FFT at ``_fft_length(n)`` of psi_{r_i}
     at the lags (1 - n) dx ... (n - 1) dx, stored from column 0: real FFTs
-    when data and kernels are real. A block is one ``_scaled_kernel`` call
+    when data and kernels are real. A block is one ``_scaled_kernel`` call on
+    the lags in its r * supports and the nearest beyond each end (0 elsewhere)
     and one FFT along the last axis, about ``_BLOCK_BYTES`` of spectra. The
     wavelet holds the last ladder that fits ``_LADDER_BYTES``, so the
     ``icwt`` after a ``cwt`` on the same grid evaluates no psi.
@@ -448,7 +450,13 @@ def _kernel_spectra(psi: AnalyzingWavelet, n: int, dx: float, scales: np.ndarray
     blocks, kept = [], 0
     for lo in range(0, scales.size, step):
         rows = slice(lo, lo + step)
-        kernels = _scaled_kernel(psi, lags, scales[rows, None])
+        ends = [r * end for r in scales[rows][[0, -1]].tolist() for end in psi.support]
+        a, b = np.searchsorted(lags, (min(ends), max(ends))).tolist()  # every r * support,
+        a, b = max(a - 1, 0), min(b + 1, lags.size)  # and the nearest lag beyond each end
+        part = _scaled_kernel(psi, lags[a:b], scales[rows, None])
+        kernels = part if b - a == lags.size else np.zeros((part.shape[0], lags.size), part.dtype)
+        kernels[:, a:b] = part  # a no-op when the block spans every lag
+        del part
         complex_kernel = np.iscomplexobj(kernels)
         if complex_data or complex_kernel:
             fft = np.fft.fft, np.fft.ifft, np.complex128
@@ -470,10 +478,10 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     """Trapezoidal <psi_{r,s}|f> for every grid point.
 
     When every shift is a sample point of f, each row is the FFT
-    cross-correlation of the weighted samples with psi_r at the 2n - 1 lags,
-    a block of scales at a time: 2S + 1 FFTs (S + 1 on a held ladder), work
-    memory of one block plus the ladder held for ``icwt``. Other shift grids
-    take a dense (shifts x n) kernel per scale.
+    cross-correlation of the weighted samples with psi_r at the 2n - 1 lags
+    (0 outside r * support), a block of scales at a time: 2S + 1 FFTs (S + 1
+    on a held ladder), work memory of one block plus the ladder held for
+    ``icwt``. Other shift grids take a dense (shifts x n) kernel per scale.
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps, and SizeError, before allocating, when the
@@ -633,23 +641,25 @@ def parseval_ratio(
         amp = math.sqrt(scale) * f.dx
         # Samples across the support, plus one either side for rounding.
         w = int(np.ceil(psi.width / (scale * f.dx))) + 4
-        if w < n:
-            # Grid and values padded by w samples each side, so every window
-            # that meets the grid lies inside them; the padded values are 0.
-            scaled_xs = scale * (f.x_min + f.dx * np.arange(-w, n + w))
-            values = np.pad(f.values, w)
-        else:
-            scaled_xs = scale * f.xs
+        # Where the support spans fewer samples than the grid, grid and values
+        # are padded by w samples each side, so every window that meets the
+        # grid lies inside them; the padded values are 0.
+        pad = w if w < n else 0
+        scaled_xs = scale * (f.x_min + f.dx * np.arange(-pad, n + pad))
+        values = np.pad(f.values, pad)
         for block_lo in range(k_lo, k_hi + 1, 256):
             ks = np.arange(block_lo, min(block_lo + 256, k_hi + 1))
+            # The first sample of each support's window, less one for rounding.
+            starts = np.floor(((lo + ks) / scale - f.x_min) / f.dx) - 1
+            meets = (starts > -w) & (starts < n)
             if w < n:
-                starts = np.floor(((lo + ks) / scale - f.x_min) / f.dx).astype(np.intp) - 1
-                meets = (starts > -w) & (starts < n)
-                ks, idx = ks[meets], (starts[meets] + w)[:, None] + np.arange(w)
+                ks, idx = ks[meets], (starts[meets].astype(np.intp) + w)[:, None] + np.arange(w)
                 block = psi.evaluate(scaled_xs[idx] - ks[:, None])
                 coeffs = amp * np.einsum("kt,kt->k", np.conj(block), values[idx])
-            else:
-                block = psi.evaluate(scaled_xs[None, :] - ks[:, None])
-                coeffs = amp * (np.conj(block) @ f.values)
+            else:  # rows off the grid stay 0: the product's rounding depends on its row count
+                part = psi.evaluate(scaled_xs[None, :] - ks[meets, None])
+                block = np.zeros((ks.size, n), part.dtype)
+                block[meets] = part
+                coeffs = amp * (np.conj(block) @ values)
             total += float((np.abs(coeffs) ** 2).sum())
     return total / norm_sq

@@ -572,18 +572,20 @@ _DB4_TAPS = "0.34150635094610965 0.5915063509461097 0.15849364905389035 -0.09150
         (["verify", "--filter", "{long}", "--cuntz-n", "2000", "--lawton"], 2, 1 << 20),
         (["cascade", "--filter", "haar", "--resolution", "25", "--out", "c.csv"], 2, None),
         (["cascade", "--filter", "haar", "--resolution", "9" * 20, "--out", "c.csv"], 2, None),
+        (["cwt", "--in", "x.csv", "--wavelet", "cascade:db4:20", "--scales", "4:16:2"], 2, None),
     ],
     ids=[
         "verify-start-1e20", "dwt1d-start-1e20", "cascade-start-1e20", "cwt-start-1e20",
         "cascade-start-int64-max", "ladder-1e-300:1e300", "ladder-1e-310:1", "voices-401-digits",
-        "lawton-1000-taps", "haar-resolution-25", "resolution-20-digits",
+        "lawton-1000-taps", "haar-resolution-25", "resolution-20-digits", "admissibility-db4-20",
     ],
 )
 def test_cli_refusals_are_one_error_line(monkeypatch, capsys, tmp_path, argv, status, budget):
     """Filter starts past 2^52, scale ladders whose ratio or voice count
-    overflows a float, a 1,000-tap stretched filter under a 1 MiB budget and
-    cascade grids past the budget each end in their exit status with one
-    error: line, before anything large is allocated."""
+    overflows a float, a 1,000-tap stretched filter under a 1 MiB budget,
+    cascade grids past the budget and the admissibility FFT of a level-20 db4
+    cascade wavelet (137,625,600 points) each end in their exit status with
+    one error: line, before anything large is allocated."""
     import wavekit.errors
     from wavekit.cli import main
 

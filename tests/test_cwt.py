@@ -274,6 +274,125 @@ def test_db4_cascade_constant_keeps_eight_digits(monkeypatch, level, refine):
     assert new == pytest.approx(old, rel=1e-8, abs=0)
 
 
+def padded_window_admissibility(psi, refine):
+    """The estimate as it stood with psi sampled on the whole window: the
+    support padded by ``pad`` points each side, zeros on the right up to
+    ``_smooth_length``, one complex FFT, and trapezoids over the fftfreq
+    half-axes."""
+    lo, hi = psi.support
+    width = hi - lo
+    target = width / (CWT_MODULE.ADMISSIBILITY_SAMPLES * refine)
+    if psi.native_dx is not None:
+        dx = psi.native_dx / max(1, int(np.ceil(psi.native_dx / target)))
+    else:
+        dx = target
+    xs = lo + dx * np.arange(int(round(width / dx)))
+    vals = psi.evaluate(xs)
+    l1 = float(np.abs(vals).sum() * dx)
+    if l1 == 0.0 or abs(complex(vals.sum() * dx)) > CWT_MODULE.MEAN_TOLERANCE * l1:
+        raise AdmissibilityError("zero, or nonzero mean")
+    pad = int(np.ceil(max(CWT_MODULE.ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
+    window = (lo - pad * dx) + dx * np.arange(xs.size + 2 * pad)
+    n = CWT_MODULE._smooth_length(window.size)
+    power = np.abs(dx * np.fft.fft(psi.evaluate(window), n)) ** 2
+    w = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    integrand = power / np.where(w == 0.0, 1.0, np.abs(w))
+    integrand[w == 0.0] = 0.0
+    total = sum(float(integrand[h] @ _trapezoid_weights(np.diff(w[h]))) for h in (w < 0.0, w > 0.0))
+    if not np.isfinite(total) or total <= 0.0:
+        raise AdmissibilityError("no positive quadrature")
+    tail = np.abs(w) > 0.75 * np.abs(w).max()
+    if integrand[tail].sum() * (2.0 * np.pi / (n * dx)) > 0.02 * total:
+        raise ResolutionError("not decayed")
+    return total
+
+
+_FFT_LENGTHS = {
+    "smooth": None,
+    "odd": lambda m: m | 1,
+    "even": lambda m: m + (m & 1),
+}
+
+
+@pytest.mark.parametrize("length", list(_FFT_LENGTHS))
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("name", ["mexican_hat", "haar_psi", "cascade:db4:8", "morlet"])
+def test_support_samples_give_the_padded_window_constant(monkeypatch, name, refine, length):
+    """Transforming only the support samples, zero-padded to the same FFT
+    length, gives the constant of psi sampled on the whole window to 1e-13
+    relative: real and complex wavelets, even and odd lengths."""
+    if length != "smooth":
+        monkeypatch.setattr(CWT_MODULE, "_smooth_length", _FFT_LENGTHS[length])
+    if name == "morlet":
+        psi = morlet_sampled()
+    elif name.startswith("cascade"):
+        psi = wavelet_from_filter(builtin_filter("db4"), 8)
+    else:
+        psi = named_wavelet(name)
+    lengths = []
+    with monkeypatch.context() as m:
+        m.setattr(CWT_MODULE, "_charge", lambda what, need: lengths.append(int(what.split()[-3])))
+        got = CWT_MODULE._estimate_admissibility(psi, refine)
+    assert lengths[0] % 2 == (length == "odd")
+    assert got == pytest.approx(padded_window_admissibility(psi, refine), rel=1e-13, abs=0)
+
+
+def _noise_wavelet(size, seed=5):
+    """Zero-mean noise as a step function: its spectrum has not decayed at
+    the sampling Nyquist frequency once a native step is one sample."""
+    vals = np.random.default_rng(seed).standard_normal(size)
+    return wavelet_from_samples(SampledFunction(0.0, 1.0, vals - vals.mean()), f"noise{size}")
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        named_wavelet("gaussian"),
+        AnalyzingWavelet("zero", (0.0, 1.0), np.zeros_like),
+        AnalyzingWavelet("offset_hat", (-8.0, 8.0), lambda x: named_wavelet("mexican_hat").fn(x) + 1e-3),
+        _noise_wavelet(2048),
+        _noise_wavelet(64),
+        named_wavelet("mexican_hat"),
+    ],
+    ids=lambda psi: psi.name,
+)
+def test_admissibility_refusals_match_the_padded_window(psi):
+    """AdmissibilityError and ResolutionError come on the same inputs as
+    with the whole window sampled."""
+    try:
+        expect = padded_window_admissibility(psi, 1)
+    except (AdmissibilityError, ResolutionError) as err:
+        with pytest.raises(type(err)):
+            CWT_MODULE._estimate_admissibility(psi, 1)
+    else:
+        assert CWT_MODULE._estimate_admissibility(psi, 1) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["mexican_hat", "haar_psi", *(f"cascade:db4:{j}" for j in range(6, 11))])
+def test_admissibility_charge_covers_its_traced_peak(monkeypatch, name):
+    """The bytes admissibility charges against the budget are at least the
+    tracemalloc peak of the estimate (after one warm-up call), and one byte
+    less of budget refuses it before the FFT."""
+    if name.startswith("cascade"):
+        psi = wavelet_from_filter(builtin_filter("db4"), int(name.rsplit(":", 1)[1]))
+    else:
+        psi = named_wavelet(name)
+    charged = []
+    monkeypatch.setattr(CWT_MODULE, "_charge", lambda what, need: charged.append(need))
+    CWT_MODULE._estimate_admissibility(psi, 1)
+    tracemalloc.start()
+    try:
+        CWT_MODULE._estimate_admissibility(psi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charged[0] == charged[1] >= peak
+    monkeypatch.setattr(CWT_MODULE, "_charge", errors._charge)
+    monkeypatch.setattr(errors, "_BYTE_BUDGET", charged[0] - 1)
+    with pytest.raises(SizeError, match=f"^admissibility of '{name}' on .* budget"):
+        admissibility(psi)
+
+
 def test_wavelet_from_dyadic_haar_matches_catalog():
     d = wavelet_function(builtin_filter("haar"), 6)
     stepwise = wavelet_from_dyadic(d)
@@ -463,6 +582,22 @@ def counting(psi):
     return AnalyzingWavelet(psi.name, psi.support, fn, psi.native_dx), count
 
 
+def support_lag_count(psi, n, dx, scales):
+    """The psi samples of one ladder: per block of scales (as many as fit
+    ``_BLOCK_BYTES`` of spectra), every scale at each lag k dx, |k| < n, in
+    [x_lo, x_hi), the lowest and highest ends of the block's r * support,
+    and at the nearest lag beyond each end (below x_lo, at or above x_hi)."""
+    step = max(1, CWT_MODULE._BLOCK_BYTES // (16 * CWT_MODULE._fft_length(n)))
+    lags = dx * np.arange(1 - n, n)
+    total = 0
+    for lo in range(0, scales.size, step):
+        r = scales[lo : lo + step]
+        x_lo, x_hi = min(r * psi.support[0]), max(r * psi.support[1])
+        inside = int(((lags >= x_lo) & (lags < x_hi)).sum())
+        total += r.size * (inside + int(lags[0] < x_lo) + int(lags[-1] >= x_hi))
+    return total
+
+
 def morlet_sampled():
     """A complex wavelet (w0 = 6, mean below the zero-mean gate) given by
     samples, so it evaluates as a step function."""
@@ -505,13 +640,14 @@ def agreement_case(name):
 )
 def test_fft_path_matches_dense_kernel(case, stride):
     """Shifts on the samples (all of them, or every third from the second)
-    take the FFT correlation, which evaluates psi at the 2n - 1 lags per
-    scale and agrees with the dense kernel to 1e-12 of each row's peak."""
+    take the FFT correlation, which evaluates psi only on the lags near each
+    block's supports and agrees with the dense kernel to 1e-12 of each row's
+    peak."""
     f, psi, scales = agreement_case(case)
     grid = CwtGrid(scales=scales, shifts=f.xs[1::stride] if stride > 1 else f.xs)
     counted, count = counting(psi)
     c = cwt(f, counted, grid)
-    assert count[0] == scales.size * (2 * f.size - 1)
+    assert count[0] == support_lag_count(psi, f.size, f.dx, scales)
     expect = dense_cwt_matrix(f, psi, grid)
     assert c.matrix.dtype == expect.dtype
     complex_input = np.iscomplexobj(f.values) or case.startswith("morlet")
@@ -589,8 +725,8 @@ def _assert_close(got, want):
 def test_ladder_matches_dense_references(n, name, complex_signal, ladder, block, data):
     """Over lengths (1 and 2 included), ladders, blocks of scales and shift
     subsets, the batched paths agree with the dense references to 1e-12 of
-    the peak; cwt evaluates psi once per scale and lag, and the icwt that
-    follows evaluates it nowhere."""
+    the peak; cwt evaluates psi once per scale and lag near the block's
+    supports, and the icwt that follows evaluates it nowhere."""
     psi, r_min = _ladder_wavelet(name)
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_signal else 0.0)
@@ -607,9 +743,10 @@ def test_ladder_matches_dense_references(n, name, complex_signal, ladder, block,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CWT_MODULE, "_BLOCK_BYTES", block)
         c = cwt(f, counted, grid)
-        assert count[0] - before == scales.size * (2 * n - 1)
+        evals = support_lag_count(psi, n, f.dx, scales)
+        assert count[0] - before == evals
         rec = icwt(c, counted)
-    assert count[0] - before == scales.size * (2 * n - 1)
+    assert count[0] - before == evals
     _assert_close(c.matrix, dense_cwt_matrix(f, psi, grid))
     _assert_close(rec.values, dense_icwt_values(c, psi))
 
@@ -629,7 +766,7 @@ def test_held_ladder_serves_interleaved_grids():
         rec = icwt(c, psi)
         other = SampledFunction(0.0, 1.0, RNG.standard_normal(n))
         again = cwt(other, psi, grid)
-        assert count[0] - before == grid.scales.size * (2 * n - 1)
+        assert count[0] - before == support_lag_count(psi, n, f.dx, grid.scales)
         assert len(psi._ladder) == 1
         fresh = named_wavelet("mexican_hat")
         expect = cwt(f, fresh, grid)
@@ -658,7 +795,7 @@ def test_ladder_over_the_cap_is_not_held(monkeypatch):
     c = cwt(f, psi, big)
     assert psi._ladder == held
     rec = icwt(c, psi)
-    assert count[0] - before == 2 * big.scales.size * (2 * f.size - 1)
+    assert count[0] - before == 2 * support_lag_count(psi, f.size, f.dx, big.scales)
     _assert_close(rec.values, dense_icwt_values(c, psi))
 
 
@@ -671,7 +808,7 @@ def test_replaced_wavelet_holds_no_ladder():
     admissibility(copy)
     before = count[0]
     rec = icwt(c, copy)
-    assert count[0] - before == c.scales.size * (2 * f.size - 1)
+    assert count[0] - before == support_lag_count(psi, f.size, f.dx, c.scales)
     assert_allclose(rec.values, icwt(c, psi).values, atol=0, rtol=0)
 
 
@@ -861,6 +998,54 @@ def test_parseval_ratio_matches_dense_reference(dyadic_wavelets, wavelet, signal
     psi, f = dyadic_wavelets[wavelet], _PARSEVAL_SIGNALS[signal]
     expect = dense_parseval_ratio(f, psi, j_range, k_range)
     assert parseval_ratio(f, psi, j_range, k_range) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def every_k_parseval_ratio(f, psi, j_range):
+    """The ratio as it stood when every k of ``_auto_k_range`` was evaluated
+    on the whole grid wherever the support spans the grid (w >= n)."""
+    norm_sq = float((np.abs(f.values) ** 2).sum() * f.dx)
+    n, lo, total = f.size, psi.support[0], 0.0
+    for j in range(j_range[0], j_range[1] + 1):
+        k_lo, k_hi = _auto_k_range(psi, j, f.x_min, f.x_max)
+        scale = 2.0 ** float(j)
+        amp = math.sqrt(scale) * f.dx
+        w = int(np.ceil(psi.width / (scale * f.dx))) + 4
+        scaled_xs = scale * (f.x_min + f.dx * np.arange(-w, n + w)) if w < n else scale * f.xs
+        values = np.pad(f.values, w) if w < n else None
+        for block_lo in range(k_lo, k_hi + 1, 256):
+            ks = np.arange(block_lo, min(block_lo + 256, k_hi + 1))
+            if w < n:
+                starts = np.floor(((lo + ks) / scale - f.x_min) / f.dx).astype(np.intp) - 1
+                meets = (starts > -w) & (starts < n)
+                ks, idx = ks[meets], (starts[meets] + w)[:, None] + np.arange(w)
+                block = psi.evaluate(scaled_xs[idx] - ks[:, None])
+                coeffs = amp * np.einsum("kt,kt->k", np.conj(block), values[idx])
+            else:
+                coeffs = amp * (np.conj(psi.evaluate(scaled_xs[None, :] - ks[:, None])) @ f.values)
+            total += float((np.abs(coeffs) ** 2).sum())
+    return total / norm_sq
+
+
+@pytest.mark.parametrize("j_range", [(-8, 4), (-12, -4), (-3, 6), (2, 6)])
+@pytest.mark.parametrize("signal", list(_PARSEVAL_SIGNALS))
+@pytest.mark.parametrize("wavelet", ["haar_psi", "mexican_hat", "cascade:db4:8"])
+def test_parseval_ratio_skips_ks_off_the_grid_bit_for_bit(dyadic_wavelets, wavelet, signal, j_range):
+    """Skipping the ks whose support misses the grid where the support spans
+    it leaves the ratio bit for bit as it was with every k evaluated."""
+    psi, f = dyadic_wavelets[wavelet], _PARSEVAL_SIGNALS[signal]
+    assert parseval_ratio(f, psi, j_range) == every_k_parseval_ratio(f, psi, j_range)
+
+
+def test_parseval_ratio_coarse_level_evaluates_ks_on_the_grid_only():
+    """At j = -8 the box's grid [-2, 4) meets the supports [256 k, 256 (k + 1))
+    of k = -1 and 0 only: 2 of the 6 ks of ``_auto_k_range``, each on the
+    whole grid."""
+    psi, count = counting(named_wavelet("haar_psi"))
+    f = _box()
+    assert _auto_k_range(psi, -8, f.x_min, f.x_max) == (-3, 2)
+    ratio = parseval_ratio(f, psi, (-8, -8))
+    assert count[0] == 2 * f.size
+    assert ratio == every_k_parseval_ratio(f, psi, (-8, -8))
 
 
 def test_parseval_ratio_evaluates_psi_near_its_supports():
