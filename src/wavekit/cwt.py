@@ -20,7 +20,9 @@ or any subset of it), ``cwt`` is an FFT cross-correlation with psi at the
 (Torrence & Compo 1998, "A Practical Guide to Wavelet Analysis"), both on one
 ladder of kernel spectra held on the wavelet: O(S n log n) time for S scales,
 3S + 2 FFTs per round trip, work memory of one block of scales plus the held
-ladder. Other shift grids take a dense (shifts x n) kernel per scale. All
+ladder. Every FFT here pads to the next 2^a 3^b 5^c 7^d (``_smooth_length``)
+of what it must hold: the 2n - 1 lags of n = 1,100 take 2,205 points, not
+4,096. Other shift grids take a dense (shifts x n) kernel per scale. All
 evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed;
 the ladder and ``admissibility`` read psi as 0 outside its ``support``.
 
@@ -421,17 +423,13 @@ def _sample_indices(xs: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray
     return idx if np.array_equal(xs[idx], shifts) else None
 
 
-def _fft_length(n: int) -> int:
-    """Power of two >= 2n - 1. Correlating or convolving n samples with a
-    kernel on the 2n - 1 lags at this length wraps no lag onto the n outputs
-    that ``cwt`` and ``icwt`` read."""
-    return 1 << (2 * n - 2).bit_length()
-
-
-def _kernel_spectra(psi: AnalyzingWavelet, n: int, dx: float, scales: np.ndarray, complex_data: bool):
+def _kernel_spectra(
+    psi: AnalyzingWavelet, n: int, length: int, dx: float, scales: np.ndarray, complex_data: bool
+):
     """Yield (scale slice, spectra, (forward, inverse, dtype)) per block of scales.
 
-    Row i of ``spectra`` is the FFT at ``_fft_length(n)`` of psi_{r_i}
+    Row i of ``spectra`` is the FFT at ``length``, the caller's
+    ``_smooth_length(2n - 1)`` (2,205 points at n = 1,100), of psi_{r_i}
     at the lags (1 - n) dx ... (n - 1) dx, stored from column 0: real FFTs
     when data and kernels are real. A block is one ``_scaled_kernel`` call on
     the lags in its r * supports and the nearest beyond each end (0 elsewhere)
@@ -444,7 +442,6 @@ def _kernel_spectra(psi: AnalyzingWavelet, n: int, dx: float, scales: np.ndarray
     if held is not None:
         yield from held
         return
-    length = _fft_length(n)
     lags = dx * np.arange(1 - n, n)
     step = max(1, _BLOCK_BYTES // (16 * length))
     blocks, kept = [], 0
@@ -481,7 +478,10 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     cross-correlation of the weighted samples with psi_r at the 2n - 1 lags
     (0 outside r * support), a block of scales at a time: 2S + 1 FFTs (S + 1
     on a held ladder), work memory of one block plus the ladder held for
-    ``icwt``. Other shift grids take a dense (shifts x n) kernel per scale.
+    ``icwt``. Other shift grids take a dense (shifts x n) kernel per scale,
+    psi untruncated on purpose: cut at the support, the paths' different
+    rounding of x - s turns edge values (the mexican hat's psi(8) = -8e-13)
+    into jumps that take their agreement at dx = 0.1 to its 1e-12 bound.
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps, and SizeError, before allocating, when the
@@ -496,7 +496,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     xs = f.xs
     idx = _sample_indices(xs, f.dx, grid.shifts)
     n, (count, m) = f.size, grid.shape
-    length = _fft_length(n)
+    length = _smooth_length(2 * n - 1)  # any length >= 2n - 1 wraps no lag onto the n outputs
     need = 16 * count * m + (16 * m * n if idx is None else max(_BLOCK_BYTES, 16 * length))
     _charge(f"cwt of {n} samples on a {count} x {m} grid", need)
     weighted = f.values * f.trapezoid_weights()
@@ -511,7 +511,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
         cols = (idx - (n - 1)) % length
         matrix = None
         for rows, spectra, (forward, inverse, dtype) in _kernel_spectra(
-            psi, n, f.dx, grid.scales, np.iscomplexobj(weighted)
+            psi, n, length, f.dx, grid.scales, np.iscomplexobj(weighted)
         ):
             if matrix is None:
                 signal = forward(weighted, length)
@@ -519,13 +519,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
             product = np.conj(spectra)
             product *= signal
             matrix[rows] = inverse(product, length)[:, cols]
-    return CwtCoefficients(
-        matrix=matrix,
-        grid=grid,
-        x_min=f.x_min,
-        dx=f.dx,
-        n_samples=f.size,
-    )
+    return CwtCoefficients(matrix, grid, f.x_min, f.dx, f.size)
 
 
 def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
@@ -557,11 +551,11 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
             out += (wr[i] / (r * r)) * ((c.matrix[i] * ws) @ kernel)
     else:
         n = xs.size
-        length = _fft_length(n)
+        length = _smooth_length(2 * n - 1)  # as in cwt
         dtype = np.result_type(c.matrix, ws)
         total = 0.0
         for rows, spectra, (forward, inverse, _) in _kernel_spectra(
-            psi, n, c.dx, c.scales, np.iscomplexobj(c.matrix)
+            psi, n, length, c.dx, c.scales, np.iscomplexobj(c.matrix)
         ):
             spread = np.zeros((spectra.shape[0], n), dtype)
             spread[:, idx] = c.matrix[rows] * ws

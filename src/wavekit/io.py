@@ -387,7 +387,11 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
 
 
 def write_dyadic_csv(path: str, d) -> None:
-    """x,value rows at the function's own grid resolution."""
+    """x,value rows at the function's own grid resolution. Before ``path`` is
+    opened, a grid with some |x| 2^J past 2^53, whose x would round, raises DomainError."""
+    first = d.x0 * 2.0 ** d.level  # in steps of 2^-J, exactly; float-int comparisons are exact
+    if not -(2**53) <= first <= 2**53 - (d.values.size - 1):
+        raise DomainError(f"{path}: x from {d.x0:.17g} at step 2^-{d.level} would round past 2^53")
     _write_lines(path, map(_format_array_line, zip(d.xs, d.values)))
 
 

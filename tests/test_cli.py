@@ -328,6 +328,24 @@ def test_cascade_haar_padded_with_zero_taps(tmp_path):
     assert_array_equal(rows[:, 1], (rows[:, 0] >= 0) & (rows[:, 0] < 1))
 
 
+@pytest.mark.parametrize("start", [2**50 - 1, 2**50])
+def test_cascade_refuses_an_x_column_it_would_round(tmp_path, start):
+    """haar's x = start + k/8 at J = 3 are all doubles up to start 2^50 - 1;
+    from start 2^50 the command exits 2 with one error line naming the CSV,
+    and writes no CSV."""
+    path = tmp_path / "far.txt"
+    path.write_text(f"name: far\nstart: {start}\ncoeffs: 0.5 0.5\n")
+    out = tmp_path / "phi.csv"
+    r = run_cli("cascade", "--filter", str(path), "--resolution", "3", "--out", str(out))
+    if start < 2**50:
+        assert r.returncode == 0, r.stderr
+        assert np.unique(np.loadtxt(out, delimiter=",")[:, 0]).size == 9
+    else:
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith(f"error: {out}: x from") and len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+
 def test_cascade_degenerate_filter_is_numeric_error(tmp_path):
     r = run_cli("cascade", "--filter", "stretched_haar", "--resolution", "3",
                 "--out", str(tmp_path / "phi.csv"))

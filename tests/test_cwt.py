@@ -587,7 +587,7 @@ def support_lag_count(psi, n, dx, scales):
     ``_BLOCK_BYTES`` of spectra), every scale at each lag k dx, |k| < n, in
     [x_lo, x_hi), the lowest and highest ends of the block's r * support,
     and at the nearest lag beyond each end (below x_lo, at or above x_hi)."""
-    step = max(1, CWT_MODULE._BLOCK_BYTES // (16 * CWT_MODULE._fft_length(n)))
+    step = max(1, CWT_MODULE._BLOCK_BYTES // (16 * _smooth_length(2 * n - 1)))
     lags = dx * np.arange(1 - n, n)
     total = 0
     for lo in range(0, scales.size, step):
@@ -749,6 +749,30 @@ def test_ladder_matches_dense_references(n, name, complex_signal, ladder, block,
     assert count[0] - before == evals
     _assert_close(c.matrix, dense_cwt_matrix(f, psi, grid))
     _assert_close(rec.values, dense_icwt_values(c, psi))
+
+
+@pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, length", [(2, 3), (5, 9), (14, 27), (100, 200), (1100, 2205)])
+def test_ladder_length_is_the_next_smooth_one(n, length, complex_signal):
+    """The ladder's FFTs have _smooth_length(2n - 1) points, odd at n = 2, 5
+    and 14 (a power of two would take 4, 16, 32, 256 and 4,096): cwt on a
+    fresh wavelet, then icwt and a cwt of another signal on the ladder it
+    holds, agree with the dense references to 1e-12 of the peak."""
+    rng = np.random.default_rng(n)
+
+    def signal():
+        values = rng.standard_normal(n)
+        return SampledFunction(0.0, 1.0, values + 1j * rng.standard_normal(n) if complex_signal else values)
+
+    f, g = signal(), signal()
+    psi = named_wavelet("mexican_hat")
+    grid = CwtGrid(np.geomspace(0.25, 16.0, 4), f.xs)
+    c = cwt(f, psi, grid)
+    (held,) = psi._ladder.values()
+    assert {spectra.shape[1] for _, spectra, _ in held} == {length if complex_signal else length // 2 + 1}
+    _assert_close(c.matrix, dense_cwt_matrix(f, psi, grid))
+    _assert_close(icwt(c, psi).values, dense_icwt_values(c, psi))
+    _assert_close(cwt(g, psi, grid).matrix, dense_cwt_matrix(g, psi, grid))
 
 
 def test_held_ladder_serves_interleaved_grids():

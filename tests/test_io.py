@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from wavekit.errors import DomainError, FormatError, ShapeError, WavekitError
 from wavekit.cascade import scaling_function
-from wavekit.filters import builtin_filter
+from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
 from wavekit.io import (
     CONTAINER_MAGIC,
@@ -652,6 +653,27 @@ def test_text_writers_write_these_bytes(tmp_path, write, expected):
     path = tmp_path / "out"
     write(str(path))
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "start, distinct", [(2**50 - 1, 9), (-(2**50), 9), (2**50, 5), (-(2**50) - 1, 5), (2**52, 2)]
+)
+def test_dyadic_csv_refuses_an_x_column_it_would_round(tmp_path, start, distinct):
+    """haar at J = 3 has 9 samples, x = start + k/8, all doubles while every
+    |x| 2^3 is at most 2^53. Past that, where only 5 (start 2^50) or 2
+    (start 2^52) of them are distinct, DomainError names the path and no
+    file is written."""
+    d = scaling_function(FilterSpec("haar", np.array([0.5, 0.5]), start), 3)
+    assert np.unique(d.xs).size == distinct
+    path = tmp_path / "phi.csv"
+    if distinct == 9:
+        write_dyadic_csv(str(path), d)
+        xs = [Fraction(float(row.split(",")[0])) for row in path.read_text().splitlines()]
+        assert xs == [start + Fraction(k, 8) for k in range(9)]
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: x from .* would round past 2\\^53"):
+            write_dyadic_csv(str(path), d)
+        assert not path.exists()
 
 
 def test_heatmap_constant_matrix_mid_gray(tmp_path):

@@ -12,6 +12,7 @@ import wavekit.errors
 import wavekit.subband as subband
 from wavekit.errors import DomainError, LevelError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
+from wavekit.image2d import dwt2d, idwt2d, max_levels_2d
 from wavekit.io import write_pyramid_container
 from wavekit.subband import (
     SQRT2,
@@ -479,6 +480,48 @@ def test_kernel_against_dense_operators(free, upsample, start, extra, kind, seed
     u, w = (rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2) for _ in "uw")
     inner = np.vdot(y, u) + np.vdot(z, w)
     assert abs(inner - np.vdot(wide, _merge((u, w), f, (0,), SQRT2))) <= 1e-12 * n
+
+
+def _band_energy(*bands) -> float:
+    """Sum of |b|^2 over the bands, in double precision (float32 bands too)."""
+    return sum(np.vdot(b, b).real for b in (b.astype(complex) for b in bands))
+
+
+@settings(max_examples=60)
+@given(
+    free=st.lists(st.floats(0.0, 2.0 * np.pi), max_size=5),
+    start=st.sampled_from((0, 1, 3, -1, -4)),
+    kind=st.sampled_from(("real", "complex", "float32")),
+    # Both sides of _OPERATOR_MAX_N = 256: the operator path and the kernel.
+    n=st.sampled_from((24, 96, 160, 256, 264, 384, 640, 1024)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_pyramids_on_lattice_filters(free, start, kind, n, seed):
+    """Over lattice filters with K = 1..6 stages at starts 0, odd and
+    negative: at every admissible depth the 1-d pyramid of an n-sample signal
+    and the 2-d pyramid of a 4L x 8L image invert within 1e-10 of max|x| and
+    keep the energy across their bands within 1e-12; cuntz_check passes at
+    n = 2L and at 2n."""
+    f = FilterSpec("lattice", lattice_lowpass(free + [np.pi / 4 - sum(free)]), start)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        if kind == "complex":
+            return x + 1j * rng.standard_normal(shape)
+        return x.astype(np.float32) if kind == "float32" else x
+
+    x, img = draw(n), draw(4 * f.length, 8 * f.length)
+    for lev in range(1, max_levels(n, f) + 1):
+        p = dwt1d(x, f, lev)
+        assert np.abs(idwt1d(p, f) - x).max() <= 1e-10 * np.abs(x).max()
+        assert _band_energy(*p.details, p.approx) == pytest.approx(_band_energy(x), rel=1e-12)
+    for lev in range(1, max_levels_2d(img.shape, f) + 1):
+        p = dwt2d(img, f, lev)
+        assert np.abs(idwt2d(p, f) - img).max() <= 1e-10 * np.abs(img).max()
+        planes = [b for t in p.details for b in (t.h, t.v, t.d)]
+        assert _band_energy(*planes, p.approx) == pytest.approx(_band_energy(img), rel=1e-12)
+    assert cuntz_check(f, 2 * f.length).passed and cuntz_check(f, 2 * n).passed
 
 
 def _assert_close_relative(got, ref):
