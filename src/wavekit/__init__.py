@@ -8,188 +8,23 @@ decides whether the translates are orthonormal, and the continuous module
 handles admissibility, scalograms, inversion, and the dyadic wavelet family.
 """
 
-from .cascade import (
-    DyadicFunction,
-    integer_values,
-    refine,
-    refinement_matrix,
-    scaling_function,
-    wavelet_function,
-)
-from .cwt import (
-    WAVELET_NAMES,
-    AnalyzingWavelet,
-    CwtCoefficients,
-    CwtGrid,
-    SampledFunction,
-    admissibility,
-    cwt,
-    dyadic_sample,
-    geometric_scales,
-    icwt,
-    named_wavelet,
-    parseval_ratio,
-    wavelet_from_dyadic,
-    wavelet_from_filter,
-    wavelet_from_samples,
-)
-from .errors import (
-    AdmissibilityError,
-    CatalogError,
-    DegeneracyError,
-    DomainError,
-    FormatError,
-    LevelError,
-    NumericError,
-    ParameterError,
-    PreconditionError,
-    ResolutionError,
-    ShapeError,
-    SizeError,
-    WavekitError,
-)
-from .filters import (
-    BUILTIN_NAMES,
-    FilterSpec,
-    QmfReport,
-    builtin_filter,
-    derive_highpass,
-    qmf_check,
-    symbol_eval,
-)
-from .image2d import (
-    ImagePyramid,
-    LevelDetail,
-    QuadDecomp,
-    Quantizer,
-    dequantize,
-    dwt2d,
-    dwt2d_step,
-    idwt2d,
-    max_levels_2d,
-    preview_layout,
-    quantize,
-    snap_to_lattice,
-)
-from .io import (
-    read_filter_file,
-    read_pgm,
-    read_pyramid_container,
-    read_signal_csv,
-    write_dyadic_csv,
-    write_heatmap_pgm,
-    write_pgm,
-    write_pyramid_container,
-    write_scalogram_csv,
-    write_signal_csv,
-)
-from .subband import (
-    CuntzReport,
-    Pyramid1D,
-    SubbandMatrices,
-    SubbandPair,
-    analysis_step,
-    cuntz_check,
-    dwt1d,
-    idwt1d,
-    max_levels,
-    subband_matrices,
-    synthesis_step,
-)
-from .transfer import (
-    EIGENVALUE_BUCKET,
-    Autocorrelation,
-    OnbVerdict,
-    TransferMatrix,
-    autocorrelation,
-    build_transfer_matrix,
-    format_verdict,
-    lawton_test,
-)
+from . import cascade, cwt, errors, filters, image2d, io, subband, transfer
+
+# Each layer's __all__ is what the package re-exports; every other name is private.
+# Read them while ``cwt`` is the module: ``from .cwt import *`` rebinds it to the function.
+__all__ = [
+    name
+    for layer in (cascade, cwt, errors, filters, image2d, io, subband, transfer)
+    for name in layer.__all__
+]
+
+from .cascade import *
+from .cwt import *
+from .errors import *
+from .filters import *
+from .image2d import *
+from .io import *
+from .subband import *
+from .transfer import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityError",
-    "AnalyzingWavelet",
-    "Autocorrelation",
-    "BUILTIN_NAMES",
-    "CatalogError",
-    "CuntzReport",
-    "CwtCoefficients",
-    "CwtGrid",
-    "DegeneracyError",
-    "DomainError",
-    "DyadicFunction",
-    "EIGENVALUE_BUCKET",
-    "FilterSpec",
-    "FormatError",
-    "ImagePyramid",
-    "LevelDetail",
-    "LevelError",
-    "NumericError",
-    "OnbVerdict",
-    "ParameterError",
-    "PreconditionError",
-    "Pyramid1D",
-    "QmfReport",
-    "QuadDecomp",
-    "Quantizer",
-    "ResolutionError",
-    "SampledFunction",
-    "ShapeError",
-    "SizeError",
-    "SubbandMatrices",
-    "SubbandPair",
-    "TransferMatrix",
-    "WAVELET_NAMES",
-    "WavekitError",
-    "admissibility",
-    "analysis_step",
-    "autocorrelation",
-    "build_transfer_matrix",
-    "builtin_filter",
-    "cuntz_check",
-    "cwt",
-    "dequantize",
-    "derive_highpass",
-    "dwt1d",
-    "dwt2d",
-    "dwt2d_step",
-    "dyadic_sample",
-    "format_verdict",
-    "geometric_scales",
-    "icwt",
-    "idwt1d",
-    "idwt2d",
-    "integer_values",
-    "lawton_test",
-    "max_levels",
-    "max_levels_2d",
-    "named_wavelet",
-    "parseval_ratio",
-    "preview_layout",
-    "qmf_check",
-    "quantize",
-    "read_filter_file",
-    "read_pgm",
-    "read_pyramid_container",
-    "read_signal_csv",
-    "refine",
-    "refinement_matrix",
-    "scaling_function",
-    "snap_to_lattice",
-    "subband_matrices",
-    "symbol_eval",
-    "synthesis_step",
-    "wavelet_from_dyadic",
-    "wavelet_from_filter",
-    "wavelet_from_samples",
-    "wavelet_function",
-    "write_dyadic_csv",
-    "write_heatmap_pgm",
-    "write_pgm",
-    "write_pyramid_container",
-    "write_scalogram_csv",
-    "write_signal_csv",
-]

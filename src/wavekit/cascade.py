@@ -28,6 +28,15 @@ charged against the byte budget before anything is allocated.
 """
 from __future__ import annotations
 
+__all__ = [
+    "DyadicFunction",
+    "integer_values",
+    "refine",
+    "refinement_matrix",
+    "scaling_function",
+    "wavelet_function",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cascade import scaling_function, wavelet_function
+from .cascade import _checked_grid, scaling_function, wavelet_function
 from .cwt import (
     CwtGrid,
     SampledFunction,
@@ -44,11 +44,11 @@ from .image2d import (
     snap_to_lattice,
 )
 from .io import (
+    _check_x_column,
     read_filter_file,
     read_pgm,
     read_pyramid_container,
     read_signal_csv,
-    require_file,
     write_dyadic_csv,
     write_heatmap_pgm,
     write_pgm,
@@ -58,6 +58,13 @@ from .io import (
 )
 from .subband import Pyramid1D, cuntz_check, dwt1d, idwt1d, max_levels
 from .transfer import lawton_test
+
+
+def _require_file(path: str) -> str:
+    """Existence gate with a uniform error for input paths."""
+    if not os.path.isfile(path):
+        raise FormatError(f"{path}: no such file")
+    return path
 
 
 def _resolve_filter(token: str) -> FilterSpec:
@@ -177,7 +184,7 @@ def _run_transform(args) -> int:
         _reject(args.preview, "--preview", mode)
         _reject(args.quantize, "--quantize", mode)
         f = _forward_filter(args)
-        x = read_signal_csv(require_file(args.input))
+        x = read_signal_csv(_require_file(args.input))
         n_lev = _depth(args.levels, max_levels(x.size, f), f"length {x.size}", f)
         pyramid = dwt1d(x, f, n_lev)
         write_pyramid_container(args.out, pyramid, f.name)
@@ -189,7 +196,7 @@ def _run_transform(args) -> int:
         _reject(args.levels, "--levels", mode)
         _reject(args.preview, "--preview", mode)
         _reject(args.quantize, "--quantize", mode)
-        pyramid, container_name = read_pyramid_container(require_file(args.input))
+        pyramid, container_name = read_pyramid_container(_require_file(args.input))
         if not isinstance(pyramid, Pyramid1D):
             raise FormatError(f"{args.input} holds an image pyramid; use idwt2d")
         f = _inverse_filter(args, container_name)
@@ -197,7 +204,7 @@ def _run_transform(args) -> int:
         print(f"wrote {args.out}: {pyramid.signal_length} samples")
     elif mode == "dwt2d":
         f = _forward_filter(args)
-        img = read_pgm(require_file(args.input))
+        img = read_pgm(_require_file(args.input))
         what = f"shape {img.shape[0]}x{img.shape[1]}"
         n_lev = _depth(args.levels, max_levels_2d(img.shape, f), what, f)
         pyramid = dwt2d(img, f, n_lev)
@@ -214,7 +221,7 @@ def _run_transform(args) -> int:
     elif mode == "idwt2d":
         _reject(args.levels, "--levels", mode)
         _reject(args.preview, "--preview", mode)
-        pyramid, container_name = read_pyramid_container(require_file(args.input))
+        pyramid, container_name = read_pyramid_container(_require_file(args.input))
         if not isinstance(pyramid, ImagePyramid):
             raise FormatError(f"{args.input} holds a 1-d pyramid; use idwt1d")
         f = _inverse_filter(args, container_name)
@@ -237,8 +244,12 @@ def _run_transform(args) -> int:
 
 def _run_cascade(args) -> int:
     f = _resolve_filter(args.filter)
+    # A bad resolution, then an x column the CSV would round, is refused before refining.
+    J = _checked_grid(f, args.resolution)
+    x0 = f.start if args.which == "phi" else (2.0 - f.length) / 2.0
+    _check_x_column(args.out, x0, J, (f.length - 1) * (1 << J) + 1)
     build = scaling_function if args.which == "phi" else wavelet_function
-    d = build(f, args.resolution)
+    d = build(f, J)
     write_dyadic_csv(args.out, d)
     x_hi = d.x0 + d.step * (d.values.size - 1)
     integral = d.riemann_integral()
@@ -259,7 +270,7 @@ def _run_cascade(args) -> int:
 
 
 def _run_cwt(args) -> int:
-    signal = read_signal_csv(require_file(args.input))
+    signal = read_signal_csv(_require_file(args.input))
     psi = _resolve_wavelet(args.wavelet)
     constant = admissibility(psi)
     scales = _parse_scales(args.scales)

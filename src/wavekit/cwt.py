@@ -31,6 +31,24 @@ psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) used by discrete decompositions.
 """
 from __future__ import annotations
 
+__all__ = [
+    "WAVELET_NAMES",
+    "AnalyzingWavelet",
+    "CwtCoefficients",
+    "CwtGrid",
+    "SampledFunction",
+    "admissibility",
+    "cwt",
+    "dyadic_sample",
+    "geometric_scales",
+    "icwt",
+    "named_wavelet",
+    "parseval_ratio",
+    "wavelet_from_dyadic",
+    "wavelet_from_filter",
+    "wavelet_from_samples",
+]
+
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,14 +70,14 @@ from .errors import (
 from .filters import FilterSpec
 
 #: Zero-mean gate: |integral psi| must not exceed this times ||psi||_1.
-MEAN_TOLERANCE = 1e-6
+_MEAN_TOLERANCE = 1e-6
 
 #: Default samples across the wavelet support when estimating admissibility.
-ADMISSIBILITY_SAMPLES = 1024
+_ADMISSIBILITY_SAMPLES = 1024
 
 #: Half-width of the padded FFT window, in units of x (at least this, and at
 #: least twice the support width, so the frequency grid resolves the spectrum).
-ADMISSIBILITY_RADIUS = 64.0
+_ADMISSIBILITY_RADIUS = 64.0
 
 #: Bytes of kernel spectra per block of scales and per held ladder.
 _BLOCK_BYTES = 1 << 19
@@ -284,7 +302,7 @@ def _smooth_length(n: int) -> int:
 def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     lo, hi = psi.support
     width = hi - lo
-    target = width / (ADMISSIBILITY_SAMPLES * refine)
+    target = width / (_ADMISSIBILITY_SAMPLES * refine)
     if psi.native_dx is not None and psi.native_dx > 0.0:
         per_step = max(1, int(np.ceil(psi.native_dx / target)))
         dx = psi.native_dx / per_step
@@ -298,7 +316,7 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     if l1 == 0.0:
         raise AdmissibilityError("wavelet is identically zero on its support")
     mean = abs(complex(vals.sum() * dx))
-    if mean > MEAN_TOLERANCE * l1:
+    if mean > _MEAN_TOLERANCE * l1:
         raise AdmissibilityError(
             f"wavelet {psi.name!r} has nonzero mean ({mean:.3g}); the "
             "admissibility integral diverges at zero frequency"
@@ -307,7 +325,7 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     # The zero-padded support samples stand for psi on a window padded by
     # ``pad`` each side: where psi sits in it moves only the phase of psi_hat.
     # 67,074 = 2·3·7·1597 points (level-8 db4) transform slower than 67,200.
-    pad = int(np.ceil(max(ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
+    pad = int(np.ceil(max(_ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
     n = _smooth_length(xs.size + 2 * pad)
     per_point = 36 if np.iscomplexobj(vals) else 24  # traced: 20.4 bytes real, 26 to 34 complex
     _charge(f"admissibility of {psi.name!r} on {n} FFT points", per_point * n)

@@ -8,6 +8,22 @@ families to distinct exit statuses.
 """
 from __future__ import annotations
 
+__all__ = [
+    "AdmissibilityError",
+    "CatalogError",
+    "DegeneracyError",
+    "DomainError",
+    "FormatError",
+    "LevelError",
+    "NumericError",
+    "ParameterError",
+    "PreconditionError",
+    "ResolutionError",
+    "ShapeError",
+    "SizeError",
+    "WavekitError",
+]
+
 #: Most bytes one wavekit call may allocate: each gate charges its measured
 #: peak against it, through ``_charge``, before allocating anything.
 _BYTE_BUDGET = 1 << 30

@@ -19,6 +19,16 @@ the spec too; only that module knows their layout.
 """
 from __future__ import annotations
 
+__all__ = [
+    "BUILTIN_NAMES",
+    "FilterSpec",
+    "QmfReport",
+    "builtin_filter",
+    "derive_highpass",
+    "qmf_check",
+    "symbol_eval",
+]
+
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,10 +37,10 @@ import numpy as np
 from .errors import CatalogError, DomainError, ParameterError
 
 #: |sum(h) - 1| tolerance enforced when a spec is flagged ``normalized``.
-SUM_TOLERANCE = 1e-12
+_SUM_TOLERANCE = 1e-12
 
 #: How far |z| may sit from 1 in ``symbol_eval``.
-UNIT_CIRCLE_TOLERANCE = 1e-9
+_UNIT_CIRCLE_TOLERANCE = 1e-9
 
 #: Largest |start| of a filter: past it the cascade's lattice is inexact in floats.
 _START_LIMIT = 1 << 52
@@ -67,7 +77,7 @@ class FilterSpec:
         object.__setattr__(self, "start", int(self.start))
         if abs(self.start) > _START_LIMIT:
             raise DomainError(f"filter start {self.start} is past the 2^52 limit")
-        if self.normalized and abs(arr.sum() - 1.0) > SUM_TOLERANCE:
+        if self.normalized and abs(arr.sum() - 1.0) > _SUM_TOLERANCE:
             raise DomainError(
                 f"filter {self.name!r} is flagged normalized but sum(h) = "
                 f"{arr.sum().item()!r}"
@@ -211,7 +221,7 @@ def symbol_eval(f: FilterSpec, which: str, z):
     elif which != "low":
         raise ParameterError(f"which must be 'low' or 'high', got {which!r}")
     zarr = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(np.abs(zarr) - 1.0) > UNIT_CIRCLE_TOLERANCE):
+    if np.any(np.abs(np.abs(zarr) - 1.0) > _UNIT_CIRCLE_TOLERANCE):
         raise DomainError("symbol_eval is defined on the unit circle only")
     # Horner on descending powers, then shift by the starting index.
     acc = np.zeros_like(zarr)

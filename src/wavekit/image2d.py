@@ -22,6 +22,21 @@ coefficients to a uniform lattice for storage.
 """
 from __future__ import annotations
 
+__all__ = [
+    "ImagePyramid",
+    "LevelDetail",
+    "QuadDecomp",
+    "Quantizer",
+    "dequantize",
+    "dwt2d",
+    "dwt2d_step",
+    "idwt2d",
+    "max_levels_2d",
+    "preview_layout",
+    "quantize",
+    "snap_to_lattice",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,18 +7,31 @@ precision; real arrays stay plain decimals. PGM covers both the ASCII (P2)
 and binary (P5) flavors with maxval up to 255.
 
 Each job on a text file has one private helper: ``_lines`` splits at line
-ends only (LF, CRLF, CR) and names ``path:line`` of bytes that are not
-UTF-8, ``_header`` parses ``key: value`` lines, ``_integer`` parses every
-integer header field, ``_read_numbers`` every number on a line (naming
-``path:line`` for a bad cell or a row of the wrong width) and
-``_write_lines`` writes every text file. Numbers are ASCII
-decimals: ``parse_value`` and ``_integer`` refuse the digit separators and
+ends only (LF, CRLF, CR) and names ``path:line`` of bytes that are not UTF-8,
+``_header`` parses ``key: value`` lines, ``_integer`` every integer header
+field, ``_parse_value`` one number and ``_format_value`` writes one,
+``_read_numbers`` every number on a line (naming ``path:line`` for a bad cell
+or a row of the wrong width), ``_check_x_column`` refuses a dyadic grid whose
+x would round and ``_write_lines`` writes every text file. Numbers are ASCII
+decimals: ``_parse_value`` and ``_integer`` refuse the digit separators and
 non-ASCII digits that ``float`` and ``int`` take.
 """
 from __future__ import annotations
 
+__all__ = [
+    "read_filter_file",
+    "read_pgm",
+    "read_pyramid_container",
+    "read_signal_csv",
+    "write_dyadic_csv",
+    "write_heatmap_pgm",
+    "write_pgm",
+    "write_pyramid_container",
+    "write_scalogram_csv",
+    "write_signal_csv",
+]
+
 import math
-import os
 import re
 from contextlib import suppress
 from itertools import chain, compress, count, islice, repeat
@@ -31,14 +44,14 @@ from .filters import FilterSpec, _START_LIMIT
 from .image2d import ImagePyramid, LevelDetail, _rescale_for_display, _round_half_away
 from .subband import Pyramid1D, _check_chain
 
-CONTAINER_MAGIC = "wavekit-pyr1"
+_CONTAINER_MAGIC = "wavekit-pyr1"
 
 
 # ---------------------------------------------------------------------------
 # scalar formatting
 
 
-def format_value(v) -> str:
+def _format_value(v) -> str:
     """One float or complex scalar at full (17 significant digit) precision."""
     if not isinstance(v, float) and (isinstance(v, complex) or np.iscomplexobj(v)):
         c = complex(v)
@@ -46,8 +59,8 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def parse_value(token: str):
-    """Inverse of format_value: decimal, or a+bi with an ``i`` suffix."""
+def _parse_value(token: str):
+    """Inverse of _format_value: decimal, or a+bi with an ``i`` suffix."""
     text = token.strip()
     if not text:
         raise FormatError("empty numeric field")
@@ -70,7 +83,7 @@ def parse_value(token: str):
 
 
 def _format_array_line(row) -> str:
-    return ",".join(map(format_value, row))
+    return ",".join(map(_format_value, row))
 
 
 def _lines(path: str) -> list[str]:
@@ -143,7 +156,7 @@ def _read_numbers(
     the line number of each text; a line of another width or with a bad cell
     raises FormatError naming ``path:line``.
 
-    All cells go through one ``map(parse_value, ...)``, and the failing line
+    All cells go through one ``map(_parse_value, ...)``, and the failing line
     is looked for, and ``numbers`` read, only after a failure: a guarded
     parse per line read a 2^16-line signal CSV markedly slower.
     """
@@ -155,7 +168,7 @@ def _read_numbers(
         cells = _cells(joined, sep) if fits else None
     if cells is not None:
         try:
-            return np.asarray(list(map(parse_value, cells)))
+            return np.asarray(list(map(_parse_value, cells)))
         except FormatError:
             pass
     for lineno, text in zip(numbers, texts):
@@ -164,7 +177,7 @@ def _read_numbers(
             if width is not None and len(cells) != width:
                 raise FormatError(f"expected {width} column(s), got {len(cells)}")
             for cell in cells:
-                parse_value(cell)
+                _parse_value(cell)
         except FormatError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
     raise AssertionError("unreachable: a failed parse has a failing line")
@@ -183,7 +196,7 @@ def read_signal_csv(path: str) -> np.ndarray:
 
 
 def write_signal_csv(path: str, values) -> None:
-    _write_lines(path, map(format_value, np.atleast_1d(np.asarray(values))))
+    _write_lines(path, map(_format_value, np.atleast_1d(np.asarray(values))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +339,7 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     size = f"len: {shape[0]}" if ndim == 1 else f"dims: {shape[0]}x{shape[1]}"
     planes = [p.reshape(len(p), -1) for bands in (*levels, (pyramid.approx,)) for p in bands]
     lines = [
-        f"magic: {CONTAINER_MAGIC}",
+        f"magic: {_CONTAINER_MAGIC}",
         f"filter: {filter_name}",
         f"levels: {pyramid.levels}",
         size,
@@ -343,8 +356,8 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
     keys = (("magic",), ("filter",), ("levels",), ("len", "dims"))
     header = _header(path, lines, count(1), keys)
     # The header is always lines 1 to 4, so its errors name those lines.
-    if header["magic"] != CONTAINER_MAGIC:
-        raise FormatError(f"{path}:1: magic is not {CONTAINER_MAGIC!r}")
+    if header["magic"] != _CONTAINER_MAGIC:
+        raise FormatError(f"{path}:1: magic is not {_CONTAINER_MAGIC!r}")
     levels = _integer(f"{path}:3", "levels", header["levels"])
     if levels < 1:
         raise FormatError(f"{path}:3: levels must be at least 1")
@@ -386,12 +399,17 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
 # analysis exports
 
 
+def _check_x_column(path: str, x0: float, level: int, count: int) -> None:
+    """Refuse, naming ``path``, the grid x0 + k/2^level (k < count) when some
+    |x| 2^level passes 2^53, so that its x column would round."""
+    first = x0 * 2.0 ** level  # in steps of 2^-level, exactly; float-int comparisons are exact
+    if not -(2**53) <= first <= 2**53 - (count - 1):
+        raise DomainError(f"{path}: x from {x0:.17g} at step 2^-{level} would round past 2^53")
+
+
 def write_dyadic_csv(path: str, d) -> None:
-    """x,value rows at the function's own grid resolution. Before ``path`` is
-    opened, a grid with some |x| 2^J past 2^53, whose x would round, raises DomainError."""
-    first = d.x0 * 2.0 ** d.level  # in steps of 2^-J, exactly; float-int comparisons are exact
-    if not -(2**53) <= first <= 2**53 - (d.values.size - 1):
-        raise DomainError(f"{path}: x from {d.x0:.17g} at step 2^-{d.level} would round past 2^53")
+    """x,value rows at the function's own grid, refused by ``_check_x_column`` first."""
+    _check_x_column(path, d.x0, d.level, d.values.size)
     _write_lines(path, map(_format_array_line, zip(d.xs, d.values)))
 
 
@@ -404,10 +422,3 @@ def write_scalogram_csv(path: str, c) -> None:
 def write_heatmap_pgm(path: str, c) -> None:
     """Coefficient magnitudes affinely mapped onto the 0..255 gray ramp."""
     write_pgm(path, _rescale_for_display(np.abs(np.atleast_2d(c.matrix))))
-
-
-def require_file(path: str) -> str:
-    """Existence gate with a uniform error for CLI input paths."""
-    if not os.path.isfile(path):
-        raise FormatError(f"{path}: no such file")
-    return path

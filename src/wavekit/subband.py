@@ -46,6 +46,20 @@ buffer, that product's result. Every other caller (``analysis_step``,
 """
 from __future__ import annotations
 
+__all__ = [
+    "CuntzReport",
+    "Pyramid1D",
+    "SubbandMatrices",
+    "SubbandPair",
+    "analysis_step",
+    "cuntz_check",
+    "dwt1d",
+    "idwt1d",
+    "max_levels",
+    "subband_matrices",
+    "synthesis_step",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -54,7 +68,7 @@ import numpy as np
 from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeError, _charge
 from .filters import FilterSpec, derive_highpass
 
-SQRT2 = float(np.sqrt(2.0))
+_SQRT2 = float(np.sqrt(2.0))
 
 #: Most outputs per channel that one block of ``_polyphase_product``
 #: computes (64 KiB of float64). Its gather buffer, about twice that, stays
@@ -358,7 +372,7 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...]
         shape = tuple(2 * n for n in shape)
     try:
         dtype = np.result_type(*{b.dtype for bands in (*levels, (approx,)) for b in bands})
-    except TypeError:  # no common dtype, e.g. strings among numbers
+    except TypeError:  # no common dtype, e.g. datetimes among numbers
         dtype = None
     if dtype is None or dtype.kind not in "biufc":
         raise DomainError("bands must be numeric (bool, integer, float or complex)")
@@ -400,7 +414,7 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
             return None
         bands = []
         for _ in range(levels):
-            rows, z = _split(rows, f, (1,), SQRT2)
+            rows, z = _split(rows, f, (1,), _SQRT2)
             bands.append(z)
         op = f._tap_cache[key] = np.concatenate((*bands, rows), axis=1)
         op.setflags(write=False)
@@ -434,7 +448,7 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
     so the step is exactly invertible by ``synthesis_step`` for filters that
     pass ``qmf_check``.
     """
-    y, z = _split(_checked(x, f, 1), f, (0,), SQRT2)
+    y, z = _split(_checked(x, f, 1), f, (0,), _SQRT2)
     return SubbandPair(y=y, z=z)
 
 
@@ -442,7 +456,7 @@ def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     """Merge an averages/details pair back into a double-length signal."""
     levels = [(p.z,)]
     _check_chain(p.y, levels, 1)
-    return _unpyramid(p.y, levels, f, (0,), SQRT2)
+    return _unpyramid(p.y, levels, f, (0,), _SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
@@ -484,7 +498,7 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
         return Pyramid1D(details=details, approx=c[ends[-1] :])
     details = []
     for _ in range(n_lev):
-        current, z = _split(current, f, (0,), SQRT2)
+        current, z = _split(current, f, (0,), _SQRT2)
         details.append(z)
     return Pyramid1D(details=tuple(details), approx=current)
 
@@ -498,7 +512,7 @@ def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     (n,), dtype = _check_chain(p.approx, levels, 1)
     op = _pyramid_operator(f, n, p.levels, dtype)
     if op is None:
-        return _unpyramid(p.approx, levels, f, (0,), SQRT2)
+        return _unpyramid(p.approx, levels, f, (0,), _SQRT2)
     return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)
 
 
@@ -518,10 +532,10 @@ def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:
     ana = (np.arange(n)[None, :] - 2 * np.arange(n // 2)[:, None]) % n
     return SubbandMatrices(
         n=n,
-        synthesis_low=SQRT2 * hp[syn],
-        synthesis_high=SQRT2 * gp[syn],
-        analysis_low=SQRT2 * np.conj(hp[ana]),
-        analysis_high=SQRT2 * np.conj(gp[ana]),
+        synthesis_low=_SQRT2 * hp[syn],
+        synthesis_high=_SQRT2 * gp[syn],
+        analysis_low=_SQRT2 * np.conj(hp[ana]),
+        analysis_high=_SQRT2 * np.conj(gp[ana]),
     )
 
 
@@ -547,11 +561,11 @@ def cuntz_check(f: FilterSpec, n: int, tol: float = 1e-10) -> CuntzReport:
     # Columns 0 and 1 of S_0 A_0 + S_1 A_1 - I: e0 and e1 (the rows of e),
     # split then merged.
     e = np.eye(2, n, dtype=dtype)
-    completeness = np.abs(_merge(_split(e, f, (1,), SQRT2), f, (1,), SQRT2) - e).max()
+    completeness = np.abs(_merge(_split(e, f, (1,), _SQRT2), f, (1,), _SQRT2) - e).max()
     # Column 0 of A_i S_j - delta_ij I: e0 in the low band (row 0) and in the
     # high band (row 1), merged then split, the bands side by side as in e.
     e[1, 1], e[1, half] = 0.0, 1.0
-    out = _split(_merge((e[:, :half], e[:, half:]), f, (1,), SQRT2), f, (1,), SQRT2)
+    out = _split(_merge((e[:, :half], e[:, half:]), f, (1,), _SQRT2), f, (1,), _SQRT2)
     dev = np.abs(np.concatenate(out, axis=1) - e).reshape(2, 2, half).max(axis=2).T
     worst = float(max(dev.max(), completeness))
     return CuntzReport(

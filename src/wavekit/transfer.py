@@ -23,6 +23,17 @@ block of size L and an odd block of size L - 1 (Cantoni & Butler 1976), which
 """
 from __future__ import annotations
 
+__all__ = [
+    "EIGENVALUE_BUCKET",
+    "Autocorrelation",
+    "OnbVerdict",
+    "TransferMatrix",
+    "autocorrelation",
+    "build_transfer_matrix",
+    "format_verdict",
+    "lawton_test",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

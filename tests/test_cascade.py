@@ -192,6 +192,12 @@ def test_refine_validates_grid_size():
         refine(bad, f)
 
 
+@pytest.mark.parametrize("level", [-1, -30])
+def test_dyadic_function_refuses_a_negative_level(level):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        DyadicFunction(x0=0.0, level=level, values=np.ones(3))
+
+
 def test_refinement_matrix_needs_two_taps():
     with pytest.raises(SizeError):
         refinement_matrix(FilterSpec("one", np.array([1.0]), 0, normalized=True))

@@ -329,10 +329,12 @@ def test_cascade_haar_padded_with_zero_taps(tmp_path):
 
 
 @pytest.mark.parametrize("start", [2**50 - 1, 2**50])
-def test_cascade_refuses_an_x_column_it_would_round(tmp_path, start):
+def test_cascade_refuses_an_x_column_it_would_round(monkeypatch, capsys, tmp_path, start):
     """haar's x = start + k/8 at J = 3 are all doubles up to start 2^50 - 1;
     from start 2^50 the command exits 2 with one error line naming the CSV,
-    and writes no CSV."""
+    and writes no CSV. The refusal comes before any refinement: in process,
+    with refinement made to fail, start 2^50 at J = 22 still exits 2; psi,
+    whose grid does not move with the start, is written."""
     path = tmp_path / "far.txt"
     path.write_text(f"name: far\nstart: {start}\ncoeffs: 0.5 0.5\n")
     out = tmp_path / "phi.csv"
@@ -343,6 +345,27 @@ def test_cascade_refuses_an_x_column_it_would_round(tmp_path, start):
     else:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith(f"error: {out}: x from") and len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+        import wavekit.cli
+
+        # psi's grid starts at (2 - L)/2 = 0 whatever the start, so it is written.
+        psi = tmp_path / "psi.csv"
+        argv = ["cascade", "--filter", str(path), "--resolution", "3", "--which", "psi"]
+        assert wavekit.cli.main([*argv, "--out", str(psi)]) == 0
+        assert np.loadtxt(psi, delimiter=",")[0, 0] == 0.0
+        capsys.readouterr()
+
+        def refined(*args, **kwargs):
+            raise AssertionError("refined before the x column was checked")
+
+        monkeypatch.setattr(wavekit.cli, "scaling_function", refined)
+        monkeypatch.setattr(wavekit.cli, "wavelet_function", refined)
+        argv = ["cascade", "--filter", str(path), "--resolution", "22", "--out", str(out)]
+        assert wavekit.cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {out}: x from")
+        assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
 

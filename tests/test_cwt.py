@@ -17,6 +17,7 @@ from wavekit.errors import (
     DomainError,
     ParameterError,
     ResolutionError,
+    ShapeError,
     SizeError,
 )
 from wavekit.cwt import (
@@ -79,6 +80,22 @@ def test_sampled_function_validation():
         SampledFunction(0.0, 0.0, np.ones(4))
     with pytest.raises(ParameterError):
         SampledFunction(0.0, -1.0, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [(np.ones((2, 3)), ShapeError), (np.array([]), SizeError)],
+    ids=["2-d", "empty"],
+)
+def test_sampled_function_refuses_bad_values(values, error):
+    with pytest.raises(error):
+        SampledFunction(0.0, 1.0, values)
+
+
+@pytest.mark.parametrize("support", [(-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf)])
+def test_analyzing_wavelet_refuses_a_non_finite_support(support):
+    with pytest.raises(ParameterError, match="finite interval"):
+        AnalyzingWavelet("w", support, np.sin)
 
 
 def test_norm_matches_closed_form():
@@ -281,7 +298,7 @@ def padded_window_admissibility(psi, refine):
     half-axes."""
     lo, hi = psi.support
     width = hi - lo
-    target = width / (CWT_MODULE.ADMISSIBILITY_SAMPLES * refine)
+    target = width / (CWT_MODULE._ADMISSIBILITY_SAMPLES * refine)
     if psi.native_dx is not None:
         dx = psi.native_dx / max(1, int(np.ceil(psi.native_dx / target)))
     else:
@@ -289,9 +306,9 @@ def padded_window_admissibility(psi, refine):
     xs = lo + dx * np.arange(int(round(width / dx)))
     vals = psi.evaluate(xs)
     l1 = float(np.abs(vals).sum() * dx)
-    if l1 == 0.0 or abs(complex(vals.sum() * dx)) > CWT_MODULE.MEAN_TOLERANCE * l1:
+    if l1 == 0.0 or abs(complex(vals.sum() * dx)) > CWT_MODULE._MEAN_TOLERANCE * l1:
         raise AdmissibilityError("zero, or nonzero mean")
-    pad = int(np.ceil(max(CWT_MODULE.ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
+    pad = int(np.ceil(max(CWT_MODULE._ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
     window = (lo - pad * dx) + dx * np.arange(xs.size + 2 * pad)
     n = CWT_MODULE._smooth_length(window.size)
     power = np.abs(dx * np.fft.fft(psi.evaluate(window), n)) ** 2
@@ -430,6 +447,28 @@ def test_grid_validation():
         CwtGrid(scales=np.array([-1.0]), shifts=np.array([0.0]))
     g = CwtGrid(scales=np.array([1.0, 2.0]), shifts=np.array([0.0, 1.0, 2.0]))
     assert g.shape == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "scales, shifts, error",
+    [
+        ([], [0.0], SizeError),
+        ([1.0], [], SizeError),
+        ([1.0, np.inf], [0.0], DomainError),
+        ([1.0], [0.0, np.nan], DomainError),
+    ],
+    ids=["no-scales", "no-shifts", "infinite-scale", "nan-shift"],
+)
+def test_grid_refuses_empty_or_non_finite_values(scales, shifts, error):
+    with pytest.raises(error):
+        CwtGrid(scales=np.array(scales), shifts=np.array(shifts))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (3,)])
+def test_coefficients_refuse_a_matrix_off_their_grid(shape):
+    grid = CwtGrid(scales=np.array([1.0, 2.0]), shifts=np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ShapeError, match="does not match grid"):
+        CwtCoefficients(np.zeros(shape), grid, 0.0, 1.0, 3)
 
 
 # --- forward transform ------------------------------------------------------
@@ -906,6 +945,29 @@ def test_dyadic_sample_matches_closed_form():
     expect[4:6] = math.sqrt(2.0)
     expect[6:8] = -math.sqrt(2.0)
     assert_allclose(s.values, expect, atol=0)
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        (np.arange(17) / 8.0, None),
+        (np.array([0.5]), ShapeError),
+        (np.array([0.0, 0.25, 0.75]), DomainError),
+    ],
+    ids=["uniform", "one-point", "non-uniform"],
+)
+def test_dyadic_sample_on_an_array_grid(points, error):
+    """A uniform array of points gives the samples of the equivalent
+    SampledFunction grid; a single point or uneven steps are refused."""
+    psi = named_wavelet("haar_psi")
+    if error is not None:
+        with pytest.raises(error):
+            dyadic_sample(psi, 1, 1, points)
+        return
+    s = dyadic_sample(psi, 1, 1, points)
+    t = dyadic_sample(psi, 1, 1, SampledFunction(0.0, 0.125, np.zeros(17)))
+    assert (s.x_min, s.dx) == (t.x_min, t.dx)
+    assert_allclose(s.values, t.values, atol=0)
 
 
 @pytest.mark.parametrize("j,k", [(-2, 3), (0, 0), (3, -5)])

@@ -9,6 +9,7 @@ from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import (
     ImagePyramid,
     LevelDetail,
+    QuadDecomp,
     Quantizer,
     dequantize,
     dwt2d,
@@ -123,6 +124,24 @@ def test_dwt2d_level_validation():
         dwt2d(np.ones(8), f, 1)
 
 
+@pytest.mark.parametrize(
+    "planes",
+    [
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2))),
+        (np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)),
+    ],
+    ids=["unequal", "1-d"],
+)
+def test_quad_decomp_refuses_unequal_planes(planes):
+    with pytest.raises(ShapeError, match="equal shape"):
+        QuadDecomp(*planes)
+
+
+def test_image_pyramid_needs_a_level():
+    with pytest.raises(ShapeError, match="at least one detail level"):
+        ImagePyramid(details=(), approx=np.zeros((2, 2)))
+
+
 def test_idwt2d_plane_chain_checked():
     f = builtin_filter("haar")
     p = dwt2d(RNG.standard_normal((8, 8)), f, 2)
@@ -217,6 +236,20 @@ def test_quantize_rounds_half_away_from_zero():
     assert q.approx[0, 0] == 1.0
     p_neg = ImagePyramid(details=base.details, approx=np.array([[-0.5]]))
     assert quantize(p_neg, Quantizer(step=1.0)).approx[0, 0] == -1.0
+
+
+def test_complex_planes_quantize_componentwise_and_preview_by_magnitude():
+    """quantize rounds the real and imaginary parts of a complex plane each
+    half away from zero; preview_layout renders a complex plane by its
+    magnitude."""
+    plane = np.array([[0.5 - 1.5j, -0.5 + 0.25j], [2.4 + 0.0j, -2.5j]])
+    p = ImagePyramid(details=(LevelDetail(h=plane, v=plane, d=plane),), approx=plane)
+    q = quantize(p, Quantizer(step=1.0))
+    for got in (q.approx, q.details[0].h):
+        assert np.array_equal(got, [[1.0 - 2.0j, -1.0 + 0.0j], [2.0 + 0.0j, -3.0j]])
+    mosaic = preview_layout(p)
+    magnitude = preview_layout(p.map_planes(np.abs))
+    assert mosaic.dtype == np.uint8 and np.array_equal(mosaic, magnitude)
 
 
 def test_quantization_error_bounded_by_half_step():

@@ -10,17 +10,17 @@ from numpy.testing import assert_allclose
 
 from wavekit.errors import DomainError, FormatError, ShapeError, WavekitError
 from wavekit.cascade import scaling_function
+from wavekit.cli import _require_file
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
 from wavekit.io import (
-    CONTAINER_MAGIC,
-    format_value,
-    parse_value,
+    _CONTAINER_MAGIC,
+    _format_value,
+    _parse_value,
     read_filter_file,
     read_pgm,
     read_pyramid_container,
     read_signal_csv,
-    require_file,
     write_dyadic_csv,
     write_heatmap_pgm,
     write_pgm,
@@ -41,19 +41,19 @@ RNG = np.random.default_rng(57721566)
     [0.0, 1.0, -1.5, 1 / 3, np.pi, 1e-300, -2.2250738585072014e-308, 12345.6789],
 )
 def test_float_roundtrip_bit_identical(x):
-    assert parse_value(format_value(x)) == x
+    assert _parse_value(_format_value(x)) == x
 
 
 def test_seventeen_digits_survive():
     x = 0.1 + 0.2  # 0.30000000000000004
-    assert parse_value(format_value(x)) == x
+    assert _parse_value(_format_value(x)) == x
 
 
 def test_complex_roundtrip():
     z = complex(1 / 3, -2 / 7)
-    token = format_value(z)
+    token = _format_value(z)
     assert token.endswith("i")
-    assert parse_value(token) == z
+    assert _parse_value(token) == z
 
 
 def test_parse_rejects_garbage():
@@ -61,7 +61,7 @@ def test_parse_rejects_garbage():
     decimals: a digit separator, Arabic-Indic and fullwidth digits."""
     for bad in ("", "  ", "abc", "1+2", "nan", "inf", "1e999", "1_0", "1+2_0i", "\u0663", "\uff11.\uff15"):
         with pytest.raises(FormatError):
-            parse_value(bad)
+            _parse_value(bad)
 
 
 @pytest.mark.parametrize(
@@ -81,9 +81,9 @@ def test_parse_finiteness_edge_tokens(token, expected):
     finite is accepted."""
     if expected is None:
         with pytest.raises(FormatError, match="non-finite"):
-            parse_value(token)
+            _parse_value(token)
     else:
-        assert parse_value(token) == expected
+        assert _parse_value(token) == expected
 
 
 # --- signal CSV ----------------------------------------------------------------
@@ -179,11 +179,36 @@ def test_pgm_rejects_pixels_that_are_not_unsigned_decimals(tmp_path, pixel):
         read_pgm(str(path))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n4 4\n", "truncated PGM header"),
+        (b"P2 # 3 3 255\n", "truncated PGM header"),
+        (b"P2\n0 4\n255\n", "bad PGM dimensions 0x4"),
+        (b"P5\n4 0\n255\n", "bad PGM dimensions 4x0"),
+    ],
+    ids=["two-fields", "fields-in-a-comment", "zero-width", "zero-height"],
+)
+def test_pgm_rejects_a_bad_header(tmp_path, data, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_pgm(str(path))
+
+
 def test_pgm_rejects_pixel_above_maxval(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P2\n1 1\n10\n11\n")
     with pytest.raises(FormatError):
         read_pgm(str(path))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,), (2, 2, 2)])
+def test_write_pgm_refuses_what_is_not_a_nonempty_image(tmp_path, shape):
+    path = tmp_path / "img.pgm"
+    with pytest.raises(FormatError, match="nonempty 2-d"):
+        write_pgm(str(path), np.zeros(shape))
+    assert not path.exists()
 
 
 def test_write_pgm_clips_and_rounds(tmp_path):
@@ -278,7 +303,7 @@ def test_container_header_text(tmp_path):
     path = tmp_path / "p.pyr"
     write_pyramid_container(str(path), p, "haar")
     lines = path.read_text().splitlines()
-    assert lines[0] == f"magic: {CONTAINER_MAGIC}"
+    assert lines[0] == f"magic: {_CONTAINER_MAGIC}"
     assert lines[1] == "filter: haar"
     assert lines[2] == "levels: 1"
     assert lines[3] == "len: 8"
@@ -309,6 +334,26 @@ def test_container_writer_refuses_pyramids_that_do_not_chain(tmp_path):
         with pytest.raises(error, match=message):
             write_pyramid_container(str(path), pyramid, "haar")
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "thing",
+    [np.ones(4), dwt2d(np.ones((4, 4)), builtin_filter("haar"), 1).details[0]],
+    ids=["array", "level-detail"],
+)
+def test_container_writer_refuses_what_is_not_a_pyramid(tmp_path, thing):
+    path = tmp_path / "p.pyr"
+    with pytest.raises(FormatError, match=f"cannot serialize {type(thing).__name__}"):
+        write_pyramid_container(str(path), thing, "haar")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_container_rejects_fewer_than_one_level(tmp_path, levels):
+    path = tmp_path / "p.pyr"
+    path.write_text(f"magic: wavekit-pyr1\nfilter: haar\nlevels: {levels}\nlen: 2\n[approx]\n1\n2\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: levels must be at least 1")):
+        read_pyramid_container(str(path))
 
 
 def test_container_rejects_wrong_magic(tmp_path):
@@ -691,8 +736,8 @@ def test_heatmap_constant_matrix_mid_gray(tmp_path):
 def test_require_file(tmp_path):
     real = tmp_path / "x"
     real.write_text("ok")
-    assert require_file(str(real)) == str(real)
+    assert _require_file(str(real)) == str(real)
     with pytest.raises(FormatError):
-        require_file(str(tmp_path / "missing"))
+        _require_file(str(tmp_path / "missing"))
     with pytest.raises(FormatError):
-        require_file(str(tmp_path))  # a directory is not a file
+        _require_file(str(tmp_path))  # a directory is not a file

@@ -10,12 +10,12 @@ from numpy.testing import assert_allclose
 
 import wavekit.errors
 import wavekit.subband as subband
-from wavekit.errors import DomainError, LevelError, ShapeError, SizeError
+from wavekit.errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import dwt2d, idwt2d, max_levels_2d
 from wavekit.io import write_pyramid_container
 from wavekit.subband import (
-    SQRT2,
+    _SQRT2,
     Pyramid1D,
     SubbandPair,
     _merge,
@@ -147,6 +147,11 @@ def test_idwt1d_shape_chain_checked():
         idwt1d(broken, f)
 
 
+def test_pyramid_needs_a_level():
+    with pytest.raises(ShapeError, match="at least one detail level"):
+        Pyramid1D(details=(), approx=np.ones(4))
+
+
 def test_idwt1d_accepts_bands_given_as_lists(tmp_path):
     """A pyramid built from lists inverts, counts and serializes like the one
     built from the arrays they came from."""
@@ -193,6 +198,23 @@ def test_non_numeric_signals_and_bands_are_refused(x):
     ):
         with pytest.raises(DomainError):
             idwt1d(broken, f)
+
+
+@pytest.mark.parametrize("where", ("detail", "approx"))
+def test_datetime_band_has_no_common_dtype_with_numbers(where):
+    """numpy promotes no datetime64 with a float (a TypeError, where strings
+    among numbers promote to a string dtype); the chain rule reports that as
+    a non-numeric band."""
+    f = builtin_filter("haar")
+    dates = np.arange(4).astype("datetime64[D]")
+    p = dwt1d(np.ones(8), f, 1)
+    broken = (
+        Pyramid1D(details=(dates,), approx=p.approx)
+        if where == "detail"
+        else Pyramid1D(details=p.details, approx=dates)
+    )
+    with pytest.raises(DomainError, match="bands must be numeric"):
+        idwt1d(broken, f)
 
 
 def test_bool_and_integer_signals_pass_the_gate():
@@ -271,6 +293,12 @@ def test_cuntz_detects_non_isometry():
     rep = cuntz_check(f, n=8, tol=1e-10)
     assert not rep.passed
     assert rep.max_deviation >= 0.5
+
+
+@pytest.mark.parametrize("tol", (-1e-10, np.nan, np.inf))
+def test_cuntz_bad_tol(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        cuntz_check(builtin_filter("haar"), n=8, tol=tol)
 
 
 def test_cuntz_window_floor():
@@ -467,19 +495,19 @@ def test_kernel_against_dense_operators(free, upsample, start, extra, kind, seed
     dtype = np.result_type(x, h, np.float64)
     wide = x.astype(dtype)
 
-    y, z = _split(x, f, (0,), SQRT2)
+    y, z = _split(x, f, (0,), _SQRT2)
     m = subband_matrices(f, n)
     assert y.dtype == z.dtype == dtype
     assert_allclose(y, m.analysis_low @ wide, rtol=0, atol=1e-12)
     assert_allclose(z, m.analysis_high @ wide, rtol=0, atol=1e-12)
-    back = _merge((y, z), f, (0,), SQRT2)
+    back = _merge((y, z), f, (0,), _SQRT2)
     assert back.dtype == dtype
     assert_allclose(back, wide, rtol=0, atol=1e-10)
     energy = np.vdot(y, y).real + np.vdot(z, z).real
     assert energy == pytest.approx(np.vdot(wide, wide).real, rel=1e-12)
     u, w = (rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2) for _ in "uw")
     inner = np.vdot(y, u) + np.vdot(z, w)
-    assert abs(inner - np.vdot(wide, _merge((u, w), f, (0,), SQRT2))) <= 1e-12 * n
+    assert abs(inner - np.vdot(wide, _merge((u, w), f, (0,), _SQRT2))) <= 1e-12 * n
 
 
 def _band_energy(*bands) -> float:
@@ -537,12 +565,12 @@ def test_batched_rows_match_the_row_loop(monkeypatch, lattice_filters, block):
     the whole stack."""
     rows = RNG.standard_normal((1000, 64))
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
-        loop = [_split(r, f, (0,), SQRT2) for r in rows]
-        merged = np.stack([_merge(b, f, (0,), SQRT2) for b in loop])
+        loop = [_split(r, f, (0,), _SQRT2) for r in rows]
+        merged = np.stack([_merge(b, f, (0,), _SQRT2) for b in loop])
         with monkeypatch.context() as patch:
             patch.setattr(subband, "_BLOCK", block)
-            bands = _split(rows, f, (1,), SQRT2)
-            back = _merge(bands, f, (1,), SQRT2)
+            bands = _split(rows, f, (1,), _SQRT2)
+            back = _merge(bands, f, (1,), _SQRT2)
         for j, band in enumerate(bands):
             _assert_close_relative(band, np.stack([b[j] for b in loop]))
         _assert_close_relative(back, merged)
@@ -564,18 +592,18 @@ def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
     """Offsets and taps come as one cached pair: h (db4) starts at pair 0 and
     its companion g, on -2..1, at pair -1."""
     f = builtin_filter("db4")
-    offsets, a = subband._kernel_taps(f, False, SQRT2, np.float64)
+    offsets, a = subband._kernel_taps(f, False, _SQRT2, np.float64)
     assert offsets == (0, -1)
-    assert subband._kernel_taps(f, False, SQRT2, np.float64)[1] is a
+    assert subband._kernel_taps(f, False, _SQRT2, np.float64)[1] is a
     assert not a.flags.writeable
-    assert subband._kernel_taps(f, True, SQRT2, np.float64)[1] is not a
+    assert subband._kernel_taps(f, True, _SQRT2, np.float64)[1] is not a
     assert subband._kernel_taps(f, False, 2.0, np.float64)[1] is not a
-    c = subband._kernel_taps(f, False, SQRT2, np.complex128)[1]
+    c = subband._kernel_taps(f, False, _SQRT2, np.complex128)[1]
     assert c is not a and c.dtype == np.complex128
     assert_allclose(c, a, atol=0)
     fresh = dataclasses.replace(f)
     assert fresh._tap_cache == {}
-    b = subband._kernel_taps(fresh, False, SQRT2, np.float64)[1]
+    b = subband._kernel_taps(fresh, False, _SQRT2, np.float64)[1]
     assert b is not a
     assert_allclose(b, a, atol=0)
 
@@ -685,12 +713,12 @@ def test_threshold_zero_runs_the_kernel_bit_for_bit(monkeypatch, lattice_filters
             p = dwt1d(x, f, 2)
             low, details = x, []
             for _ in range(2):
-                low, z = _split(low, f, (0,), SQRT2)
+                low, z = _split(low, f, (0,), _SQRT2)
                 details.append(z)
             for got, ref in zip((*p.details, p.approx), (*details, low)):
                 assert np.array_equal(got, ref)
-            merged = _merge((p.approx, p.details[1]), f, (0,), SQRT2)
-            merged = _merge((merged, p.details[0]), f, (0,), SQRT2)
+            merged = _merge((p.approx, p.details[1]), f, (0,), _SQRT2)
+            merged = _merge((merged, p.details[0]), f, (0,), _SQRT2)
             assert np.array_equal(idwt1d(p, f), merged)
         assert _operator_bytes(f) == 0
 
