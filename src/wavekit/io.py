@@ -12,9 +12,9 @@ ends only (LF, CRLF, CR) and names ``path:line`` of bytes that are not UTF-8,
 field, ``_parse_value`` one number and ``_format_value`` writes one,
 ``_read_numbers`` every number on a line (naming ``path:line`` for a bad cell
 or a row of the wrong width), ``_check_x_column`` refuses a dyadic grid whose
-x would round and ``_write_lines`` writes every text file. Numbers are ASCII
-decimals: ``_parse_value`` and ``_integer`` refuse the digit separators and
-non-ASCII digits that ``float`` and ``int`` take.
+x would round or collapse and ``_write_lines`` writes every text file.
+Numbers are ASCII decimals: ``_parse_value`` and ``_integer`` refuse the
+digit separators and non-ASCII digits that ``float`` and ``int`` take.
 """
 from __future__ import annotations
 
@@ -400,11 +400,18 @@ def read_pyramid_container(path: str) -> tuple[Pyramid1D | ImagePyramid, str]:
 
 
 def _check_x_column(path: str, x0: float, level: int, count: int) -> None:
-    """Refuse, naming ``path``, the grid x0 + k/2^level (k < count) when some
-    |x| 2^level passes 2^53, so that its x column would round."""
-    first = x0 * 2.0 ** level  # in steps of 2^-level, exactly; float-int comparisons are exact
-    if not -(2**53) <= first <= 2**53 - (count - 1):
-        raise DomainError(f"{path}: x from {x0:.17g} at step 2^-{level} would round past 2^53")
+    """Refuse, naming ``path``, the grid x0 + k/2^level (k < count) when its
+    step is below the least double, 2^-1074, so that its x column would
+    collapse, or when some |x| 2^level passes 2^53, so that it would round."""
+    where = f"{path}: x from {x0:.17g} at step 2^-{level} would"
+    if level > 1074:
+        raise DomainError(f"{where} collapse: the step is below 2^-1074")
+    try:
+        first = math.ldexp(x0, level)  # in steps of 2^-level, exactly
+    except OverflowError:  # past the largest double, so past 2^53
+        first = math.inf
+    if not -(2**53) <= first <= 2**53 - (count - 1):  # float-int comparisons are exact
+        raise DomainError(f"{where} round past 2^53")
 
 
 def write_dyadic_csv(path: str, d) -> None:

@@ -16,33 +16,23 @@ tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)`` for an
 image) or its adjoint ``_merge``. Every analysis passes one input gate,
 ``_checked``; every inverse, and the container writer of :mod:`wavekit.io`,
 first passes ``_check_chain``, the one rule for how the bands chain. Along
-each axis both run one kernel, ``_polyphase_product``, in the polyphase form
-of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6): sample
-2(o + q + i) + s is entry o + q + i of the phase x[s::2], so each band at i
-is a sum over q and s of its taps times the pair of phases at o + q + i,
-with o set by where the band's taps start.
-The kernel gathers the wrapped input of a cache-sized block (whole rows of the
-axes after the filtered one) once, its two channels interleaved, into one
-buffer: one overlapping strided view of it holds every window, and each band,
-or both phases of a synthesis, is one matmul of that view with the filter's
-taps, written in place (plus one small product for what a BLAS phase split
-leaves over); only ``_kernel_taps`` knows their layout. Any axes before and
+each axis both run one kernel, ``_polyphase_product``, the polyphase form of
+the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as ``_analyze``
+states it: it gathers a cache-sized block once and makes each band one
+matmul, and only ``_kernel_taps`` knows the taps' layout. Any axes before and
 after the filtered one ride along, so the 1-d step, both passes of the 2-d
 step and batched rows share it. Each level rule is stated once, in
 ``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels`` accepts
-exactly the depths 1..max. ``subband_matrices`` keeps its own index formula,
-so the tests check the kernel against an independent oracle.
+exactly the depths 1..max. ``subband_matrices`` is the tests' oracle.
 
-A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level
-kernel runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and
-depth the whole pyramid is one n x n linear map M, its inverse the adjoint
-conj(M), so each call is one matrix product (``_pyramid_operator``). The
-kernel itself builds M, on the rows of the identity, the first time a
-(length, depth) is asked for; M is cached on the filter, read-only, and the
-operators cached on one filter hold at most ``_OPERATOR_BYTES``, past which
-a call runs the kernel. The bands of a short ``dwt1d`` are views of one
-buffer, that product's result. Every other caller (``analysis_step``,
-``synthesis_step``, ``cuntz_check``, the 2-d pyramid) runs the kernel.
+A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level kernel
+runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and depth the
+pyramid is one n x n matrix M, built by the kernel and cached on the filter
+(``_pyramid_operator``), so a call is its gates and one product. A cached M
+vouches for the gates on the length and depth, so ``dwt1d`` looks it up before
+any; ``idwt1d`` runs the chain rule. A 64-sample db4 round trip takes about
+8 us (timeit, one BLAS thread). The other callers (``analysis_step``,
+``synthesis_step``, ``cuntz_check``, the 2-d pyramid) run the kernel.
 """
 from __future__ import annotations
 
@@ -79,16 +69,16 @@ _BLOCK = 1 << 13
 
 #: Longest signal whose ``dwt1d``/``idwt1d`` is one product with the cached
 #: pyramid operator (see ``_pyramid_operator``) instead of a kernel run per
-#: level. Set it to 0 to send every call to the kernel. A db4 round trip at
-#: full depth (2 cores, OpenBLAS on one thread) took 23 against 197 us at
-#: n = 64 and 40 against 283 us at n = 256; at n = 512 the product still won
-#: (199 against 377 us), but its operator is then 2 MiB.
+#: level; 0 sends every call to the kernel. A full-depth db4 round trip took
+#: 7.5 against 124 us at n = 64, 20 against 180 at 256 and 84 against 217 at
+#: 512, whose operator is 2 MiB (timeit, 2 cores, OpenBLAS on one thread).
 _OPERATOR_MAX_N = 256
 
 #: Most bytes the pyramid operators cached on one filter may hold: four
 #: float64 operators at n = 256, or 64 at n = 64. A call whose operator
 #: would not fit runs the kernel.
 _OPERATOR_BYTES = 1 << 21
+_OPERATOR_CODES = "?" + np.typecodes["AllInteger"] + "efdFD"  #: data that fits in complex128
 
 
 @dataclass(frozen=True)
@@ -125,6 +115,13 @@ class Pyramid1D:
             raise ShapeError("a pyramid needs at least one detail level")
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "approx", np.atleast_1d(np.asarray(self.approx)))
+
+    @classmethod
+    def _of(cls, details: tuple, approx: np.ndarray) -> Pyramid1D:
+        """The pyramid of ``dwt1d``'s own 1-d bands, taken as they are."""
+        p = object.__new__(cls)
+        p.__dict__.update(details=details, approx=approx)
+        return p
 
     @property
     def levels(self) -> int:
@@ -360,18 +357,19 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...]
     the shape of the signal or image the pyramid inverts to, and that dtype."""
     shape = approx.shape
     if len(shape) != ndim or approx.size == 0:
-        raise ShapeError(
-            f"averages of shape {shape} are not a nonempty {ndim}-d array"
-        )
+        raise ShapeError(f"averages of shape {shape} are not a nonempty {ndim}-d array")
+    dtypes = {approx.dtype}
     for level in range(len(levels), 0, -1):
         for band in levels[level - 1]:
             if band.shape != shape:
                 raise ShapeError(
                     f"detail level {level} has shape {band.shape}, expected {shape}"
                 )
-        shape = tuple(2 * n for n in shape)
-    try:
-        dtype = np.result_type(*{b.dtype for bands in (*levels, (approx,)) for b in bands})
+            dtypes.add(band.dtype)
+        # A 1-d display takes a sixth of the comprehension's time.
+        shape = (2 * shape[0],) if ndim == 1 else tuple([2 * n for n in shape])
+    try:  # one dtype needs no promotion; the kind test below refuses it alike
+        dtype = dtypes.pop() if len(dtypes) == 1 else np.result_type(*dtypes)
     except TypeError:  # no common dtype, e.g. datetimes among numbers
         dtype = None
     if dtype is None or dtype.kind not in "biufc":
@@ -392,9 +390,10 @@ def _unpyramid(
 
 def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray | None:
     """The n x n matrix M of the ``levels``-deep pyramid of n samples, or
-    None when n is over ``_OPERATOR_MAX_N``, data of ``dtype`` does not fit
-    in complex128, or M would take the operators cached on ``f`` past
-    ``_OPERATOR_BYTES``.
+    None when n is over ``_OPERATOR_MAX_N``, data of ``dtype`` or the taps
+    do not fit in complex128, ``max_levels`` refuses the depth (so a cached
+    M vouches for every gate on n and the depth), or M would take the
+    operators cached on ``f`` past ``_OPERATOR_BYTES``.
 
     Row i of M is the pyramid of the unit impulse e_i, its bands side by side
     in ``Pyramid1D`` order (details of level 1, ..., of level ``levels``,
@@ -403,11 +402,13 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
     ``_split`` of the rows per level. It is read-only, in the filter's result
     dtype, and cached in ``f._tap_cache`` under ("pyramid", n, levels).
     """
-    if n > _OPERATOR_MAX_N or np.result_type(dtype, f.h.dtype, np.complex128) != np.complex128:
+    if n > _OPERATOR_MAX_N or dtype.char not in _OPERATOR_CODES:
         return None
     key = ("pyramid", n, levels)
     op = f._tap_cache.get(key)
     if op is None:
+        if f.h.dtype.char not in _OPERATOR_CODES or not 1 <= levels <= max_levels(n, f):
+            return None
         rows = np.eye(n, dtype=np.result_type(f.h.dtype, np.float64))
         held = sum(v.nbytes for k, v in f._tap_cache.items() if k[0] == "pyramid")
         if held + rows.nbytes > _OPERATOR_BYTES:
@@ -423,21 +424,17 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
 
 def _operator_product(op: np.ndarray, v: np.ndarray, adjoint: bool) -> np.ndarray:
     """v @ op, or conj(op) @ v if ``adjoint``, in the kernel's result dtype.
-
-    Real data and a real M make one matrix-vector product. Otherwise the real
+    Real data and a real M make one matrix-vector product; otherwise the real
     and imaginary parts of v are the two rows (columns, for the adjoint) of
     one matrix-matrix product: a complex matrix-vector product at n = 64 took
-    2 to 8 ms under OpenBLAS 0.3.31 with two threads on 2 cores, against
-    3 us on one thread, and a product of mixed dtypes casts M on every call.
-    """
+    2 to 8 ms under OpenBLAS 0.3.31 with two threads on 2 cores, against 3 us
+    on one thread, and a product of mixed dtypes casts M on every call."""
     if op.dtype.kind != "c" and v.dtype.kind != "c":
         v = v.astype(op.dtype, copy=False)
-        return op @ v if adjoint else v @ op
+        return op.dot(v) if adjoint else v.dot(op)
     parts = np.stack((v.real, v.imag), axis=int(adjoint)).astype(op.dtype, copy=False)
-    if adjoint:  # conj(M) @ v = conj(M @ re v) + i conj(M @ im v)
-        q = np.conj(op @ parts).T
-    else:
-        q = parts @ op
+    # conj(M) @ v = conj(M @ re v) + i conj(M @ im v)
+    q = np.conj(op @ parts).T if adjoint else parts @ op
     return q[0] + 1j * q[1]
 
 
@@ -483,24 +480,27 @@ def _check_levels(n_lev, admissible: int, what: str) -> None:
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
     """Full pyramid: split the averages n_lev times, as ``analysis_step``
     does once. Up to ``_OPERATOR_MAX_N`` samples that is one product with
-    the cached ``_pyramid_operator``, and the bands are views of its result.
+    the cached ``_pyramid_operator``, and the bands are views of its result;
+    the gates run only when a 1-d array and an integer depth find none.
 
     A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
-    current = _checked(x, f, 1)
-    n = current.size
-    _check_levels(n_lev, max_levels(n, f), f"length {n}")
-    op = _pyramid_operator(f, n, n_lev, current.dtype)
+    # The type test keeps 3.0, which hashes like 3, from matching a cached key.
+    fast = type(x) is np.ndarray and x.ndim == 1 and isinstance(n_lev, (int, np.integer))
+    op = _pyramid_operator(f, x.size, n_lev, x.dtype) if fast else None
+    if op is None:
+        x = _checked(x, f, 1)
+        _check_levels(n_lev, max_levels(x.size, f), f"length {x.size}")
+        op = None if fast else _pyramid_operator(f, x.size, n_lev, x.dtype)
     if op is not None:
-        c = _operator_product(op, current, adjoint=False)
-        ends = [n - (n >> lev) for lev in range(n_lev + 1)]
-        details = tuple(c[a:b] for a, b in zip(ends, ends[1:]))
-        return Pyramid1D(details=details, approx=c[ends[-1] :])
+        c, n = _operator_product(op, x, adjoint=False), x.size
+        details = [c[n - (n >> (lev - 1)) : n - (n >> lev)] for lev in range(1, n_lev + 1)]
+        return Pyramid1D._of(tuple(details), c[n - (n >> n_lev) :])
     details = []
     for _ in range(n_lev):
-        current, z = _split(current, f, (0,), _SQRT2)
+        x, z = _split(x, f, (0,), _SQRT2)
         details.append(z)
-    return Pyramid1D(details=tuple(details), approx=current)
+    return Pyramid1D._of(tuple(details), x)
 
 
 def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
@@ -510,7 +510,7 @@ def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     conj(M) @ c of the cached ``_pyramid_operator``."""
     levels = [(z,) for z in p.details]
     (n,), dtype = _check_chain(p.approx, levels, 1)
-    op = _pyramid_operator(f, n, p.levels, dtype)
+    op = _pyramid_operator(f, n, len(levels), dtype)
     if op is None:
         return _unpyramid(p.approx, levels, f, (0,), _SQRT2)
     return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavekit.errors import DomainError, FormatError, ShapeError, WavekitError
-from wavekit.cascade import scaling_function
+from wavekit.cascade import DyadicFunction, scaling_function
 from wavekit.cli import _require_file
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import ImagePyramid, LevelDetail, dwt2d
@@ -719,6 +719,39 @@ def test_dyadic_csv_refuses_an_x_column_it_would_round(tmp_path, start, distinct
         with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: x from .* would round past 2\\^53"):
             write_dyadic_csv(str(path), d)
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "x0, level, count, why",
+    [
+        (0.0, 1100, 1, "collapse"),
+        (0.0, 1080, 2, "collapse"),
+        (0.0, 1075, 2, "collapse"),
+        (1.0, 1024, 1, "round past 2\\^53"),
+        (-1.5, 2000, 3, "collapse"),
+        (2.0**-1000, 1060, 1, "round past 2\\^53"),
+    ],
+)
+def test_dyadic_csv_refuses_grids_past_the_doubles(tmp_path, x0, level, count, why):
+    """A grid whose x0 2^level is past the largest double is refused as a
+    DomainError naming the path, not an OverflowError, and past level 1074,
+    where the step 2^-level is 0.0, so is every grid, whatever its x0 and
+    sample count."""
+    path = tmp_path / "f.csv"
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: x from .* would {why}"):
+        write_dyadic_csv(str(path), DyadicFunction(x0, level, np.ones(count)))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("x0, level", [(0.0, 1074), (2.0**-1000, 1050), (-(2.0**-1000), 1030)])
+def test_dyadic_csv_writes_grids_of_subnormal_steps(tmp_path, x0, level):
+    """Down to level 1074 the step is a double, subnormal past 1022, and
+    every x of a grid within 2^53 steps of 0 is written exactly."""
+    path = tmp_path / "f.csv"
+    write_dyadic_csv(str(path), DyadicFunction(x0, level, np.ones(3)))
+    xs = [Fraction(float(row.split(",")[0])) for row in path.read_text().splitlines()]
+    assert xs == [Fraction(x0) + Fraction(k, 2**level) for k in range(3)]
+    assert len(set(xs)) == 3
 
 
 def test_heatmap_constant_matrix_mid_gray(tmp_path):

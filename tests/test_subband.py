@@ -766,6 +766,55 @@ def test_gates_hold_below_the_operator_threshold(n):
     assert_allclose(idwt1d(p, f), x, atol=1e-13)
 
 
+def _refusal(call):
+    """The class and message of what ``call`` raises, or None if it returns."""
+    try:
+        call()
+    except Exception as e:  # any refusal is compared
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("n", (16, 64, subband._OPERATOR_MAX_N))
+def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
+    """With the operators of the admissible depths cached, and an over-deep
+    and a too-short pyramid inverted first (they may leave no operator for
+    dwt1d to find), every bad input raises the class and message it raises
+    with the threshold at 0. Depths 2.0 and "2" miss a cached key that 2
+    would hit; np.int64 and True depths are accepted, on the operator path."""
+    f = dataclasses.replace(builtin_filter("db4"))
+    top = max_levels(n, f)
+    x = RNG.standard_normal(n)
+    good = {lev: dwt1d(x, f, lev) for lev in range(1, top + 1)}
+    assert subband._pyramid_operator(f, n, 2, x.dtype) is not None
+    idwt1d(_as_pyramid(RNG.standard_normal(n), top + 1), f)
+    idwt1d(_as_pyramid(RNG.standard_normal(2), 1), f)
+    p = good[top]
+    dates = np.arange(p.approx.size).astype("datetime64[D]")
+    bad_level = (p.details[0][:-1], *p.details[1:])
+    listed = Pyramid1D(details=[z.tolist() for z in bad_level], approx=list(p.approx))
+    calls = [
+        *(lambda lev=lev: dwt1d(x, f, lev) for lev in (2.0, "2", 0, -1, top + 1)),
+        lambda: dwt1d(x.reshape(2, -1), f, 1),
+        lambda: dwt1d(x[:-1], f, 1),
+        lambda: dwt1d(x[:2], f, 1),
+        lambda: dwt1d(np.full(n, "a"), f, 1),
+        lambda: dwt1d(x.astype(object), f, 1),
+        lambda: idwt1d(Pyramid1D(details=bad_level, approx=p.approx), f),
+        lambda: idwt1d(Pyramid1D(details=(*p.details[:-1], dates), approx=p.approx), f),
+        lambda: idwt1d(Pyramid1D(details=p.details, approx=np.ones(0)), f),
+        lambda: idwt1d(listed, f),
+    ]
+    refusals = [_refusal(call) for call in calls]
+    assert None not in refusals
+    assert refusals == _on_the_kernel(monkeypatch, lambda: [_refusal(call) for call in calls])
+    for lev, ref in ((np.int64(2), good[2]), (True, good[1])):
+        q = dwt1d(x, f, lev)
+        assert q.approx.base is not None and q.approx.base is q.details[0].base
+        bands = zip((*q.details, q.approx), (*ref.details, ref.approx))
+        assert all(_same_bits(a, b) for a, b in bands)
+
+
 def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp_path):
     """synthesis_step, idwt1d on the operator path and on the kernel, idwt2d
     and the container writer each run the chain rule exactly once."""
