@@ -172,6 +172,13 @@ def _two_scale_eval(
     return (M @ rows).reshape(-1)[:count:stride]
 
 
+def _level_grid(f: FilterSpec, J: int, kind: str = "phi") -> tuple[float, int]:
+    """x0 and sample count of the level-J grid of phi, on [start, start + L - 1],
+    or of psi, on [(2 - L)/2, L/2]: (L - 1) 2^J + 1 samples each."""
+    x0 = f.start if kind == "phi" else (2.0 - f.length) / 2.0
+    return x0, (f.length - 1) * (1 << J) + 1
+
+
 def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
     """One dyadic refinement: keep existing samples, fill midpoints through
     the two-scale identity. ``phi`` must be a scaling function (``kind``
@@ -181,13 +188,13 @@ def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
         raise ParameterError(
             f"refine fills midpoints of a scaling function, got kind {phi.kind!r}"
         )
-    if phi.x0 != f.start:
+    J = phi.level
+    x0, expected = _level_grid(f, J)
+    if phi.x0 != x0:
         raise ParameterError(
-            f"refine needs phi on the filter's lattice, starting at {f.start}; "
+            f"refine needs phi on the filter's lattice, starting at {x0}; "
             f"got x0 = {phi.x0!r}"
         )
-    J = phi.level
-    expected = (f.length - 1) * (1 << J) + 1
     if phi.values.size != expected:
         raise SizeError(
             f"level-{J} grid for this filter needs {expected} samples, got "
@@ -237,7 +244,6 @@ def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False)
     """
     J = _checked_grid(f, resolution)
     phi = _refined(f, max(J - 1, 0), experimental)
-    x0 = (2.0 - f.length) / 2.0
-    count = (f.length - 1) * (1 << J) + 1
+    x0, count = _level_grid(f, J, "psi")
     values = _two_scale_eval(derive_highpass(f), phi, x0, count, J)
     return DyadicFunction(x0=x0, level=J, values=values, kind="psi")

@@ -4,6 +4,8 @@ Exit statuses: 0 success, 1 a verification verdict came back negative,
 2 input or parameter problems (unknown names, malformed files, inadmissible
 sizes or levels), 3 numeric failures (degenerate eigenproblems, inadmissible
 wavelets, unresolvable quadrature). argparse's own usage errors also exit 2.
+Flag misuse (a flag the command or transform mode refuses, or one it lacks)
+exits 2 before any input is read or file written.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cascade import _checked_grid, scaling_function, wavelet_function
+from .cascade import _checked_grid, _level_grid, scaling_function, wavelet_function
 from .cwt import (
     CwtGrid,
     SampledFunction,
@@ -109,9 +111,29 @@ def _parse_scales(token: str) -> np.ndarray:
     return geometric_scales(r_min, r_max, voices)
 
 
-def _reject(value, flag: str, mode: str):
-    if value is not None and value is not False:
-        raise ParameterError(f"{flag} does not apply to {mode}")
+# The flag rules of each transform mode and of ``cwt``, which ``main`` checks
+# before a command reads, computes or writes anything: the flags a mode refuses,
+# then the one it needs, as (flag, the flag that makes it needed or None, error).
+_FORWARD_NEEDS_FILTER = ("filter", None, "forward transforms need --filter")
+_FLAG_RULES = {
+    "dwt1d": (("preview", "quantize"), _FORWARD_NEEDS_FILTER),
+    "idwt1d": (("levels", "preview", "quantize"), None),
+    "dwt2d": ((), _FORWARD_NEEDS_FILTER),
+    "idwt2d": (("levels", "preview"), None),
+    "cwt": ((), ("out", "invert", "--invert needs --out to place the reconstruction")),
+}
+
+
+def _check_flags(args) -> None:
+    mode = getattr(args, "mode", args.command)
+    refused, need = _FLAG_RULES.get(mode, ((), None))
+    for name in refused:
+        if getattr(args, name) is not None:
+            raise ParameterError(f"--{name} does not apply to {mode}")
+    if need is not None:
+        name, trigger, message = need
+        if getattr(args, name) is None and (trigger is None or getattr(args, trigger)):
+            raise ParameterError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -152,62 +174,20 @@ def _run_verify(args) -> int:
 # transform
 
 
-def _forward_filter(args) -> FilterSpec:
-    if args.filter is None:
-        raise ParameterError("forward transforms need --filter")
-    return _resolve_filter(args.filter)
-
-
-def _inverse_filter(args, container_name: str) -> FilterSpec:
-    if args.filter is not None:
-        return _resolve_filter(args.filter)
-    if container_name in BUILTIN_NAMES:
-        return builtin_filter(container_name)
-    raise CatalogError(
-        f"container names non-builtin filter {container_name!r}; pass --filter"
-    )
-
-
-def _depth(levels, admissible: int, what: str, f: FilterSpec) -> int:
-    """``--levels``, or the deepest depth ``what`` admits. Refuses only an
-    input that admits no level; a bad ``--levels`` is left to the transform."""
-    if admissible < 1:
-        raise LevelError(
-            f"{what} admits no decomposition with filter {f.name!r} ({f.length} taps)"
-        )
-    return levels if levels is not None else admissible
-
-
 def _run_transform(args) -> int:
-    mode = args.mode
-    if mode == "dwt1d":
-        _reject(args.preview, "--preview", mode)
-        _reject(args.quantize, "--quantize", mode)
-        f = _forward_filter(args)
-        x = read_signal_csv(_require_file(args.input))
-        n_lev = _depth(args.levels, max_levels(x.size, f), f"length {x.size}", f)
-        pyramid = dwt1d(x, f, n_lev)
-        write_pyramid_container(args.out, pyramid, f.name)
-        print(
-            f"wrote {args.out}: {pyramid.levels} level(s), "
-            f"{pyramid.coefficient_count()} coefficients"
-        )
-    elif mode == "idwt1d":
-        _reject(args.levels, "--levels", mode)
-        _reject(args.preview, "--preview", mode)
-        _reject(args.quantize, "--quantize", mode)
-        pyramid, container_name = read_pyramid_container(_require_file(args.input))
-        if not isinstance(pyramid, Pyramid1D):
-            raise FormatError(f"{args.input} holds an image pyramid; use idwt2d")
-        f = _inverse_filter(args, container_name)
-        write_signal_csv(args.out, idwt1d(pyramid, f))
-        print(f"wrote {args.out}: {pyramid.signal_length} samples")
-    elif mode == "dwt2d":
-        f = _forward_filter(args)
-        img = read_pgm(_require_file(args.input))
-        what = f"shape {img.shape[0]}x{img.shape[1]}"
-        n_lev = _depth(args.levels, max_levels_2d(img.shape, f), what, f)
-        pyramid = dwt2d(img, f, n_lev)
+    one_d = args.mode.endswith("1d")
+    if args.mode.startswith("dwt"):
+        f = _resolve_filter(args.filter)
+        x = (read_signal_csv if one_d else read_pgm)(_require_file(args.input))
+        # Only an input that admits no level is refused here; the transform checks --levels.
+        admissible = max_levels(x.size, f) if one_d else max_levels_2d(x.shape, f)
+        if admissible < 1:
+            what = f"length {x.size}" if one_d else f"shape {x.shape[0]}x{x.shape[1]}"
+            raise LevelError(
+                f"{what} admits no decomposition with filter {f.name!r} ({f.length} taps)"
+            )
+        levels = admissible if args.levels is None else args.levels
+        pyramid = (dwt1d if one_d else dwt2d)(x, f, levels)
         if args.quantize is not None:
             pyramid = snap_to_lattice(pyramid, Quantizer(step=args.quantize))
         write_pyramid_container(args.out, pyramid, f.name)
@@ -218,23 +198,23 @@ def _run_transform(args) -> int:
         if args.preview is not None:
             write_pgm(args.preview, preview_layout(pyramid))
             print(f"wrote {args.preview}")
-    elif mode == "idwt2d":
-        _reject(args.levels, "--levels", mode)
-        _reject(args.preview, "--preview", mode)
-        pyramid, container_name = read_pyramid_container(_require_file(args.input))
-        if not isinstance(pyramid, ImagePyramid):
-            raise FormatError(f"{args.input} holds a 1-d pyramid; use idwt1d")
-        f = _inverse_filter(args, container_name)
-        if args.quantize is not None:
-            pyramid = snap_to_lattice(pyramid, Quantizer(step=args.quantize))
+        return 0
+    pyramid, name = read_pyramid_container(_require_file(args.input))
+    if not isinstance(pyramid, Pyramid1D if one_d else ImagePyramid):
+        held, use = ("an image", "idwt2d") if one_d else ("a 1-d", "idwt1d")
+        raise FormatError(f"{args.input} holds {held} pyramid; use {use}")
+    if args.filter is None and name not in BUILTIN_NAMES:
+        raise CatalogError(f"container names non-builtin filter {name!r}; pass --filter")
+    f = _resolve_filter(name if args.filter is None else args.filter)
+    if args.quantize is not None:
+        pyramid = snap_to_lattice(pyramid, Quantizer(step=args.quantize))
+    if one_d:
+        write_signal_csv(args.out, idwt1d(pyramid, f))
+        print(f"wrote {args.out}: {pyramid.signal_length} samples")
+    else:
         img = idwt2d(pyramid, f)
-        if np.iscomplexobj(img):
-            img = img.real
-        write_pgm(args.out, img)
-        rows, cols = pyramid.image_shape
-        print(f"wrote {args.out}: {rows}x{cols} pixels")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown transform mode {mode!r}")
+        write_pgm(args.out, img.real)
+        print(f"wrote {args.out}: {img.shape[0]}x{img.shape[1]} pixels")
     return 0
 
 
@@ -246,8 +226,8 @@ def _run_cascade(args) -> int:
     f = _resolve_filter(args.filter)
     # A bad resolution, then an x column the CSV would round, is refused before refining.
     J = _checked_grid(f, args.resolution)
-    x0 = f.start if args.which == "phi" else (2.0 - f.length) / 2.0
-    _check_x_column(args.out, x0, J, (f.length - 1) * (1 << J) + 1)
+    x0, count = _level_grid(f, J, args.which)
+    _check_x_column(args.out, x0, J, count)
     build = scaling_function if args.which == "phi" else wavelet_function
     d = build(f, J)
     write_dyadic_csv(args.out, d)
@@ -271,10 +251,13 @@ def _run_cascade(args) -> int:
 
 def _run_cwt(args) -> int:
     signal = read_signal_csv(_require_file(args.input))
+    f = SampledFunction(x_min=0.0, dx=1.0, values=signal)
+    norm = f.norm()
+    if args.invert and norm == 0.0:
+        raise ParameterError("--invert needs a nonzero input signal")
     psi = _resolve_wavelet(args.wavelet)
     constant = admissibility(psi)
     scales = _parse_scales(args.scales)
-    f = SampledFunction(x_min=0.0, dx=1.0, values=signal)
     grid = CwtGrid(scales=scales, shifts=f.xs)
     coeffs = cwt(f, psi, grid)
 
@@ -293,13 +276,8 @@ def _run_cwt(args) -> int:
         write_heatmap_pgm(args.heatmap, coeffs)
         print(f"wrote {args.heatmap}")
     if args.invert:
-        if args.out is None:
-            raise ParameterError("--invert needs --out to place the reconstruction")
         rec = icwt(coeffs, psi)
-        denom = f.norm()
-        if denom == 0.0:
-            raise ParameterError("--invert needs a nonzero input signal")
-        rel = replace(f, values=rec.values - f.values).norm() / denom
+        rel = replace(f, values=rec.values - f.values).norm() / norm
         root, ext = os.path.splitext(args.out)
         recon_path = f"{root}.recon{ext or '.csv'}"
         write_signal_csv(recon_path, rec.values)
@@ -383,13 +361,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.run(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (WavekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -598,6 +598,19 @@ def _grid_points(grid) -> tuple[float, float, int]:
     return float(xs[0]), dx, xs.size
 
 
+def _dyadic_scale(j, width: float = 0.0, dx: float = 1.0) -> float:
+    """2^j; a ``DomainError`` naming j unless it is a positive finite double and
+    width/(2^j dx), ``parseval_ratio``'s samples per support, is finite."""
+    try:
+        scale = 2.0 ** float(j)
+        per_support = float(width) / (scale * dx)
+    except (OverflowError, ZeroDivisionError):
+        scale = per_support = math.inf
+    if not (0.0 < scale < math.inf and math.isfinite(per_support)):
+        raise DomainError(f"level j = {j}: 2^j or width/(2^j dx) is not a positive finite double")
+    return scale
+
+
 def dyadic_sample(psi: AnalyzingWavelet, j: int, k: int, grid) -> SampledFunction:
     """Samples of psi_{j,k}(x) = 2^{j/2} psi(2^j x - k) on the given grid.
 
@@ -606,17 +619,18 @@ def dyadic_sample(psi: AnalyzingWavelet, j: int, k: int, grid) -> SampledFunctio
     """
     x_min, dx, n = _grid_points(grid)
     xs = x_min + dx * np.arange(n)
-    scale = 2.0 ** float(j)
+    scale = _dyadic_scale(j)
     values = math.sqrt(scale) * psi.evaluate(scale * xs - k)
     return SampledFunction(x_min=x_min, dx=dx, values=values)
 
 
 def _auto_k_range(
-    psi: AnalyzingWavelet, j: int, x_lo: float, x_hi: float
+    psi: AnalyzingWavelet, j: int, x_lo: float, x_hi: float, scale: float | None = None
 ) -> tuple[int, int]:
-    """Smallest k interval whose psi_{j,k} supports can touch [x_lo, x_hi]."""
+    """Smallest k interval whose psi_{j,k} supports can touch [x_lo, x_hi];
+    ``scale`` is 2^j where the caller holds it."""
     lo, hi = psi.support
-    scale = 2.0 ** float(j)
+    scale = _dyadic_scale(j) if scale is None else scale
     return int(np.floor(scale * x_lo - hi)) - 1, int(np.ceil(scale * x_hi - lo)) + 1
 
 
@@ -646,10 +660,10 @@ def parseval_ratio(
     lo = psi.support[0]
     total = 0.0
     for j in range(j_lo, j_hi + 1):
-        k_lo, k_hi = _auto_k_range(psi, j, f.x_min, f.x_max)
+        scale = _dyadic_scale(j, psi.width, f.dx)
+        k_lo, k_hi = _auto_k_range(psi, j, f.x_min, f.x_max, scale)
         if k_range is not None:
             k_lo, k_hi = max(k_lo, int(k_range[0])), min(k_hi, int(k_range[1]))
-        scale = 2.0 ** float(j)
         amp = math.sqrt(scale) * f.dx
         # Samples across the support, plus one either side for rounding.
         w = int(np.ceil(psi.width / (scale * f.dx))) + 4

@@ -293,6 +293,62 @@ def test_transform_missing_input_exit_two(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("dwt1d", "--preview", "p.pgm"),
+        ("dwt1d", "--quantize", "4.0"),
+        ("dwt1d", "--quantize", "0"),
+        ("idwt1d", "--levels", "2"),
+        ("idwt1d", "--preview", "p.pgm"),
+        ("idwt1d", "--quantize", "4.0"),
+        ("idwt2d", "--levels", "2"),
+        ("idwt2d", "--preview", "p.pgm"),
+    ],
+)
+def test_transform_refuses_a_flag_its_mode_does_not_take(tmp_path, monkeypatch, capsys, mode, flag, value):
+    """Each flag a mode refuses is one error line naming the flag and the mode,
+    exit 2. The refusal comes before anything is read or written: it wins over
+    a missing --in file, and neither --out nor --preview is created."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["transform", mode, "--in", "missing", "--filter", "haar", "--out", "o.out", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} does not apply to {mode}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["dwt1d", "dwt2d"])
+def test_forward_transform_needs_filter_before_reading(tmp_path, monkeypatch, capsys, mode):
+    """A forward transform without --filter exits 2 with one error line,
+    before the missing --in file is noticed; a flag the mode refuses is
+    named first."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["transform", mode, "--in", "missing", "--out", "o.pyr"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: forward transforms need --filter\n")
+    if mode == "dwt1d":
+        assert main(argv + ["--preview", "p.pgm"]) == 2
+        assert capsys.readouterr() == ("", "error: --preview does not apply to dwt1d\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["dwt1d", "dwt2d"])
+def test_forward_transform_resolves_filter_before_input(tmp_path, monkeypatch, capsys, mode):
+    """An unknown --filter is named before a missing --in file."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["transform", mode, "--in", "missing", "--filter", "nosuch", "--out", "o.pyr"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown filter 'nosuch'") and len(err.splitlines()) == 1
+
+
 # --- cascade ---------------------------------------------------------------------
 
 
@@ -445,6 +501,29 @@ def test_cwt_invert_without_out_rejected(sine_csv):
     r = run_cli("cwt", "--in", sine_csv, "--wavelet", "mexican_hat",
                 "--scales", "1:8:4", "--invert")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("case", ["no-out", "missing-in", "zero-signal"])
+def test_cwt_invert_refusals_come_before_any_work(tmp_path, monkeypatch, capsys, case):
+    """--invert without --out, and --invert on an all-zero signal, exit 2 with
+    their one error line before the transform runs: nothing on stdout and no
+    scalogram, heat map or reconstruction written. Without --out the refusal
+    also wins over a missing --in file."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv("zero.csv", np.zeros(64))
+    write_signal_csv("sine.csv", np.sin(np.arange(64.0)))
+    argv = ["cwt", "--wavelet", "mexican_hat", "--scales", "1:8:4", "--heatmap", "h.pgm", "--invert"]
+    if case == "zero-signal":
+        argv += ["--in", "zero.csv", "--out", "s.csv"]
+        message = "--invert needs a nonzero input signal"
+    else:
+        argv += ["--in", "sine.csv" if case == "no-out" else "missing.csv"]
+        message = "--invert needs --out to place the reconstruction"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sine.csv", "zero.csv"]
 
 
 def test_cwt_gaussian_inadmissible_exit_three(sine_csv):

@@ -987,6 +987,39 @@ def test_dyadic_sample_norm_invariance(j, k):
     assert s.norm() == pytest.approx(base.norm(), rel=1e-3)
 
 
+def _centi_box():
+    """The indicator of [0, 1) sampled at dx = 0.01 on [-2, 4)."""
+    xs = -2.0 + 0.01 * np.arange(600)
+    return SampledFunction(-2.0, 0.01, ((xs >= 0.0) & (xs < 1.0)).astype(float))
+
+
+@pytest.mark.parametrize("name", ["haar_psi", "mexican_hat"])
+@pytest.mark.parametrize("j", [1024, 1100, -1075, -1100])
+def test_dyadic_sample_refuses_a_level_whose_scale_is_not_a_positive_double(name, j):
+    """2^j overflows from j = 1024 and rounds to 0 from j = -1075: each is a
+    DomainError naming j, not an OverflowError or a grid of zeros."""
+    with pytest.raises(DomainError, match=f"j = {j}:"):
+        dyadic_sample(named_wavelet(name), j, 0, SampledFunction(-2.0, 0.01, np.zeros(600)))
+
+
+@pytest.mark.parametrize("j", [1100, -1022, -1075, -1100])
+def test_parseval_ratio_refuses_a_level_without_finite_samples_per_support(j):
+    """At j = 1100 2^j overflows; at -1075 and -1100 it rounds to 0; at -1022
+    with dx = 0.01 the samples per support, width/(2^j dx), overflow. Each is
+    a DomainError naming j."""
+    with pytest.raises(DomainError, match=f"j = {j}:"):
+        parseval_ratio(_centi_box(), named_wavelet("haar_psi"), (j, j))
+
+
+@pytest.mark.parametrize(
+    "name, ratio", [("haar_psi", 9.332636185032189e-302), ("mexican_hat", 1.2557329009999375e-301)]
+)
+def test_parseval_ratio_at_j_minus_1000_is_unchanged(name, ratio):
+    """j = -1000 has a finite 2^j and samples per support, so its ratio is
+    computed, and equals the value from before the level check."""
+    assert parseval_ratio(_centi_box(), named_wavelet(name), (-1000, -1000)) == ratio
+
+
 def test_parseval_ratio_haar_box_literal_range():
     """Closed form for the box function against the square-wave family:
     scales j = -1..-M each contribute 2^-|j|, finer scales contribute
