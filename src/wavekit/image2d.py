@@ -15,10 +15,14 @@ v=-2, d=0, which the tests treat as the orientation contract. A step is the
 the matching merge; both carry the single exact factor 2 on the column
 pass. Each pass is one call of the subband polyphase kernel on the whole
 image: the row pass filters blocks of whole rows, the column pass blocks of
-whole row pairs, each band of a block as one matrix product of the filter's
-taps with strided windows over the gathered samples. Repeating the step on
-``a`` builds an ``ImagePyramid``; ``quantize``/``dequantize`` snap pyramid
-coefficients to a uniform lattice for storage.
+whole row pairs, each band of a block as one matrix product of strided
+windows over the gathered samples with the filter's taps. A row of the
+row pass's product is the window of several outputs of one image row and
+meets a banded block of the taps (one output for complex taps); a row of
+the column pass's product is one column's window for one output and meets
+the plain taps. Repeating the step on ``a`` builds an ``ImagePyramid``;
+``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
+for storage.
 """
 from __future__ import annotations
 

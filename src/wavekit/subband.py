@@ -15,15 +15,17 @@ Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along a
 tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)`` for an
 image) or its adjoint ``_merge``. Every analysis passes one input gate,
 ``_checked``; every inverse, and the container writer of :mod:`wavekit.io`,
-first passes ``_check_chain``, the one rule for how the bands chain. Along
-each axis both run one kernel, ``_polyphase_product``, the polyphase form of
-the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as ``_analyze``
-states it: it gathers a cache-sized block once and makes each band one
-matmul, and only ``_kernel_taps`` knows the taps' layout. Any axes before and
-after the filtered one ride along, so the 1-d step, both passes of the 2-d
-step and batched rows share it. Each level rule is stated once, in
-``max_levels`` (and ``image2d.max_levels_2d``); ``_check_levels`` accepts
-exactly the depths 1..max. ``subband_matrices`` is the tests' oracle.
+first passes ``_check_chain``, the one rule for how the bands chain. Along each
+axis both run one kernel, ``_polyphase_product``, the polyphase form of the
+pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as ``_analyze``
+states it: it gathers a cache-sized block once and makes each band one matmul.
+With one sample per row a row makes ``_ROWS`` outputs, a window times a banded
+block of the taps (one for complex taps and for a block's leftover outputs),
+and only ``_kernel_taps`` knows the taps' layout. Any axes before and after the
+filtered one ride along, so the 1-d step, both passes of the 2-d step and
+batched rows share it. Each level rule is stated once, in ``max_levels`` (and
+``image2d.max_levels_2d``); ``_check_levels`` accepts exactly the depths
+1..max. ``subband_matrices`` is the tests' oracle.
 
 A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level kernel
 runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and depth the
@@ -66,6 +68,10 @@ _SQRT2 = float(np.sqrt(2.0))
 #: there, but lifts the tracemalloc peak of a 2^16-sample round trip to 3.009
 #: signal sizes, against the 3.01 that the tests hold it to.
 _BLOCK = 1 << 13
+
+#: Outputs per BLAS row with one sample per row, float64 taps only. A 2048^2 db4
+#: row pass: 11.4 ms at 1, 8.3 at 4, 7.7 at 8, 8.6 at 16 (best of 7, 1 BLAS thread).
+_ROWS = 8
 
 #: Longest signal whose ``dwt1d``/``idwt1d`` is one product with the cached
 #: pyramid operator (see ``_pyramid_operator``) instead of a kernel run per
@@ -199,19 +205,20 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     one overlapping strided view holds every window, and each result block
     is one matmul of that view with its columns of ``taps``, written in place
     through a strided view of the result. A product's rows are the trailing
-    samples of one output or, with one per row, the outputs i = i0 + p a + e
-    of one phase e, whose windows lie 2p >= 2Q samples apart, as BLAS needs;
-    the k mod p outputs a block of k has left over take one product more.
+    samples of one output or, one sample a row, r outputs i0 + r(p a + e) + t
+    (t < r) of phase e: windows of 2Q + 2(r - 1) samples, 2rp >= that apart
+    as BLAS needs, times the banded ``taps``. Trailing samples and the k mod
+    rp outputs a block of k has left over take one a row, times its corner.
     """
     shape = srcs[0][0].shape
     half = sum(a.shape[axis] for a, _ in srcs) // 2
     lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-    width = taps.shape[0]
+    c, band = 2 // len(dsts), taps.shape[1] // 2
+    r, width = band if trail == 1 else 1, len(taps) - 2 * band + 2
     span = width // 2 - 1 + max(dsts)
     ib = min(half, max(1, _BLOCK // trail))
     lb = min(lead, max(1, _BLOCK // (ib * trail)))
-    p = 1 << (width // 2 - 1).bit_length() if trail == 1 else 1
-    c = 2 // len(dsts)
+    p = 1 << ((width // 2 + r - 2) // r).bit_length() if trail == 1 else 1
     # The results before the short-lived gather buffer: in this order the
     # pyramid benchmark's peak RSS was 1% lower.
     outs = [np.empty(shape[:axis] + (c * half,) + shape[axis + 1 :], taps.dtype) for _ in dsts]
@@ -220,11 +227,11 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     it = gathered.itemsize
     pair = 2 * trail * it
     # Windows and result blocks are strided views of the flat buffers as
-    # (lead, phase, output, trailing sample, tap or channel), the trailing
+    # (lead, phase, row, trailing sample, tap or output), the trailing
     # sample left out when there is one per row.
     t_shape, last = ((trail,), (it, trail * it)) if trail > 1 else ((), (it,))
-    step, tail, wtail = c * trail * it, t_shape + (c,), t_shape + (width,)
-    products = list(zip(outs, dsts, (taps[:, :c], taps[:, c:])))
+    step = c * trail * it
+    products = list(zip(outs, dsts, (taps[:, : band * c], taps[:, band * c :])))
     for l0 in range(0, lead, lb):
         rows = slice(l0, min(l0 + lb, lead))
         m = rows.stop - l0
@@ -239,27 +246,31 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
                     g[:, dst : dst + n, s : s + a.shape[2]] = a[rows, src : src + n]
                     src, dst = 0, dst + n
                 s += a.shape[2]
-            # p phases of k // p outputs each, then the last k mod p as one phase
-            for e, q, n in [t for t in ((0, p, k // p), (k - k % p, 1, k % p)) if t[2]]:
-                lanes, wsteps = (m, q, n), (g.strides[0], pair, q * pair) + last
-                osteps = (half * step, step, q * step) + last
-                for a, u, cols in products:
+            # p phases of k // rp rows of r outputs, then the k mod rp left, one a row
+            rem = k % (r * p)
+            for e, q, n, o in [t for t in ((0, p, k // (r * p), r), (k - rem, 1, rem, 1)) if t[2]]:
+                lanes, wsteps = (m, q, n), (g.strides[0], o * pair, o * q * pair) + last
+                osteps = (half * step, o * step, o * q * step) + last
+                wtail, tail = t_shape + (width + 2 * o - 2,), t_shape + (o * c,)
+                for a, u, cols in products:  # the whole band, or its corner
                     w = np.ndarray(lanes + wtail, g.dtype, gathered, (u + e) * pair, wsteps)
                     out = np.ndarray(lanes + tail, a.dtype, a, (l0 * half + i0 + e) * step, osteps)
-                    np.matmul(w, cols, out=out)
+                    np.matmul(w, cols if o == band else cols[:width, :c], out=out)
     return outs
 
 
 def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
-    """((o_h, o_g), taps): the (2Q, 2) taps of ``_polyphase_product`` times
+    """((o_h, o_g), taps): the (2Q, 2) taps T of ``_polyphase_product`` times
     ``scale`` for input of ``dtype``, read-only, in the result dtype, cached
     on ``f`` with the offsets. Each of h and its companion g starts on a
     whole pair of samples, 2 o_b, and both are padded to one even width 2Q:
     C[b, 2q + s] is the tap of band b (0 for h, 1 for g) at index
     2 (o_b + q) + s. Analysis column b is conj(C[b]); synthesis column s
     holds C[b, 2(Q-1-q) + s] at 2q + b, stored row by row like the phases it
-    makes."""
-    key = (synthesis, scale, np.dtype(dtype))
+    makes. T comes as a banded block B, r = ``_ROWS`` (1 unless float64):
+    B[2t + m, r c j + c t + s] = T[m, c j + s] for the c = 1 (analysis) or
+    2 columns of product j, so a row makes r outputs; the corner is T's."""
+    key = (synthesis, scale, np.dtype(dtype), _ROWS)
     entry = f._tap_cache.get(key)
     if entry is None:
         bands = (f, derive_highpass(f))
@@ -273,8 +284,12 @@ def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
         else:
             c = np.conj(c).T
         taps = np.multiply(c, scale, dtype=np.result_type(dtype, c.dtype, np.float64))
-        taps.setflags(write=False)
-        entry = f._tap_cache[key] = (los[0] // 2, los[1] // 2), taps
+        r, cols = _ROWS if taps.dtype == np.float64 else 1, 1 + synthesis
+        block = np.zeros((len(c) + 2 * r - 2, 2 // cols, r, cols), taps.dtype)
+        for t in range(r):
+            block[2 * t : 2 * t + len(c), :, t] = taps.reshape(len(c), -1, cols)
+        block.setflags(write=False)
+        entry = f._tap_cache[key] = (los[0] // 2, los[1] // 2), block.reshape(len(block), -1)
     return entry
 
 
@@ -300,9 +315,9 @@ def _synthesize(
     """Adjoint of :func:`_analyze`: phase s of the output at k is
     sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], so with q replaced by
     Q - 1 - q both phases come from one product, band b read from offset
-    -o_b - (Q - 1)."""
+    -o_b - (Q - 1), r less than half the block's 2(Q + r - 1) rows."""
     offsets, taps = _kernel_taps(f, True, scale, np.promote_types(low.dtype, high.dtype))
-    srcs = [(y, 1 - o - taps.shape[0] // 2) for y, o in zip((low, high), offsets)]
+    srcs = [(y, taps.shape[1] // 2 - len(taps) // 2 - o) for y, o in zip((low, high), offsets)]
     return _polyphase_product(srcs, taps, [0], axis)[0]
 
 

@@ -132,6 +132,19 @@ def test_mexican_hat_shape():
     assert np.abs(psi.evaluate(np.array([lo - 1.0, hi + 1.0]))).max() < 1e-13
 
 
+def test_mexican_hat_far_out_is_zero_not_nan():
+    """Past |x| = 1.4e154, x * x overflows; psi there is 0, not NaN (inf * 0),
+    at j = 1023 on 600 points from -2 at dx = 0.01. On a grid across the
+    +-8 support the clamp leaves the bits of (1 - x^2) exp(-x^2 / 2)."""
+    psi = named_wavelet("mexican_hat")
+    grid = SampledFunction(-2.0, 0.01, np.zeros(600))
+    with np.errstate(over="ignore"):  # 2^1023 x itself overflows for |x| >= 2
+        values = dyadic_sample(psi, 1023, 0, grid).values
+    assert not np.isnan(values).any()
+    x = np.linspace(-8.0, 8.0, 16001)
+    assert psi.evaluate(x).tobytes() == ((1.0 - x * x) * np.exp(-0.5 * x * x)).tobytes()
+
+
 def test_haar_psi_values():
     psi = named_wavelet("haar_psi")
     xs = np.array([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0])
@@ -1153,6 +1166,20 @@ def test_parseval_ratio_skips_ks_off_the_grid_bit_for_bit(dyadic_wavelets, wavel
     it leaves the ratio bit for bit as it was with every k evaluated."""
     psi, f = dyadic_wavelets[wavelet], _PARSEVAL_SIGNALS[signal]
     assert parseval_ratio(f, psi, j_range) == every_k_parseval_ratio(f, psi, j_range)
+
+
+@pytest.mark.parametrize("j", [1000, 1023])
+def test_parseval_ratio_refuses_a_level_of_too_many_shifts(j):
+    """On a box over [-2, 4) at dx = 0.01 the haar_psi shifts of level j
+    number about 6 2^j: at j = 1000 far past ``_MAX_SHIFTS``, at j = 1023 too
+    many to count (2^j 4 overflows). Both raise a DomainError naming j
+    before any block of shifts is evaluated."""
+    psi, count = counting(named_wavelet("haar_psi"))
+    xs = -2.0 + 0.01 * np.arange(600)
+    f = SampledFunction(-2.0, 0.01, ((xs >= 0.0) & (xs < 1.0)).astype(float))
+    with pytest.raises(DomainError, match=f"level j = {j}: "):
+        parseval_ratio(f, psi, (j, j))
+    assert count[0] == 0
 
 
 def test_parseval_ratio_coarse_level_evaluates_ks_on_the_grid_only():

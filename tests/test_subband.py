@@ -590,7 +590,9 @@ def test_blocked_steps_match_matrices(monkeypatch, lattice_filters, block):
 
 def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
     """Offsets and taps come as one cached pair: h (db4) starts at pair 0 and
-    its companion g, on -2..1, at pair -1."""
+    its companion g, on -2..1, at pair -1. Float64 taps come as the banded
+    block of ``_ROWS`` outputs a row, complex ones as its corners, the
+    (2Q, 2) taps of one output a row."""
     f = builtin_filter("db4")
     offsets, a = subband._kernel_taps(f, False, _SQRT2, np.float64)
     assert offsets == (0, -1)
@@ -600,12 +602,53 @@ def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
     assert subband._kernel_taps(f, False, 2.0, np.float64)[1] is not a
     c = subband._kernel_taps(f, False, _SQRT2, np.complex128)[1]
     assert c is not a and c.dtype == np.complex128
-    assert_allclose(c, a, atol=0)
+    r = subband._ROWS
+    assert a.shape == (4 + 2 * r - 2, 2 * r) and c.shape == (4, 2)
+    assert_allclose(c, a[:4, [0, r]], atol=0)
     fresh = dataclasses.replace(f)
     assert fresh._tap_cache == {}
     b = subband._kernel_taps(fresh, False, _SQRT2, np.float64)[1]
     assert b is not a
     assert_allclose(b, a, atol=0)
+
+
+@settings(max_examples=40)
+@given(
+    stages=st.integers(1, 10),
+    start=st.sampled_from((0, 1, -3, 7, 10**12 + 5, -(10**12) - 1)),
+    rows=st.sampled_from((1, 2, 3, subband._ROWS)),
+    extra=st.integers(0, 70),
+    kind=st.sampled_from(("float64", "float32", "int", "complex")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_r_output_rows_match_dense_operators(stages, start, rows, extra, kind, seed):
+    """With r = 1, 2, 3 or ``_ROWS`` outputs a row, over lattice filters of
+    length 2 to 20 at starts 0, odd, negative and past 10^12, and halves of
+    L/2 + 0..70 samples, most leaving k mod rp outputs over a block of k:
+    the bands of x and the merge of those bands are within 1e-15 ||x||_2 of
+    the dense operators, in the result dtype of x and the filter."""
+    rng = np.random.default_rng(seed)
+    free = rng.uniform(0.0, 2.0 * np.pi, stages - 1)
+    f = FilterSpec("lattice", lattice_lowpass(np.append(free, np.pi / 4 - free.sum())), start)
+    n = f.length + 2 * extra
+    x = {
+        "float64": rng.standard_normal(n),
+        "float32": rng.standard_normal(n).astype(np.float32),
+        "int": rng.integers(-1000, 1000, n),
+        "complex": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    }[kind]
+    dtype = np.result_type(x, f.h, np.float64)
+    wide = x.astype(dtype)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subband, "_ROWS", rows)
+        y, z = _split(x, f, (0,), _SQRT2)
+        back = _merge((y, z), f, (0,), _SQRT2)
+    m = subband_matrices(f, n)
+    tol = 1e-15 * np.linalg.norm(wide)
+    assert y.dtype == z.dtype == back.dtype == dtype
+    assert np.abs(y - m.analysis_low @ wide).max() <= tol
+    assert np.abs(z - m.analysis_high @ wide).max() <= tol
+    assert np.abs(back - (m.synthesis_low @ y + m.synthesis_high @ z)).max() <= tol
 
 
 def test_round_trip_peak_memory_1d():
