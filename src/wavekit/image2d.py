@@ -1,7 +1,7 @@
 """Separable two-dimensional transform on periodic images.
 
-One step filters every row (the x direction, numpy axis 1) and then every
-column (the y direction, axis 0), yielding four quarter-size planes:
+One step filters every column (the y direction, numpy axis 0) and every row
+(the x direction, axis 1), yielding four quarter-size planes:
 
     a  low in x, low in y      (averages)
     h  high in x, low in y     (horizontal detail)
@@ -9,18 +9,17 @@ column (the y direction, axis 0), yielding four quarter-size planes:
     d  high in both            (diagonal detail)
 
 On the 2x2 image [[1, 2], [3, 4]] with the haar filter this gives a=5, h=-1,
-v=-2, d=0, which the tests treat as the orientation contract. A step is the
-1-d filter bank's separable split of :mod:`wavekit.subband` over the axes
-(1, 0), which yields the bands in the order (a, v, h, d), and its inverse
-the matching merge; both carry the single exact factor 2 on the column
-pass. Each pass is one call of the subband polyphase kernel on the whole
-image: the row pass filters blocks of whole rows, the column pass blocks of
-whole row pairs, each band of a block as one matrix product of strided
-windows over the gathered samples with the filter's taps. A row of the
-row pass's product is the window of several outputs of one image row and
-meets a banded block of the taps (one output for complex taps); a row of
-the column pass's product is one column's window for one output and meets
-the plain taps. Repeating the step on ``a`` builds an ``ImagePyramid``;
+v=-2, d=0, which the tests treat as the orientation contract. A step runs
+the 1-d filter bank of :mod:`wavekit.subband` columns first, then rows, one
+strip of output rows at a time (``_split2d``, and ``_merge2d`` inverts it),
+so no plane-sized intermediate exists; both carry the single exact factor 2
+on the second pass. Each pass over a strip is one call of the subband
+polyphase kernel, each band of a block one matrix product of strided
+windows over the gathered samples with the filter's taps. A row of the row
+pass's product is the window of several outputs of one image row and meets
+a banded block of the taps (one output for complex taps); a row of the
+column pass's product is one column's window for one output and meets the
+plain taps. Repeating the step on ``a`` builds an ``ImagePyramid``;
 ``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
 for storage.
 """
@@ -47,7 +46,15 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _check_chain, _check_levels, _checked, _split, _unpyramid
+from .subband import _check_chain, _check_levels, _checked, _merge, _split
+
+#: Most samples of each strip temporary of a 2-d step (512 KiB of float64): 32
+#: rows of a 2048-wide image, 128 of a 512-wide one. A 2048^2 db4 step took
+#: 12.3 / 10.2 ms forward / inverse at 32 rows, 12.2 / 10.2 at 64 and
+#: 11.3 / 9.7 in one strip (best of 15, 1 BLAS thread). At 2^17 a 512^2
+#: image is one strip, and its 6-level round trip peaks at 3.32 image
+#: sizes (tracemalloc), against 2.82 at 2^16.
+_STRIP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,14 +139,56 @@ class Quantizer:
             raise ParameterError(f"quantizer step must be positive, got {self.step!r}")
 
 
+def _split2d(img: np.ndarray, f: FilterSpec) -> list:
+    """The planes (a, v, h, d) of one step of ``img``: for each strip of k
+    output rows, the column pass (y, no factor) writes k rows of the two
+    column bands into the strip's two k x M temporaries, and the row pass
+    (x, the factor 2) of each temporary writes rows i0..i0+k of two planes.
+    Separable passes commute, so the pass that reads neighbouring rows
+    always reads ``img`` itself and no strip needs a halo."""
+    img = np.ascontiguousarray(img)  # read once per strip
+    (n, m), dtype = img.shape, np.result_type(img.dtype, f.h.dtype, np.float64)
+    planes = [np.empty((n // 2, m // 2), dtype) for _ in "avhd"]
+    a, v, h, d = planes
+    k = min(n // 2, max(1, _STRIP // m))
+    strips = np.empty((2, k, m), dtype)
+    for i0 in range(0, n // 2, k):
+        rows = slice(i0, min(i0 + k, n // 2))
+        lo, hi = _split(img, f, 0, 1.0, strips[:, : rows.stop - i0], i0)
+        _split(lo, f, 1, 2.0, (a[rows], h[rows]))
+        _split(hi, f, 1, 2.0, (v[rows], d[rows]))
+    return planes
+
+
+def _merge2d(planes, f: FilterSpec) -> np.ndarray:
+    """Adjoint of :func:`_split2d` on the planes (a, v, h, d), in their
+    result dtype with the filter: for each strip of 2k output rows, the
+    column merges (y, the factor 2) of (a, v) and of (h, d) write the
+    strip's two 2k x M/2 temporaries, and the row merge (x, no factor) of
+    the two writes the strip's rows of the image."""
+    a, v, h, d = map(np.ascontiguousarray, planes)  # read once per strip
+    (n, m), dtype = a.shape, np.result_type(a, v, h, d, f.h.dtype, np.float64)
+    out = np.empty((2 * n, 2 * m), dtype)
+    k = min(n, max(1, _STRIP // (2 * m)))
+    strips = np.empty((2, 2 * k, m), dtype)
+    for i0 in range(0, n, k):
+        rows = min(k, n - i0)
+        lo, hi = strips[:, : 2 * rows]
+        _merge((a, v), f, 0, 2.0, lo, i0)
+        _merge((h, d), f, 0, 2.0, hi, i0)
+        _merge((lo, hi), f, 1, 1.0, out[2 * i0 : 2 * (i0 + rows)])
+    return out
+
+
 def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:
-    """One separable step: rows (x) first, then columns (y).
+    """One separable step: columns (y) first, then rows (x), one strip of
+    output rows at a time, with no full-size intermediate plane.
 
     The two sqrt(2) axis factors are applied as a single exact factor 2 on
     the second pass, so integer images with short filters produce exact
     float results (the 2x2 oracle below relies on this).
     """
-    a, v, h, d = _split(_checked(img, f, 2), f, (1, 0), 2.0)
+    a, v, h, d = _split2d(_checked(img, f, 2), f)
     return QuadDecomp(a=a, h=h, v=v, d=d)
 
 
@@ -179,7 +228,10 @@ def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
     each level's planes of the shape of the averages they merge with."""
     levels = [(t.v, t.h, t.d) for t in p.details]
     _check_chain(p.approx, levels, 2)
-    return _unpyramid(p.approx, levels, f, (1, 0), 2.0)
+    a = p.approx
+    for bands in reversed(levels):
+        a = _merge2d((a, *bands), f)
+    return a
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

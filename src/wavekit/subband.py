@@ -11,21 +11,22 @@ compose to the identity whenever the filter passes ``qmf_check``: the
 downsampling operators are isometries with orthogonal ranges summing to the
 whole space, which ``cuntz_check`` verifies on this same kernel.
 
-Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along a
-tuple of axes, one after the other: ``(0,)`` for a signal, ``(1, 0)`` for an
-image) or its adjoint ``_merge``. Every analysis passes one input gate,
-``_checked``; every inverse, and the container writer of :mod:`wavekit.io`,
-first passes ``_check_chain``, the one rule for how the bands chain. Along each
-axis both run one kernel, ``_polyphase_product``, the polyphase form of the
-pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as ``_analyze``
-states it: it gathers a cache-sized block once and makes each band one matmul.
-With one sample per row a row makes ``_ROWS`` outputs, a window times a banded
-block of the taps (one for complex taps and for a block's leftover outputs),
-and only ``_kernel_taps`` knows the taps' layout. Any axes before and after the
-filtered one ride along, so the 1-d step, both passes of the 2-d step and
-batched rows share it. Each level rule is stated once, in ``max_levels`` (and
-``image2d.max_levels_2d``); ``_check_levels`` accepts exactly the depths
-1..max. ``subband_matrices`` is the tests' oracle.
+Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along
+one axis) or its adjoint ``_merge``, at every output or, into arrays the caller
+passes, at a range of them: the 2-d step runs them strip by strip. Every
+analysis passes one input gate, ``_checked``; every inverse, and the container
+writer of :mod:`wavekit.io`, first passes ``_check_chain``, the one rule for
+how the bands chain. Both run one kernel, ``_polyphase_product``, the polyphase
+form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
+``_split`` states it: it gathers a cache-sized block once and makes each band
+one matmul, written straight into the caller's arrays. With one sample per row
+a row makes ``_ROWS`` outputs, a window times a banded block of the taps (one
+for complex taps and for a block's leftover outputs), and only ``_kernel_taps``
+knows the taps' layout. Any axes before and after the filtered one ride along,
+so the 1-d step, both passes of the 2-d step and batched rows share it. Each
+level rule is stated once, in ``max_levels`` (and ``image2d.max_levels_2d``);
+``_check_levels`` accepts exactly the depths 1..max. ``subband_matrices`` is
+the tests' oracle.
 
 A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level kernel
 runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and depth the
@@ -187,14 +188,16 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
+def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0) -> None:
     """The periodic polyphase product behind every filter-bank step:
 
-        out_j[l, i, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
+        out_j[l, i - first, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
 
-    along ``axis``, l and t running over the axes before and after it. The
-    two channels in_s come from ``srcs``, (array, v) pairs, and the two out_j
-    go to the arrays it returns, one per offset u in ``dsts``. An array
+    along ``axis`` at the outputs i in [first, first + count), l and t
+    running over the axes before and after it. The two channels in_s come from
+    ``srcs``, (array, v) pairs, and the out_j go to ``dsts``, (array, u)
+    pairs: C-contiguous arrays of the dtype of ``taps``, the inputs' shape
+    but count long along ``axis`` for each of their channels. An array
     2 half long along ``axis`` holds two channels, its phases, and one half
     long holds one.
 
@@ -214,14 +217,12 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     half = sum(a.shape[axis] for a, _ in srcs) // 2
     lead, trail = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
     c, band = 2 // len(dsts), taps.shape[1] // 2
+    count = dsts[0][0].shape[axis] // c
     r, width = band if trail == 1 else 1, len(taps) - 2 * band + 2
-    span = width // 2 - 1 + max(dsts)
-    ib = min(half, max(1, _BLOCK // trail))
+    span = width // 2 - 1 + max(u for _, u in dsts)
+    ib = min(count, max(1, _BLOCK // trail))
     lb = min(lead, max(1, _BLOCK // (ib * trail)))
     p = 1 << ((width // 2 + r - 2) // r).bit_length() if trail == 1 else 1
-    # The results before the short-lived gather buffer: in this order the
-    # pyramid benchmark's peak RSS was 1% lower.
-    outs = [np.empty(shape[:axis] + (c * half,) + shape[axis + 1 :], taps.dtype) for _ in dsts]
     gathered = np.empty(lb * (ib + span) * 2 * trail, dtype=taps.dtype)
     srcs = [(a.reshape(lead, half, -1, trail), v) for a, v in srcs]
     it = gathered.itemsize
@@ -231,12 +232,14 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
     # sample left out when there is one per row.
     t_shape, last = ((trail,), (it, trail * it)) if trail > 1 else ((), (it,))
     step = c * trail * it
-    products = list(zip(outs, dsts, (taps[:, : band * c], taps[:, band * c :])))
+    products = [
+        (a, u, cols) for (a, u), cols in zip(dsts, (taps[:, : band * c], taps[:, band * c :]))
+    ]
     for l0 in range(0, lead, lb):
         rows = slice(l0, min(l0 + lb, lead))
         m = rows.stop - l0
-        for i0 in range(0, half, ib):
-            k = min(ib, half - i0)
+        for i0 in range(first, first + count, ib):
+            k = min(ib, first + count - i0)
             g = gathered[: m * (k + span) * 2 * trail].reshape(m, k + span, 2, trail)
             s = 0
             for a, v in srcs:
@@ -250,13 +253,13 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int) -> list:
             rem = k % (r * p)
             for e, q, n, o in [t for t in ((0, p, k // (r * p), r), (k - rem, 1, rem, 1)) if t[2]]:
                 lanes, wsteps = (m, q, n), (g.strides[0], o * pair, o * q * pair) + last
-                osteps = (half * step, o * step, o * q * step) + last
+                osteps = (count * step, o * step, o * q * step) + last
                 wtail, tail = t_shape + (width + 2 * o - 2,), t_shape + (o * c,)
+                at = (l0 * count + i0 - first + e) * step
                 for a, u, cols in products:  # the whole band, or its corner
                     w = np.ndarray(lanes + wtail, g.dtype, gathered, (u + e) * pair, wsteps)
-                    out = np.ndarray(lanes + tail, a.dtype, a, (l0 * half + i0 + e) * step, osteps)
+                    out = np.ndarray(lanes + tail, a.dtype, a, at, osteps)
                     np.matmul(w, cols if o == band else cols[:width, :c], out=out)
-    return outs
 
 
 def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
@@ -293,56 +296,46 @@ def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
     return entry
 
 
-def _analyze(x: np.ndarray, f: FilterSpec, axis: int, scale: float) -> list:
+def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, first=0) -> list:
     """Both bands of ``x`` along ``axis``, low then high:
-    scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g.
+    scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g, at
+    every i into new arrays, or at i in [first, first + count) into ``outs``,
+    two arrays count long along ``axis`` in the result dtype.
 
     Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
     band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
     with the offsets (o_h, o_g) and taps C of ``_kernel_taps``.
     """
     (o_h, o_g), taps = _kernel_taps(f, False, scale, x.dtype)
-    # Offsets count mod half; the shorter way from o_h to o_g bounds the gather buffer.
     half = x.shape[axis] // 2
+    # New results before the kernel's short-lived gather buffer: in this order
+    # the pyramid benchmark's peak RSS was 1% lower.
+    if outs is None:
+        outs = [np.empty(x.shape[:axis] + (half,) + x.shape[axis + 1 :], taps.dtype) for _ in "hg"]
+    # Offsets count mod half; the shorter way from o_h to o_g bounds the gather buffer.
     gap = (o_g - o_h) % half
-    base, dsts = (o_h, [0, gap]) if 2 * gap < half else (o_g, [half - gap, 0])
-    return _polyphase_product([(x, base)], taps, dsts, axis)
+    base, us = (o_h, (0, gap)) if 2 * gap < half else (o_g, (half - gap, 0))
+    _polyphase_product([(x, base)], taps, list(zip(outs, us)), axis, first)
+    return outs
 
 
-def _synthesize(
-    low: np.ndarray, high: np.ndarray, f: FilterSpec, axis: int, scale: float
-) -> np.ndarray:
-    """Adjoint of :func:`_analyze`: phase s of the output at k is
-    sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], so with q replaced by
-    Q - 1 - q both phases come from one product, band b read from offset
-    -o_b - (Q - 1), r less than half the block's 2(Q + r - 1) rows."""
-    offsets, taps = _kernel_taps(f, True, scale, np.promote_types(low.dtype, high.dtype))
-    srcs = [(y, taps.shape[1] // 2 - len(taps) // 2 - o) for y, o in zip((low, high), offsets)]
-    return _polyphase_product(srcs, taps, [0], axis)[0]
-
-
-def _split(x: np.ndarray, f: FilterSpec, axes: tuple[int, ...], scale: float) -> list:
-    """Analyze along each axis in turn, low band before high: 2^len(axes)
-    bands, ordered like binary numbers with the first axis as the top bit.
-
-    ``scale`` is applied on the last axis only, so 1-d is ``axes=(0,)`` with
-    sqrt(2) and the 2-d step ``axes=(1, 0)`` with the exact factor 2, giving
-    the bands (a, v, h, d).
-    """
-    bands = [x]
-    for axis in axes:
-        s = scale if axis == axes[-1] else 1.0
-        bands = [band for b in bands for band in _analyze(b, f, axis, s)]
-    return bands
-
-
-def _merge(bands, f: FilterSpec, axes: tuple[int, ...], scale: float) -> np.ndarray:
-    """Adjoint of :func:`_split`: merge sibling bands pairwise, last axis
-    first, into one array whose dtype comes from the bands and the filter."""
-    for axis in reversed(axes):
-        s = scale if axis == axes[-1] else 1.0
-        bands = [_synthesize(lo, hi, f, axis, s) for lo, hi in zip(bands[0::2], bands[1::2])]
-    return bands[0]
+def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0) -> np.ndarray:
+    """Adjoint of :func:`_split`: from the bands (low, high), phase s of the
+    output at k is sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], at
+    every k into a new array in the result dtype of the bands and the
+    filter, or at k in [first, first + count) into ``out``, 2 count long
+    along ``axis``, whose result dtype it computes in. With q replaced by Q - 1 - q both phases come
+    from one product, band b read from offset -o_b - (Q - 1), r less than
+    half the block's 2(Q + r - 1) rows."""
+    low, high = bands
+    dtype = np.promote_types(low.dtype, high.dtype) if out is None else out.dtype
+    offsets, taps = _kernel_taps(f, True, scale, dtype)
+    if out is None:
+        shape = low.shape[:axis] + (2 * low.shape[axis],) + low.shape[axis + 1 :]
+        out = np.empty(shape, taps.dtype)
+    srcs = [(y, taps.shape[1] // 2 - len(taps) // 2 - o) for y, o in zip(bands, offsets)]
+    _polyphase_product(srcs, taps, [(out, 0)], axis, first)
+    return out
 
 
 def _checked(x, f: FilterSpec, ndim: int) -> np.ndarray:
@@ -392,17 +385,6 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...]
     return shape, dtype
 
 
-def _unpyramid(
-    approx: np.ndarray, levels, f: FilterSpec, axes: tuple[int, ...], scale: float
-) -> np.ndarray:
-    """Every inverse on the kernel, once its input passed ``_check_chain``:
-    merge ``approx`` with the bands of each level in ``levels``, deepest
-    (last) first, as ``_merge`` along ``axes`` with ``scale``."""
-    for bands in reversed(levels):
-        approx = _merge((approx, *bands), f, axes, scale)
-    return approx
-
-
 def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray | None:
     """The n x n matrix M of the ``levels``-deep pyramid of n samples, or
     None when n is over ``_OPERATOR_MAX_N``, data of ``dtype`` or the taps
@@ -430,7 +412,7 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
             return None
         bands = []
         for _ in range(levels):
-            rows, z = _split(rows, f, (1,), _SQRT2)
+            rows, z = _split(rows, f, 1, _SQRT2)
             bands.append(z)
         op = f._tap_cache[key] = np.concatenate((*bands, rows), axis=1)
         op.setflags(write=False)
@@ -460,15 +442,14 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
     so the step is exactly invertible by ``synthesis_step`` for filters that
     pass ``qmf_check``.
     """
-    y, z = _split(_checked(x, f, 1), f, (0,), _SQRT2)
+    y, z = _split(_checked(x, f, 1), f, 0, _SQRT2)
     return SubbandPair(y=y, z=z)
 
 
 def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
     """Merge an averages/details pair back into a double-length signal."""
-    levels = [(p.z,)]
-    _check_chain(p.y, levels, 1)
-    return _unpyramid(p.y, levels, f, (0,), _SQRT2)
+    _check_chain(p.y, [(p.z,)], 1)
+    return _merge((p.y, p.z), f, 0, _SQRT2)
 
 
 def max_levels(n: int, f: FilterSpec) -> int:
@@ -513,7 +494,7 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
         return Pyramid1D._of(tuple(details), c[n - (n >> n_lev) :])
     details = []
     for _ in range(n_lev):
-        x, z = _split(x, f, (0,), _SQRT2)
+        x, z = _split(x, f, 0, _SQRT2)
         details.append(z)
     return Pyramid1D._of(tuple(details), x)
 
@@ -526,9 +507,12 @@ def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     levels = [(z,) for z in p.details]
     (n,), dtype = _check_chain(p.approx, levels, 1)
     op = _pyramid_operator(f, n, len(levels), dtype)
-    if op is None:
-        return _unpyramid(p.approx, levels, f, (0,), _SQRT2)
-    return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)
+    if op is not None:
+        return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)
+    x = p.approx
+    for z in reversed(p.details):
+        x = _merge((x, z), f, 0, _SQRT2)
+    return x
 
 
 def subband_matrices(f: FilterSpec, n: int) -> SubbandMatrices:
@@ -576,11 +560,11 @@ def cuntz_check(f: FilterSpec, n: int, tol: float = 1e-10) -> CuntzReport:
     # Columns 0 and 1 of S_0 A_0 + S_1 A_1 - I: e0 and e1 (the rows of e),
     # split then merged.
     e = np.eye(2, n, dtype=dtype)
-    completeness = np.abs(_merge(_split(e, f, (1,), _SQRT2), f, (1,), _SQRT2) - e).max()
+    completeness = np.abs(_merge(_split(e, f, 1, _SQRT2), f, 1, _SQRT2) - e).max()
     # Column 0 of A_i S_j - delta_ij I: e0 in the low band (row 0) and in the
     # high band (row 1), merged then split, the bands side by side as in e.
     e[1, 1], e[1, half] = 0.0, 1.0
-    out = _split(_merge((e[:, :half], e[:, half:]), f, (1,), _SQRT2), f, (1,), _SQRT2)
+    out = _split(_merge((e[:, :half], e[:, half:]), f, 1, _SQRT2), f, 1, _SQRT2)
     dev = np.abs(np.concatenate(out, axis=1) - e).reshape(2, 2, half).max(axis=2).T
     worst = float(max(dev.max(), completeness))
     return CuntzReport(

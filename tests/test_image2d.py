@@ -336,24 +336,51 @@ def test_level_error_exactly_past_max_levels_2d(lattice_filters):
                             dwt2d(img, f, lev)
 
 
+def _one_level(q: QuadDecomp) -> ImagePyramid:
+    return ImagePyramid((LevelDetail(h=q.h, v=q.v, d=q.d),), q.a)
+
+
 @pytest.mark.parametrize("block", (1, 2, 3))
 def test_steps_do_not_depend_on_the_block_size(monkeypatch, lattice_filters, block):
     """2-d steps on (6, 34) and (34, 6) images split into blocks of one to
     three outputs, with ragged last blocks and, for the 8-tap filter on six
     samples, windows that wrap more than once, equal the unsplit steps."""
+    import wavekit.image2d as image2d
     import wavekit.subband as subband
 
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], 1)):
         for shape in ((6, 34), (34, 6)):
             img = RNG.standard_normal(shape)
-            ref = subband._split(img, f, (1, 0), 2.0)
-            ref_back = subband._merge(ref, f, (1, 0), 2.0)
+            ref = image2d._split2d(img, f)
+            ref_back = image2d._merge2d(ref, f)
             with monkeypatch.context() as patch:
                 patch.setattr(subband, "_BLOCK", block)
-                bands = subband._split(img, f, (1, 0), 2.0)
-                back = subband._merge(bands, f, (1, 0), 2.0)
+                bands = image2d._split2d(img, f)
+                back = image2d._merge2d(bands, f)
             for got, want in zip((*bands, back), (*ref, ref_back)):
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _assert_steps_match_dense(f: FilterSpec, images) -> None:
+    """The four planes of a step of each image, and their inverse, are within
+    1e-15 ||img||_2 of the dense operators, in the image's result dtype."""
+    shape = images[0].shape
+    my, mx = subband_matrices(f, shape[0]), subband_matrices(f, shape[1])
+    ay, ax = (my.analysis_low, my.analysis_high), (mx.analysis_low, mx.analysis_high)
+    sy, sx = (my.synthesis_low, my.synthesis_high), (mx.synthesis_low, mx.synthesis_high)
+    for img in images:
+        dtype = np.result_type(img, f.h, np.float64)
+        wide = img.astype(dtype)
+        q = dwt2d_step(img, f)
+        tol = 1e-15 * np.linalg.norm(wide)
+        planes = {(0, 0): q.a, (1, 0): q.h, (0, 1): q.v, (1, 1): q.d}
+        for (bx, by), plane in planes.items():
+            assert plane.dtype == dtype
+            assert np.abs(plane - ay[by] @ wide @ ax[bx].T).max() <= tol
+        back = idwt2d(_one_level(q), f)
+        dense = sum(sy[by] @ plane @ sx[bx].T for (bx, by), plane in planes.items())
+        assert back.dtype == dtype
+        assert np.abs(back - dense).max() <= tol
 
 
 @pytest.mark.parametrize("shape, block", [((6, 2046), None), ((12, 40), 24), ((12, 40), 7)])
@@ -368,36 +395,61 @@ def test_row_pass_rows_match_dense_operators(monkeypatch, lattice_filters, shape
     if block is not None:
         monkeypatch.setattr(subband, "_BLOCK", block)
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[11], -5)):
-        my, mx = subband_matrices(f, shape[0]), subband_matrices(f, shape[1])
-        ay, ax = (my.analysis_low, my.analysis_high), (mx.analysis_low, mx.analysis_high)
-        sy, sx = (my.synthesis_low, my.synthesis_high), (mx.synthesis_low, mx.synthesis_high)
         x = RNG.standard_normal(shape)
-        for img in (x, x.astype(np.float32), RNG.integers(-99, 99, shape), x + 1j * x[::-1]):
-            dtype = np.result_type(img, f.h, np.float64)
-            wide = img.astype(dtype)
-            q = dwt2d_step(img, f)
-            tol = 1e-15 * np.linalg.norm(wide)
-            planes = {(0, 0): q.a, (1, 0): q.h, (0, 1): q.v, (1, 1): q.d}
-            for (bx, by), plane in planes.items():
-                assert plane.dtype == dtype
-                assert np.abs(plane - ay[by] @ wide @ ax[bx].T).max() <= tol
-            back = idwt2d(ImagePyramid((LevelDetail(h=q.h, v=q.v, d=q.d),), q.a), f)
-            dense = sum(sy[by] @ plane @ sx[bx].T for (bx, by), plane in planes.items())
-            assert back.dtype == dtype
-            assert np.abs(back - dense).max() <= tol
+        images = (x, x.astype(np.float32), RNG.integers(-99, 99, shape), x + 1j * x[::-1])
+        _assert_steps_match_dense(f, images)
+
+
+@pytest.mark.parametrize("rows", (None, 1, 3))
+@pytest.mark.parametrize("shape", ((2, 2048), (2048, 2), (6, 2046), (34, 12)))
+def test_strips_match_dense_operators(monkeypatch, lattice_filters, shape, rows):
+    """A step runs strip by strip. In strips of one or three rows, which do
+    not divide the half-heights 1024 and 17, and at the default strip size,
+    where each of these images is shorter than one strip; for lattice
+    filters starting at odd, negative and +-(10^12 + small) samples, whose
+    band offsets wrap mod half; for float64, float32, integer, bool and
+    complex images: the planes and their inverse are within 1e-15 ||img||_2
+    of the dense operators, in the image's result dtype, and a float32
+    image gives the bits of its float64 copy."""
+    import wavekit.image2d as image2d
+
+    if rows is not None:
+        monkeypatch.setattr(image2d, "_STRIP", rows * shape[1])
+    h = {2: lattice_filters[1], 6: lattice_filters[11], 12: lattice_filters[17]}[min(shape)]
+    for start in (3, -5, 10**12 + 3, -(10**12) - 2):
+        f = FilterSpec("lattice", h, start)
+        x, y = RNG.standard_normal((2, *shape))
+        narrow = x.astype(np.float32)
+        _assert_steps_match_dense(f, (x, narrow, RNG.integers(-99, 99, shape), x < 0, x + 1j * y))
+        q32, q64 = dwt2d_step(narrow, f), dwt2d_step(narrow.astype(np.float64), f)
+        for name in "ahvd":
+            assert np.array_equal(getattr(q32, name), getattr(q64, name))
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of the second of two calls of ``fn``."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_round_trip_peak_memory_2d():
     """The tracemalloc peak of a 6-level db4 round trip of a 512 x 512 image
-    stays within 3.81 image sizes, the figure of the per-tap kernel this one
-    replaced: blocking keeps every temporary cache-sized."""
+    stays within 2.9 image sizes: the pyramid, the image it inverts to and
+    strips, with no plane-sized intermediate in either direction."""
     f = builtin_filter("db4")
     img = RNG.standard_normal((512, 512))
-    idwt2d(dwt2d(img, f, 6), f)
-    tracemalloc.start()
-    try:
-        idwt2d(dwt2d(img, f, 6), f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.81 * img.nbytes
+    assert _peak_bytes(lambda: idwt2d(dwt2d(img, f, 6), f)) <= 2.9 * img.nbytes
+
+
+def test_dwt2d_peak_memory():
+    """A 6-level db4 dwt2d of a 512 x 512 image peaks within 1.6 image
+    sizes: each step's four planes and its strip temporaries. A step with a
+    plane-sized intermediate takes it past 2."""
+    f = builtin_filter("db4")
+    img = RNG.standard_normal((512, 512))
+    assert _peak_bytes(lambda: dwt2d(img, f, 6)) <= 1.6 * img.nbytes

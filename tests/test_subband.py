@@ -495,19 +495,19 @@ def test_kernel_against_dense_operators(free, upsample, start, extra, kind, seed
     dtype = np.result_type(x, h, np.float64)
     wide = x.astype(dtype)
 
-    y, z = _split(x, f, (0,), _SQRT2)
+    y, z = _split(x, f, 0, _SQRT2)
     m = subband_matrices(f, n)
     assert y.dtype == z.dtype == dtype
     assert_allclose(y, m.analysis_low @ wide, rtol=0, atol=1e-12)
     assert_allclose(z, m.analysis_high @ wide, rtol=0, atol=1e-12)
-    back = _merge((y, z), f, (0,), _SQRT2)
+    back = _merge((y, z), f, 0, _SQRT2)
     assert back.dtype == dtype
     assert_allclose(back, wide, rtol=0, atol=1e-10)
     energy = np.vdot(y, y).real + np.vdot(z, z).real
     assert energy == pytest.approx(np.vdot(wide, wide).real, rel=1e-12)
     u, w = (rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2) for _ in "uw")
     inner = np.vdot(y, u) + np.vdot(z, w)
-    assert abs(inner - np.vdot(wide, _merge((u, w), f, (0,), _SQRT2))) <= 1e-12 * n
+    assert abs(inner - np.vdot(wide, _merge((u, w), f, 0, _SQRT2))) <= 1e-12 * n
 
 
 def _band_energy(*bands) -> float:
@@ -565,12 +565,12 @@ def test_batched_rows_match_the_row_loop(monkeypatch, lattice_filters, block):
     the whole stack."""
     rows = RNG.standard_normal((1000, 64))
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
-        loop = [_split(r, f, (0,), _SQRT2) for r in rows]
-        merged = np.stack([_merge(b, f, (0,), _SQRT2) for b in loop])
+        loop = [_split(r, f, 0, _SQRT2) for r in rows]
+        merged = np.stack([_merge(b, f, 0, _SQRT2) for b in loop])
         with monkeypatch.context() as patch:
             patch.setattr(subband, "_BLOCK", block)
-            bands = _split(rows, f, (1,), _SQRT2)
-            back = _merge(bands, f, (1,), _SQRT2)
+            bands = _split(rows, f, 1, _SQRT2)
+            back = _merge(bands, f, 1, _SQRT2)
         for j, band in enumerate(bands):
             _assert_close_relative(band, np.stack([b[j] for b in loop]))
         _assert_close_relative(back, merged)
@@ -641,8 +641,8 @@ def test_r_output_rows_match_dense_operators(stages, start, rows, extra, kind, s
     wide = x.astype(dtype)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(subband, "_ROWS", rows)
-        y, z = _split(x, f, (0,), _SQRT2)
-        back = _merge((y, z), f, (0,), _SQRT2)
+        y, z = _split(x, f, 0, _SQRT2)
+        back = _merge((y, z), f, 0, _SQRT2)
     m = subband_matrices(f, n)
     tol = 1e-15 * np.linalg.norm(wide)
     assert y.dtype == z.dtype == back.dtype == dtype
@@ -756,12 +756,12 @@ def test_threshold_zero_runs_the_kernel_bit_for_bit(monkeypatch, lattice_filters
             p = dwt1d(x, f, 2)
             low, details = x, []
             for _ in range(2):
-                low, z = _split(low, f, (0,), _SQRT2)
+                low, z = _split(low, f, 0, _SQRT2)
                 details.append(z)
             for got, ref in zip((*p.details, p.approx), (*details, low)):
                 assert np.array_equal(got, ref)
-            merged = _merge((p.approx, p.details[1]), f, (0,), _SQRT2)
-            merged = _merge((merged, p.details[0]), f, (0,), _SQRT2)
+            merged = _merge((p.approx, p.details[1]), f, 0, _SQRT2)
+            merged = _merge((merged, p.details[0]), f, 0, _SQRT2)
             assert np.array_equal(idwt1d(p, f), merged)
         assert _operator_bytes(f) == 0
 
