@@ -5,7 +5,8 @@ Exit statuses: 0 success, 1 a verification verdict came back negative,
 sizes or levels), 3 numeric failures (degenerate eigenproblems, inadmissible
 wavelets, unresolvable quadrature). argparse's own usage errors also exit 2.
 Flag misuse (a flag the command or transform mode refuses, or one it lacks)
-exits 2 before any input is read or file written.
+and an output path that is a directory or lies in none exit 2 before any
+input is read or file written, so a refused command leaves no file behind.
 """
 from __future__ import annotations
 
@@ -134,6 +135,27 @@ def _check_flags(args) -> None:
         name, trigger, message = need
         if getattr(args, name) is None and (trigger is None or getattr(args, trigger)):
             raise ParameterError(message)
+
+
+def _recon_path(out: str) -> str:
+    """Where ``cwt --invert`` writes the reconstruction: next to ``out``."""
+    root, ext = os.path.splitext(out)
+    return f"{root}.recon{ext or '.csv'}"
+
+
+def _check_outputs(args) -> None:
+    """Refuse every output path that names no file, names a directory or lies
+    in no directory, so that no command writes one file and then fails on the
+    next."""
+    paths = [getattr(args, name, None) for name in ("out", "preview", "heatmap")]
+    if getattr(args, "invert", False):
+        paths.append(_recon_path(args.out))
+    for path in (p for p in paths if p is not None):
+        folder, name = os.path.split(path)
+        if not name or os.path.isdir(path):
+            raise ParameterError(f"cannot write {path!r}: not a file name")
+        if not os.path.isdir(folder or "."):
+            raise ParameterError(f"cannot write {path!r}: no such directory")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +300,7 @@ def _run_cwt(args) -> int:
     if args.invert:
         rec = icwt(coeffs, psi)
         rel = replace(f, values=rec.values - f.values).norm() / norm
-        root, ext = os.path.splitext(args.out)
-        recon_path = f"{root}.recon{ext or '.csv'}"
+        recon_path = _recon_path(args.out)
         write_signal_csv(recon_path, rec.values)
         print(f"inversion relative L2 error: {rel:.6g}")
         print(f"wrote {recon_path}")
@@ -362,6 +383,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
+        _check_outputs(args)
         return args.run(args)
     except (WavekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

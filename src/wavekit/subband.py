@@ -18,8 +18,9 @@ analysis passes one input gate, ``_checked``; every inverse, and the container
 writer of :mod:`wavekit.io`, first passes ``_check_chain``, the one rule for
 how the bands chain. Both run one kernel, ``_polyphase_product``, the polyphase
 form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
-``_split`` states it: it gathers a cache-sized block once and makes each band
-one matmul, written straight into the caller's arrays. With one sample per row
+``_split`` states it: it gathers a block of ``_BLOCK`` outputs (the 2-d step
+passes a size of its own) once and makes each band one matmul, written
+straight into the caller's arrays. With one sample per row
 a row makes ``_ROWS`` outputs, a window times a banded block of the taps (one
 for complex taps and for a block's leftover outputs), and only ``_kernel_taps``
 knows the taps' layout. Any axes before and after the filtered one ride along,
@@ -64,10 +65,12 @@ from .filters import FilterSpec, derive_highpass
 _SQRT2 = float(np.sqrt(2.0))
 
 #: Most outputs per channel that one block of ``_polyphase_product``
-#: computes (64 KiB of float64). Its gather buffer, about twice that, stays
-#: in a core's L2 cache. 2^12 was slower on 2048^2 images; 2^14 was faster
-#: there, but lifts the tracemalloc peak of a 2^16-sample round trip to 3.009
-#: signal sizes, against the 3.01 that the tests hold it to.
+#: computes on the 1-d path (1-d steps and pyramids, batched rows, the
+#: pyramid operators, ``cuntz_check``): 64 KiB of float64, with a gather
+#: buffer about twice that. 2^14 lifts the tracemalloc peak of a
+#: 2^16-sample round trip to 3.009 signal sizes, against the 3.01 that the
+#: tests hold it to. The 2-d passes take a block of their own, never below
+#: this one (``image2d._pass_block``).
 _BLOCK = 1 << 13
 
 #: Outputs per BLAS row with one sample per row, float64 taps only. A 2048^2 db4
@@ -188,7 +191,7 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0) -> None:
+def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0, block=None) -> None:
     """The periodic polyphase product behind every filter-bank step:
 
         out_j[l, i - first, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
@@ -201,9 +204,10 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0) 
     2 half long along ``axis`` holds two channels, its phases, and one half
     long holds one.
 
-    In blocks of at most ``_BLOCK`` outputs per channel (whole trailing rows,
-    and whole index ranges when a block spans lead rows), the wrapped input
-    is gathered once, its channels interleaved, into one buffer per call. The
+    In blocks of at most ``block`` outputs per channel (``_BLOCK`` unless the
+    caller passes one, as the 2-d step does; whole trailing rows, and whole
+    index ranges when a block spans lead rows), the wrapped input is
+    gathered once, its channels interleaved, into one buffer per call. The
     2Q samples that meet output i then sit at even steps from entry i + u, so
     one overlapping strided view holds every window, and each result block
     is one matmul of that view with its columns of ``taps``, written in place
@@ -220,8 +224,9 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0) 
     count = dsts[0][0].shape[axis] // c
     r, width = band if trail == 1 else 1, len(taps) - 2 * band + 2
     span = width // 2 - 1 + max(u for _, u in dsts)
-    ib = min(count, max(1, _BLOCK // trail))
-    lb = min(lead, max(1, _BLOCK // (ib * trail)))
+    block = _BLOCK if block is None else block
+    ib = min(count, max(1, block // trail))
+    lb = min(lead, max(1, block // (ib * trail)))
     p = 1 << ((width // 2 + r - 2) // r).bit_length() if trail == 1 else 1
     gathered = np.empty(lb * (ib + span) * 2 * trail, dtype=taps.dtype)
     srcs = [(a.reshape(lead, half, -1, trail), v) for a, v in srcs]
@@ -296,11 +301,12 @@ def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
     return entry
 
 
-def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, first=0) -> list:
+def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, first=0, block=None) -> list:
     """Both bands of ``x`` along ``axis``, low then high:
     scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g, at
     every i into new arrays, or at i in [first, first + count) into ``outs``,
-    two arrays count long along ``axis`` in the result dtype.
+    two arrays count long along ``axis`` in the result dtype, in the
+    kernel's blocks of ``block`` outputs.
 
     Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
     band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
@@ -315,16 +321,17 @@ def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, fir
     # Offsets count mod half; the shorter way from o_h to o_g bounds the gather buffer.
     gap = (o_g - o_h) % half
     base, us = (o_h, (0, gap)) if 2 * gap < half else (o_g, (half - gap, 0))
-    _polyphase_product([(x, base)], taps, list(zip(outs, us)), axis, first)
+    _polyphase_product([(x, base)], taps, list(zip(outs, us)), axis, first, block)
     return outs
 
 
-def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0) -> np.ndarray:
+def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0, block=None) -> np.ndarray:
     """Adjoint of :func:`_split`: from the bands (low, high), phase s of the
     output at k is sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], at
     every k into a new array in the result dtype of the bands and the
     filter, or at k in [first, first + count) into ``out``, 2 count long
-    along ``axis``, whose result dtype it computes in. With q replaced by Q - 1 - q both phases come
+    along ``axis``, whose result dtype it computes in, in the kernel's
+    blocks of ``block`` outputs. With q replaced by Q - 1 - q both phases come
     from one product, band b read from offset -o_b - (Q - 1), r less than
     half the block's 2(Q + r - 1) rows."""
     low, high = bands
@@ -334,7 +341,7 @@ def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0) -> 
         shape = low.shape[:axis] + (2 * low.shape[axis],) + low.shape[axis + 1 :]
         out = np.empty(shape, taps.dtype)
     srcs = [(y, taps.shape[1] // 2 - len(taps) // 2 - o) for y, o in zip(bands, offsets)]
-    _polyphase_product(srcs, taps, [(out, 0)], axis, first)
+    _polyphase_product(srcs, taps, [(out, 0)], axis, first, block)
     return out
 
 

@@ -739,3 +739,151 @@ def test_cli_filter_start_counts_mod_n(tmp_path):
                        "--out", str(out)).returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# --- the contract over generated command lines --------------------------------------
+
+# Each flag's values: the good ones, then the bad ones (malformed, missing and
+# wrong-kind files, unwritable outputs, and zero, negative, huge, NaN and
+# non-numeric numbers).
+_FUZZ_FLAGS = {
+    "--filter": (("haar", "db4", "in/f.txt", "stretched_haar"),
+                 ("nosuch", "in/bad.txt", "in/hat.txt", "in/empty.txt", "in/missing.txt", "in")),
+    "--in": (("in/x.csv", "in/i.pgm", "in/x.pyr", "in/i.pyr"),
+             ("in/short.csv", "in/zero.csv", "in/bad.txt", "in/empty.txt", "in/missing.txt", "in")),
+    "--out": (("o.pyr", "o.csv", "o.pgm"), ("none/o.csv", "in", "", "in/")),
+    "--preview": (("p.pgm",), ("none/p.pgm", "in", "")),
+    "--heatmap": (("h.pgm",), ("none/h.pgm", "in", "")),
+    "--levels": (("1", "2"), ("0", "-1", "99", "3.5", "abc")),
+    "--quantize": (("0.5",), ("0", "-1", "nan", "inf", "1e-320", "abc")),
+    "--tol": (("1e-10", "0"), ("-1", "nan", "inf", "abc")),
+    "--cuntz-n": (("8", "16"), ("0", "-4", "7", str(10**12), "abc")),
+    "--resolution": (("3", "0"), ("-2", "25", "x", "9" * 20)),
+    "--which": (("phi", "psi"), ("chi",)),
+    "--wavelet": (("mexican_hat", "haar", "cascade:db4:3", "cascade:in/f.txt:2"),
+                  ("gaussian", "cascade:haar:x", "cascade::3", "nosuch")),
+    "--scales": (("4:16:2", "8:32:3"),
+                 ("16:4:2", "0:8:4", "4:16:0", "a:b:c", "4:16", "nan:8:2", "1e-300:1e300:8")),
+}
+# Each subcommand's flags, the ones a run needs first.
+_FUZZ_COMMANDS = {
+    "verify": (("--filter",), ("--tol", "--cuntz-n", "--lawton")),
+    "transform": (("--in", "--out", "--filter"), ("--levels", "--preview", "--quantize")),
+    "cascade": (("--filter", "--resolution", "--out"), ("--which",)),
+    "cwt": (("--in", "--wavelet", "--scales"), ("--out", "--heatmap", "--invert")),
+}
+_FUZZ_MODES = {"dwt1d": "in/x.csv", "idwt1d": "in/x.pyr", "dwt2d": "in/i.pgm", "idwt2d": "in/i.pyr"}
+
+
+def _fuzz_argv(rng: np.random.Generator) -> list[str]:
+    """One command line: a subcommand (and, for transform, a mode or a bad
+    one), each flag a run needs with probability 0.95 and each other flag
+    with probability 0.5, now and then a flag of another subcommand; each
+    value good with probability 0.75, else bad. A good transform input is
+    the one its mode reads."""
+    command = str(rng.choice(list(_FUZZ_COMMANDS)))
+    argv = [command]
+    good = dict(_FUZZ_FLAGS)
+    if command == "transform":
+        argv.append(str(rng.choice(list(_FUZZ_MODES) + ["dwt3d"])))
+        good["--in"] = ((_FUZZ_MODES.get(argv[1], "in/x.csv"),), _FUZZ_FLAGS["--in"][1])
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = [(flag, 0.95) for flag in required] + [(flag, 0.5) for flag in optional]
+    if rng.random() < 0.1:
+        flags.append((str(rng.choice(list(_FUZZ_FLAGS))), 1.0))
+    for flag, chance in flags:
+        if rng.random() < chance:
+            argv.append(flag)
+            if flag in _FUZZ_FLAGS:
+                argv.append(str(rng.choice(good[flag][rng.random() >= 0.75])))
+    return argv
+
+
+def _fuzz_inputs(folder: Path) -> None:
+    folder.mkdir()
+    x = np.sin(np.arange(64.0) / 3)
+    write_signal_csv(str(folder / "x.csv"), x)
+    write_signal_csv(str(folder / "short.csv"), x[:6])
+    write_signal_csv(str(folder / "zero.csv"), np.zeros(32))
+    write_pgm(str(folder / "i.pgm"), np.arange(256.0).reshape(16, 16))
+    (folder / "f.txt").write_text(f"name: x\nstart: 3\ncoeffs: {_DB4_TAPS}\n")
+    (folder / "hat.txt").write_text("name: hat\nstart: 0\ncoeffs: 0.25 0.5 0.25\n")
+    (folder / "bad.txt").write_text("name: x\nstart: 0\ncoeffs: 0.5 abc\n")
+    (folder / "empty.txt").write_text("")
+    from wavekit import builtin_filter, dwt1d, dwt2d
+    from wavekit.io import write_pyramid_container
+
+    f = builtin_filter("db4")
+    write_pyramid_container(str(folder / "x.pyr"), dwt1d(x, f, 2), "db4")
+    write_pyramid_container(str(folder / "i.pyr"), dwt2d(read_pgm(str(folder / "i.pgm")), f, 2), "db4")
+
+
+def _tree(folder: Path) -> dict:
+    return {str(p.relative_to(folder)): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
+
+
+def test_generated_command_lines_keep_the_exit_contract(tmp_path, monkeypatch, capsys):
+    """500 seeded command lines, run in-process: none ends in a traceback;
+    each exits 0, 1, 2 or 3; a refusal (2 or 3) prints exactly one error
+    line (for argparse's usage errors, a usage text and one error line) and
+    leaves the folder as it found it, inputs and outputs alike."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    _fuzz_inputs(tmp_path / "in")
+    before = _tree(tmp_path)
+    rng = np.random.default_rng(20261020)
+    statuses = set()
+    for _ in range(500):
+        argv = _fuzz_argv(rng)
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            status = exc.code
+        except Exception as exc:  # noqa: BLE001 - any other escape is the failure sought
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        statuses.add(status)
+        assert status in (0, 1, 2, 3), argv
+        assert "Traceback" not in out + err, argv
+        after = _tree(tmp_path)
+        if status in (2, 3):
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and err.rstrip("\n").endswith(errors[0]), (argv, err)
+            assert after == before, argv
+        assert {k: after[k] for k in before} == before, argv  # no input is overwritten
+        for name in set(after) - set(before):
+            (tmp_path / name).unlink()
+    assert statuses == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "dwt2d", "--in", "i.pgm", "--filter", "haar", "--out", "o.pyr",
+          "--preview", "none/p.pgm"], "cannot write 'none/p.pgm': no such directory"),
+        (["transform", "dwt2d", "--in", "i.pgm", "--filter", "haar", "--out", "o.pyr",
+          "--preview", "."], "cannot write '.': not a file name"),
+        (["transform", "dwt2d", "--in", "i.pgm", "--filter", "haar", "--out", "o.pyr",
+          "--preview", ""], "cannot write '': not a file name"),
+        (["cwt", "--in", "x.csv", "--wavelet", "haar", "--scales", "4:16:2", "--out", "o.csv",
+          "--heatmap", "none/h.pgm"], "cannot write 'none/h.pgm': no such directory"),
+        (["cwt", "--in", "x.csv", "--wavelet", "haar", "--scales", "4:16:2", "--out", "o.csv",
+          "--invert"], "cannot write 'o.recon.csv': not a file name"),
+    ],
+    ids=["preview-no-directory", "preview-is-directory", "preview-empty", "heatmap-no-directory",
+         "recon-is-directory"],
+)
+def test_an_unwritable_second_output_is_refused_before_the_first(tmp_path, monkeypatch, capsys,
+                                                                  argv, message):
+    """A command with two outputs, the second of which cannot be written,
+    exits 2 with one error line before it writes the first."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    write_pgm("i.pgm", np.arange(256.0).reshape(16, 16))
+    write_signal_csv("x.csv", np.sin(np.arange(64.0) / 3))
+    (tmp_path / "o.recon.csv").mkdir()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.pgm", "o.recon.csv", "x.csv"]
