@@ -5,8 +5,9 @@ Exit statuses: 0 success, 1 a verification verdict came back negative,
 sizes or levels), 3 numeric failures (degenerate eigenproblems, inadmissible
 wavelets, unresolvable quadrature). argparse's own usage errors also exit 2.
 Flag misuse (a flag the command or transform mode refuses, or one it lacks)
-and an output path that is a directory or lies in none exit 2 before any
-input is read or file written, so a refused command leaves no file behind.
+an output path that is a directory or lies in none, and two outputs that
+name one file exit 2 before any input is read or file written, so a refused
+command leaves no file behind.
 """
 from __future__ import annotations
 
@@ -145,17 +146,22 @@ def _recon_path(out: str) -> str:
 
 def _check_outputs(args) -> None:
     """Refuse every output path that names no file, names a directory or lies
-    in no directory, so that no command writes one file and then fails on the
+    in no directory, and any two outputs that name one file, so that no
+    command writes one file and then fails on, or overwrites it with, the
     next."""
-    paths = [getattr(args, name, None) for name in ("out", "preview", "heatmap")]
+    paths = {f"--{name}": getattr(args, name, None) for name in ("out", "preview", "heatmap")}
     if getattr(args, "invert", False):
-        paths.append(_recon_path(args.out))
-    for path in (p for p in paths if p is not None):
+        paths["the --invert reconstruction"] = _recon_path(args.out)
+    seen = {}
+    for flag, path in ((k, p) for k, p in paths.items() if p is not None):
         folder, name = os.path.split(path)
         if not name or os.path.isdir(path):
             raise ParameterError(f"cannot write {path!r}: not a file name")
         if not os.path.isdir(folder or "."):
             raise ParameterError(f"cannot write {path!r}: no such directory")
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ParameterError(f"cannot write {path!r}: {first} and {flag} name one file")
 
 
 # ---------------------------------------------------------------------------

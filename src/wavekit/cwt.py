@@ -88,6 +88,14 @@ _LADDER_BYTES = 1 << 22
 _MAX_SHIFTS = 1 << 27
 
 
+def _check_grid(x_min, dx) -> None:
+    """A sample grid x_min + k dx: a finite start and a finite, positive step."""
+    if not np.isfinite(x_min):
+        raise ParameterError(f"grid start must be finite, got {x_min!r}")
+    if not (np.isfinite(dx) and dx > 0):
+        raise ParameterError(f"grid step must be positive, got {dx!r}")
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex or real samples on a uniform grid x_min + k*dx."""
@@ -102,8 +110,7 @@ class SampledFunction:
             raise ShapeError("sampled function values must be 1-d")
         if v.size == 0:
             raise SizeError("sampled function needs at least one sample")
-        if not (np.isfinite(self.dx) and self.dx > 0):
-            raise ParameterError(f"grid step must be positive, got {self.dx!r}")
+        _check_grid(self.x_min, self.dx)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "x_min", float(self.x_min))
         object.__setattr__(self, "dx", float(self.dx))
@@ -422,6 +429,9 @@ class CwtCoefficients:
                 f"coefficient matrix shape {m.shape} does not match grid "
                 f"shape {self.grid.shape}"
             )
+        _check_grid(self.x_min, self.dx)
+        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 1:
+            raise SizeError(f"the signal needs a positive sample count, got {self.n_samples!r}")
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -23,13 +23,8 @@ plain taps. Repeating the step on ``a`` builds an ``ImagePyramid``;
 ``quantize``/``dequantize`` snap pyramid coefficients to a uniform lattice
 for storage.
 
-The blocks of both passes take a size from the image (``_pass_block``): a
-32nd of it, between the 1-d kernel's 2^13 outputs and 256 KiB of outputs.
-At 2048 wide the column pass then gathers 16 rows a block, not 4, and the
-row pass 32 rows, not 8: a db4 step of a 2048^2 image took 12.4 / 10.3 ms
-forward / inverse, against 15.3 / 12.4 ms in blocks of 2^13 (best of 15,
-one BLAS thread). Images up to 512^2 keep the 1-d block, and so their
-memory.
+Both passes over a strip run in the blocks ``subband._block`` gives the
+whole image: at 2048 wide, 16 rows a block for the column pass, 32 for rows.
 """
 from __future__ import annotations
 
@@ -54,38 +49,16 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _BLOCK, _check_chain, _check_levels, _checked, _merge, _split
+from .subband import _check_chain, _check_levels, _checked, _merge, _split
 
 #: Most samples of each strip temporary of a 2-d step (512 KiB of float64): 32
 #: rows of a 2048-wide image, 128 of a 512-wide one. With the passes' blocks
-#: of ``_pass_block``, a 2048^2 db4 step took 12.4 / 10.3 ms forward /
+#: sized from the image, a 2048^2 db4 step took 12.4 / 10.3 ms forward /
 #: inverse at 32 rows, 12.5 / 10.2 at 64 and 13.1 / 10.7 in one strip (best
 #: of 15, 1 BLAS thread). At 2^17 a 512^2 image is one strip, and its
 #: 6-level round trip peaks at 3.32 image sizes (tracemalloc), against 2.82
 #: at 2^16.
 _STRIP = 1 << 16
-
-#: Most bytes of output per channel in one block of a 2-d pass: 2^15 float64
-#: or 2^14 complex128 outputs. The gather buffer, about twice that, fits in a
-#: core's 2 MiB L2 cache on the 2-core Xeon where the figures below were taken.
-_BLOCK_BYTES = 1 << 18
-
-
-def _pass_block(samples: int, dtype) -> int:
-    """Outputs per channel in one block of each pass of a 2-d step whose
-    larger image (its input in ``_split2d``, its output in ``_merge2d``) has
-    ``samples`` samples of the result ``dtype``: a 32nd of the image, at
-    least the 1-d kernel's ``_BLOCK`` and at most ``_BLOCK_BYTES``.
-
-    In a loop shaped like the benchmark's pass (a 2^20-sample round trip
-    between calls, best of 9, 1 BLAS thread) the 2048^2 round trip took
-    39.6 / 34.8 / 33.0 / 34.2 ms for db4 and 44.1 / 38.9 / 36.8 / 38.1 ms
-    for a length-8 filter in blocks of 2^13 / 2^14 / 2^15 / 2^16 outputs.
-    The floor keeps the blocks, and so the tracemalloc peaks, of images up
-    to 512^2: a flat 2^14 or 2^15 would take a 6-level db4 ``dwt2d`` of
-    512^2 to 1.635 or 1.760 image sizes, past the tests' 1.6."""
-    return max(_BLOCK, min(_BLOCK_BYTES // dtype.itemsize, samples // 32))
-
 
 @dataclass(frozen=True)
 class QuadDecomp:
@@ -180,13 +153,13 @@ def _split2d(img: np.ndarray, f: FilterSpec) -> list:
     (n, m), dtype = img.shape, np.result_type(img.dtype, f.h.dtype, np.float64)
     planes = [np.empty((n // 2, m // 2), dtype) for _ in "avhd"]
     a, v, h, d = planes
-    k, block = min(n // 2, max(1, _STRIP // m)), _pass_block(n * m, dtype)
+    k = min(n // 2, max(1, _STRIP // m))
     strips = np.empty((2, k, m), dtype)
     for i0 in range(0, n // 2, k):
         rows = slice(i0, min(i0 + k, n // 2))
-        lo, hi = _split(img, f, 0, 1.0, strips[:, : rows.stop - i0], i0, block)
-        _split(lo, f, 1, 2.0, (a[rows], h[rows]), block=block)
-        _split(hi, f, 1, 2.0, (v[rows], d[rows]), block=block)
+        lo, hi = _split(img, f, 0, 1.0, strips[:, : rows.stop - i0], i0, n * m)
+        _split(lo, f, 1, 2.0, (a[rows], h[rows]), samples=n * m)
+        _split(hi, f, 1, 2.0, (v[rows], d[rows]), samples=n * m)
     return planes
 
 
@@ -199,14 +172,14 @@ def _merge2d(planes, f: FilterSpec) -> np.ndarray:
     a, v, h, d = map(np.ascontiguousarray, planes)  # read once per strip
     (n, m), dtype = a.shape, np.result_type(a, v, h, d, f.h.dtype, np.float64)
     out = np.empty((2 * n, 2 * m), dtype)
-    k, block = min(n, max(1, _STRIP // (2 * m))), _pass_block(out.size, dtype)
+    k = min(n, max(1, _STRIP // (2 * m)))
     strips = np.empty((2, 2 * k, m), dtype)
     for i0 in range(0, n, k):
         rows = min(k, n - i0)
         lo, hi = strips[:, : 2 * rows]
-        _merge((a, v), f, 0, 2.0, lo, i0, block)
-        _merge((h, d), f, 0, 2.0, hi, i0, block)
-        _merge((lo, hi), f, 1, 1.0, out[2 * i0 : 2 * (i0 + rows)], block=block)
+        _merge((a, v), f, 0, 2.0, lo, i0, out.size)
+        _merge((h, d), f, 0, 2.0, hi, i0, out.size)
+        _merge((lo, hi), f, 1, 1.0, out[2 * i0 : 2 * (i0 + rows)], samples=out.size)
     return out
 
 

@@ -18,10 +18,9 @@ analysis passes one input gate, ``_checked``; every inverse, and the container
 writer of :mod:`wavekit.io`, first passes ``_check_chain``, the one rule for
 how the bands chain. Both run one kernel, ``_polyphase_product``, the polyphase
 form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
-``_split`` states it: it gathers a block of ``_BLOCK`` outputs (the 2-d step
-passes a size of its own) once and makes each band one matmul, written
-straight into the caller's arrays. With one sample per row
-a row makes ``_ROWS`` outputs, a window times a banded block of the taps (one
+``_split`` states it: it gathers a block of outputs, sized by the one rule
+``_block``, once and makes each band one matmul, written straight into the
+caller's arrays. With one sample per row a row makes ``_ROWS`` outputs, a window times a banded block of the taps (one
 for complex taps and for a block's leftover outputs), and only ``_kernel_taps``
 knows the taps' layout. Any axes before and after the filtered one ride along,
 so the 1-d step, both passes of the 2-d step and batched rows share it. Each
@@ -64,14 +63,16 @@ from .filters import FilterSpec, derive_highpass
 
 _SQRT2 = float(np.sqrt(2.0))
 
-#: Most outputs per channel that one block of ``_polyphase_product``
-#: computes on the 1-d path (1-d steps and pyramids, batched rows, the
-#: pyramid operators, ``cuntz_check``): 64 KiB of float64, with a gather
-#: buffer about twice that. 2^14 lifts the tracemalloc peak of a
-#: 2^16-sample round trip to 3.009 signal sizes, against the 3.01 that the
-#: tests hold it to. The 2-d passes take a block of their own, never below
-#: this one (``image2d._pass_block``).
+#: Fewest outputs per channel in one block of ``_polyphase_product`` (64 KiB
+#: of float64, with a gather buffer about twice that): the block of every pass
+#: over up to 2^18 samples. A flat 2^14 took the tracemalloc peak of a
+#: 2^16-sample round trip to 3.009 signal sizes, a flat 2^15 that of a 6-level
+#: db4 ``dwt2d`` of 512^2 to 1.760 image sizes; the tests allow 3.01 and 1.6.
 _BLOCK = 1 << 13
+
+#: Most bytes of output per channel in one block: 2^15 float64 or 2^14
+#: complex128 outputs, whose gather buffer fits in a core's 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 18
 
 #: Outputs per BLAS row with one sample per row, float64 taps only. A 2048^2 db4
 #: row pass: 11.4 ms at 1, 8.3 at 4, 7.7 at 8, 8.6 at 16 (best of 7, 1 BLAS thread).
@@ -191,7 +192,16 @@ def _periodized(c: np.ndarray, start: int, n: int) -> np.ndarray:
     return per
 
 
-def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0, block=None) -> None:
+def _block(samples: int, itemsize: int) -> int:
+    """Outputs per channel in each block of a pass over a signal or image of
+    ``samples`` samples of ``itemsize`` bytes: a 32nd of it, between
+    ``_BLOCK`` and ``_BLOCK_BYTES`` of outputs. The 2048^2 db4 round trip
+    took 39.6 / 34.8 / 33.0 / 34.2 ms in blocks of 2^13 / 2^14 / 2^15 / 2^16
+    (a loop shaped like the benchmark's pass, best of 9, 1 BLAS thread)."""
+    return max(_BLOCK, min(_BLOCK_BYTES // itemsize, samples // 32))
+
+
+def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0, samples=None) -> None:
     """The periodic polyphase product behind every filter-bank step:
 
         out_j[l, i - first, t] = sum_q sum_s taps[2q + s, j] in_s[l, (i + q + u_j + v_s) mod half, t]
@@ -204,9 +214,9 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0, 
     2 half long along ``axis`` holds two channels, its phases, and one half
     long holds one.
 
-    In blocks of at most ``block`` outputs per channel (``_BLOCK`` unless the
-    caller passes one, as the 2-d step does; whole trailing rows, and whole
-    index ranges when a block spans lead rows), the wrapped input is
+    In the blocks ``_block`` gives ``samples``, by default the inputs' size
+    (whole trailing rows, and whole index ranges when a block spans lead
+    rows), the wrapped input is
     gathered once, its channels interleaved, into one buffer per call. The
     2Q samples that meet output i then sit at even steps from entry i + u, so
     one overlapping strided view holds every window, and each result block
@@ -224,7 +234,7 @@ def _polyphase_product(srcs, taps: np.ndarray, dsts, axis: int, first: int = 0, 
     count = dsts[0][0].shape[axis] // c
     r, width = band if trail == 1 else 1, len(taps) - 2 * band + 2
     span = width // 2 - 1 + max(u for _, u in dsts)
-    block = _BLOCK if block is None else block
+    block = _block(samples or sum(a.size for a, _ in srcs), taps.itemsize)
     ib = min(count, max(1, block // trail))
     lb = min(lead, max(1, block // (ib * trail)))
     p = 1 << ((width // 2 + r - 2) // r).bit_length() if trail == 1 else 1
@@ -301,12 +311,12 @@ def _kernel_taps(f: FilterSpec, synthesis: bool, scale: float, dtype) -> tuple:
     return entry
 
 
-def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, first=0, block=None) -> list:
+def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, first=0, samples=None) -> list:
     """Both bands of ``x`` along ``axis``, low then high:
     scale * sum_t conj(c_t) x_{(2i+start+t) mod n} for c = h and c = g, at
     every i into new arrays, or at i in [first, first + count) into ``outs``,
     two arrays count long along ``axis`` in the result dtype, in the
-    kernel's blocks of ``block`` outputs.
+    kernel's blocks for ``samples`` (by default the size of ``x``).
 
     Sample 2(o_b + q + i) + s is entry o_b + q + i of the phase x[s::2], so
     band b at i is sum_q sum_s scale conj(C[b, 2q + s]) x[2(o_b + q + i) + s]
@@ -321,19 +331,19 @@ def _split(x: np.ndarray, f: FilterSpec, axis: int, scale: float, outs=None, fir
     # Offsets count mod half; the shorter way from o_h to o_g bounds the gather buffer.
     gap = (o_g - o_h) % half
     base, us = (o_h, (0, gap)) if 2 * gap < half else (o_g, (half - gap, 0))
-    _polyphase_product([(x, base)], taps, list(zip(outs, us)), axis, first, block)
+    _polyphase_product([(x, base)], taps, list(zip(outs, us)), axis, first, samples)
     return outs
 
 
-def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0, block=None) -> np.ndarray:
+def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0, samples=None) -> np.ndarray:
     """Adjoint of :func:`_split`: from the bands (low, high), phase s of the
     output at k is sum_b sum_q scale C[b, 2q + s] band_b[k - q - o_b], at
     every k into a new array in the result dtype of the bands and the
     filter, or at k in [first, first + count) into ``out``, 2 count long
     along ``axis``, whose result dtype it computes in, in the kernel's
-    blocks of ``block`` outputs. With q replaced by Q - 1 - q both phases come
-    from one product, band b read from offset -o_b - (Q - 1), r less than
-    half the block's 2(Q + r - 1) rows."""
+    blocks for ``samples`` (by default the bands' size). With q replaced by
+    Q - 1 - q both phases come from one product, band b read from offset
+    -o_b - (Q - 1), r less than half the block's 2(Q + r - 1) rows."""
     low, high = bands
     dtype = np.promote_types(low.dtype, high.dtype) if out is None else out.dtype
     offsets, taps = _kernel_taps(f, True, scale, dtype)
@@ -341,7 +351,7 @@ def _merge(bands, f: FilterSpec, axis: int, scale: float, out=None, first=0, blo
         shape = low.shape[:axis] + (2 * low.shape[axis],) + low.shape[axis + 1 :]
         out = np.empty(shape, taps.dtype)
     srcs = [(y, taps.shape[1] // 2 - len(taps) // 2 - o) for y, o in zip(bands, offsets)]
-    _polyphase_product(srcs, taps, [(out, 0)], axis, first, block)
+    _polyphase_product(srcs, taps, [(out, 0)], axis, first, samples)
     return out
 
 

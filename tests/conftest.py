@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +81,29 @@ def complex_lattice_filters() -> list[np.ndarray]:
     """One seeded complex lattice filter for each K = 2, 3, 4 (lengths 4..8)."""
     rng = np.random.default_rng(19910301)
     return [complex_lattice_lowpass([random_unitary(rng) for _ in range(k - 1)]) for k in (2, 3, 4)]
+
+
+def kernel_blocks(patch: pytest.MonkeyPatch, block: int | None = None) -> list[int]:
+    """The block of every filter-bank kernel call made while ``patch`` is
+    active, in the list returned. With ``block``, the one block rule gives
+    that block to every call: its floor ``_BLOCK`` is ``block`` and its byte
+    cap 0."""
+    import wavekit.subband as subband
+
+    if block is not None:
+        patch.setattr(subband, "_BLOCK", block)
+        patch.setattr(subband, "_BLOCK_BYTES", 0)
+    seen, rule = [], subband._block
+    patch.setattr(subband, "_block", lambda *args: seen.append(rule(*args)) or seen[-1])
+    return seen
+
+
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of the second of two calls of ``fn``."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

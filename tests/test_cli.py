@@ -744,16 +744,16 @@ def test_cli_filter_start_counts_mod_n(tmp_path):
 # --- the contract over generated command lines --------------------------------------
 
 # Each flag's values: the good ones, then the bad ones (malformed, missing and
-# wrong-kind files, unwritable outputs, and zero, negative, huge, NaN and
-# non-numeric numbers).
+# wrong-kind files, unwritable outputs, outputs that may name the file of
+# another output, and zero, negative, huge, NaN and non-numeric numbers).
 _FUZZ_FLAGS = {
     "--filter": (("haar", "db4", "in/f.txt", "stretched_haar"),
                  ("nosuch", "in/bad.txt", "in/hat.txt", "in/empty.txt", "in/missing.txt", "in")),
     "--in": (("in/x.csv", "in/i.pgm", "in/x.pyr", "in/i.pyr"),
              ("in/short.csv", "in/zero.csv", "in/bad.txt", "in/empty.txt", "in/missing.txt", "in")),
     "--out": (("o.pyr", "o.csv", "o.pgm"), ("none/o.csv", "in", "", "in/")),
-    "--preview": (("p.pgm",), ("none/p.pgm", "in", "")),
-    "--heatmap": (("h.pgm",), ("none/h.pgm", "in", "")),
+    "--preview": (("p.pgm",), ("none/p.pgm", "in", "", "o.pyr", "./o.pgm")),
+    "--heatmap": (("h.pgm",), ("none/h.pgm", "in", "", "o.csv", "o.recon.csv")),
     "--levels": (("1", "2"), ("0", "-1", "99", "3.5", "abc")),
     "--quantize": (("0.5",), ("0", "-1", "nan", "inf", "1e-320", "abc")),
     "--tol": (("1e-10", "0"), ("-1", "nan", "inf", "abc")),
@@ -887,3 +887,40 @@ def test_an_unwritable_second_output_is_refused_before_the_first(tmp_path, monke
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["i.pgm", "o.recon.csv", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "dwt2d", "--in", "i.pgm", "--filter", "db4", "--out", "p.pyr",
+          "--preview", "p.pyr"], "cannot write 'p.pyr': --out and --preview name one file"),
+        (["transform", "dwt2d", "--in", "i.pgm", "--filter", "db4", "--out", "p.pyr",
+          "--preview", "./sub/../p.pyr"],
+         "cannot write './sub/../p.pyr': --out and --preview name one file"),
+        (["cwt", "--in", "x.csv", "--wavelet", "haar", "--scales", "4:16:2", "--out", "sc.csv",
+          "--heatmap", "sc.csv"], "cannot write 'sc.csv': --out and --heatmap name one file"),
+        (["cwt", "--in", "x.csv", "--wavelet", "haar", "--scales", "4:16:2", "--out", "sc.csv",
+          "--invert", "--heatmap", "sc.recon.csv"],
+         "cannot write 'sc.recon.csv': --heatmap and the --invert reconstruction name one file"),
+        (["cwt", "--in", "x.csv", "--wavelet", "haar", "--scales", "4:16:2", "--out", "link.csv",
+          "--invert"],
+         "cannot write 'link.recon.csv': --out and the --invert reconstruction name one file"),
+    ],
+    ids=["out-preview", "out-preview-resolved", "out-heatmap", "heatmap-recon", "out-recon-link"],
+)
+def test_two_outputs_that_name_one_file_are_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                    argv, message):
+    """Two outputs of one command that resolve to one file, by name, by a
+    path through another folder or by a link, exit 2 with one error line
+    before anything is written."""
+    from wavekit.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    write_pgm("i.pgm", np.arange(256.0).reshape(16, 16))
+    write_signal_csv("x.csv", np.sin(np.arange(64.0) / 3))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.recon.csv").symlink_to(tmp_path / "link.csv")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _tree(tmp_path) == before

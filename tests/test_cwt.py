@@ -76,10 +76,28 @@ def test_sampled_function_grid():
 
 
 def test_sampled_function_validation():
-    with pytest.raises(ParameterError):
-        SampledFunction(0.0, 0.0, np.ones(4))
-    with pytest.raises(ParameterError):
-        SampledFunction(0.0, -1.0, np.ones(4))
+    for x_min, dx in ((0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                      (np.inf, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(ParameterError):
+            SampledFunction(x_min, dx, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "x_min, dx, n_samples, error",
+    [(np.nan, 1.0, 16, ParameterError), (np.inf, 1.0, 16, ParameterError),
+     (0.0, 0.0, 16, ParameterError), (0.0, -1.0, 16, ParameterError),
+     (0.0, np.nan, 16, ParameterError), (0.0, np.inf, 16, ParameterError),
+     (0.0, 1.0, 0, SizeError), (0.0, 1.0, -3, SizeError), (0.0, 1.0, 2.5, SizeError)],
+)
+def test_cwt_coefficients_refuse_a_bad_sample_grid(x_min, dx, n_samples, error):
+    """The signal grid that ``icwt`` inverts onto needs a finite start, a
+    finite positive step and a positive whole number of samples (2.5 would
+    make a grid of 3); each bad field is refused
+    by the error type ``SampledFunction`` uses for it, before ``icwt`` could
+    index an empty grid or divide by a zero step."""
+    grid = CwtGrid([1.0, 2.0], np.arange(16.0))
+    with pytest.raises(error):
+        CwtCoefficients(np.zeros(grid.shape), grid, x_min, dx, n_samples)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import kernel_blocks, peak_bytes
 from numpy.testing import assert_allclose
 
 from wavekit.errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
@@ -354,9 +353,10 @@ def test_steps_do_not_depend_on_the_block_size(monkeypatch, lattice_filters, blo
             ref = image2d._split2d(img, f)
             ref_back = image2d._merge2d(ref, f)
             with monkeypatch.context() as patch:
-                patch.setattr(image2d, "_pass_block", lambda samples, dtype: block)
+                seen = kernel_blocks(patch, block)
                 bands = image2d._split2d(img, f)
                 back = image2d._merge2d(bands, f)
+            assert seen and set(seen) == {block}
             for got, want in zip((*bands, back), (*ref, ref_back)):
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -390,14 +390,14 @@ def test_row_pass_rows_match_dense_operators(monkeypatch, lattice_filters, shape
     blocks of 24 or 7 outputs split, for float64, float32, integer and
     complex images: the four planes of a step and their inverse are within
     1e-15 ||img||_2 of the dense operators, in the images' result dtype."""
-    import wavekit.image2d as image2d
+    import wavekit.subband as subband
 
-    if block is not None:
-        monkeypatch.setattr(image2d, "_pass_block", lambda samples, dtype: block)
+    seen = kernel_blocks(monkeypatch, block)
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[11], -5)):
         x = RNG.standard_normal(shape)
         images = (x, x.astype(np.float32), RNG.integers(-99, 99, shape), x + 1j * x[::-1])
         _assert_steps_match_dense(f, images)
+    assert seen and set(seen) == {block or subband._BLOCK}
 
 
 @pytest.mark.parametrize("rows", (None, 1, 3))
@@ -426,24 +426,13 @@ def test_strips_match_dense_operators(monkeypatch, lattice_filters, shape, rows)
             assert np.array_equal(getattr(q32, name), getattr(q64, name))
 
 
-def _peak_bytes(fn) -> int:
-    """The tracemalloc peak of the second of two calls of ``fn``."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_round_trip_peak_memory_2d():
     """The tracemalloc peak of a 6-level db4 round trip of a 512 x 512 image
     stays within 2.9 image sizes: the pyramid, the image it inverts to and
     strips, with no plane-sized intermediate in either direction."""
     f = builtin_filter("db4")
     img = RNG.standard_normal((512, 512))
-    assert _peak_bytes(lambda: idwt2d(dwt2d(img, f, 6), f)) <= 2.9 * img.nbytes
+    assert peak_bytes(lambda: idwt2d(dwt2d(img, f, 6), f)) <= 2.9 * img.nbytes
 
 
 def test_dwt2d_peak_memory():
@@ -452,20 +441,19 @@ def test_dwt2d_peak_memory():
     plane-sized intermediate takes it past 2."""
     f = builtin_filter("db4")
     img = RNG.standard_normal((512, 512))
-    assert _peak_bytes(lambda: dwt2d(img, f, 6)) <= 1.6 * img.nbytes
+    assert peak_bytes(lambda: dwt2d(img, f, 6)) <= 1.6 * img.nbytes
 
 
 def test_dwt2d_peak_memory_with_the_larger_block():
     """On a 1024 x 1024 image the passes of the top step run in blocks of
     2^15 outputs, four times the 1-d kernel's, and a 6-level db4 dwt2d still
     peaks within 1.45 image sizes (1.39 at this commit)."""
-    import wavekit.image2d as image2d
     import wavekit.subband as subband
 
     f = builtin_filter("db4")
     img = RNG.standard_normal((1024, 1024))
-    assert image2d._pass_block(img.size, img.dtype) == 4 * subband._BLOCK
-    assert _peak_bytes(lambda: dwt2d(img, f, 6)) <= 1.45 * img.nbytes
+    assert subband._block(img.size, img.itemsize) == 4 * subband._BLOCK
+    assert peak_bytes(lambda: dwt2d(img, f, 6)) <= 1.45 * img.nbytes
 
 
 @pytest.mark.parametrize(
@@ -475,9 +463,23 @@ def test_dwt2d_peak_memory_with_the_larger_block():
      (2048, np.complex128, 1 << 14)],
 )
 def test_pass_block_scales_with_the_image_up_to_a_byte_count(side, dtype, block):
-    """The 2-d passes' block is a 32nd of the image, at least the 1-d
-    kernel's 2^13 outputs and at most 256 KiB of outputs: images up to 512^2
-    keep the 1-d block, and complex data gets half as many outputs."""
-    import wavekit.image2d as image2d
+    """The one block rule gives a 2-d pass a 32nd of its image, at least
+    2^13 outputs and at most 256 KiB of outputs: images up to 512^2 keep
+    the floor, and complex data gets half as many outputs."""
+    import wavekit.subband as subband
 
-    assert image2d._pass_block(side * side, np.dtype(dtype)) == block
+    assert subband._block(side * side, np.dtype(dtype).itemsize) == block
+
+
+@pytest.mark.parametrize("side, block", [(512, 1 << 13), (1024, 1 << 15), (2048, 1 << 15)])
+def test_every_pass_runs_at_the_block_of_its_image(side, block):
+    """Every pass over every strip of a step of a side x side image, and of
+    its inverse, runs at the block the rule gives the whole image, not the
+    strip: 2^13 outputs at 512^2 and 2^15 at 1024^2 and 2048^2, whose
+    strips of 2^16 samples alone would get 2^13."""
+    f = builtin_filter("db4")
+    img = RNG.standard_normal((side, side))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = kernel_blocks(patch)
+        idwt2d(_one_level(dwt2d_step(img, f)), f)
+    assert len(seen) >= 6 and set(seen) == {block}

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import lattice_lowpass
+from conftest import kernel_blocks, lattice_lowpass, peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -562,15 +562,17 @@ def test_batched_rows_match_the_row_loop(monkeypatch, lattice_filters, block):
     """Splitting and merging a (1000, 64) stack along axis 1 gives each
     row's 1-d result, whether a block covers part of a row (7, or 8, a
     multiple of every filter's phase count), a ragged group of rows (100) or
-    the whole stack."""
+    the whole stack. The rule alone would give the stack blocks of 2000."""
     rows = RNG.standard_normal((1000, 64))
+    assert subband._block(rows.size, rows.itemsize) == subband._BLOCK
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
         loop = [_split(r, f, 0, _SQRT2) for r in rows]
         merged = np.stack([_merge(b, f, 0, _SQRT2) for b in loop])
         with monkeypatch.context() as patch:
-            patch.setattr(subband, "_BLOCK", block)
+            seen = kernel_blocks(patch, block)
             bands = _split(rows, f, 1, _SQRT2)
             back = _merge(bands, f, 1, _SQRT2)
+        assert seen == [block, block]
         for j, band in enumerate(bands):
             _assert_close_relative(band, np.stack([b[j] for b in loop]))
         _assert_close_relative(back, merged)
@@ -582,10 +584,26 @@ def test_blocked_steps_match_matrices(monkeypatch, lattice_filters, block):
     multiples of the phase count, and blocks that are (8) and are not (5),
     each block's phases and its leftover outputs land where the dense
     operators put them."""
-    monkeypatch.setattr(subband, "_BLOCK", block)
+    seen = kernel_blocks(monkeypatch, block)
     for f in (builtin_filter("db4"), FilterSpec("lattice", lattice_filters[17], -3)):
         for n in (34, 40, 46, 64):
             _check_steps_against_matrices(f, n)
+    assert seen and set(seen) == {block}
+
+
+@pytest.mark.parametrize(
+    "n, dtype, block",
+    [(1 << 16, np.float64, 1 << 13), (1 << 19, np.float64, 1 << 14),
+     (1 << 20, np.float64, 1 << 15), (1 << 20, np.complex128, 1 << 14)],
+)
+def test_one_rule_sizes_the_blocks_of_a_1d_step(n, dtype, block):
+    """A step of n samples and its inverse run in blocks of a 32nd of n
+    outputs, at least ``_BLOCK`` = 2^13 and at most 256 KiB of outputs."""
+    x = RNG.standard_normal(n).astype(dtype)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = kernel_blocks(patch)
+        synthesis_step(analysis_step(x, builtin_filter("db4")), builtin_filter("db4"))
+    assert seen == [block, block]
 
 
 def test_kernel_taps_are_cached_per_direction_scale_and_dtype():
@@ -651,20 +669,43 @@ def test_r_output_rows_match_dense_operators(stages, start, rows, extra, kind, s
     assert np.abs(back - (m.synthesis_low @ y + m.synthesis_high @ z)).max() <= tol
 
 
+@pytest.mark.parametrize("name", ("db4", "lattice"))
+def test_long_double_data_round_trips_in_long_double(lattice_filters, name):
+    """Long-double signals of 64 and 1024 samples and a 64 x 64 image stay
+    long double through every level of the 1-d and 2-d pyramids and come
+    back within 1e-14 max|x|: the kernel runs them one output a row, and
+    the short signal, which no pyramid operator holds, runs it too."""
+    f = builtin_filter("db4") if name == "db4" else FilterSpec("lattice", lattice_filters[17], -3)
+    for x in (np.arange(64) % 10, np.arange(1024) * 7 % 147):
+        x = x.astype(np.longdouble)
+        p = dwt1d(x, f, max_levels(x.size, f))
+        assert {b.dtype for b in (*p.details, p.approx)} == {np.dtype(np.longdouble)}
+        back = idwt1d(p, f)
+        assert back.dtype == np.longdouble
+        assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
+    img = np.arange(4096, dtype=np.longdouble).reshape(64, 64)
+    q = dwt2d(img, f, max_levels_2d(img.shape, f))
+    planes = [b for t in q.details for b in (t.h, t.v, t.d)]
+    assert {b.dtype for b in (*planes, q.approx)} == {np.dtype(np.longdouble)}
+    back = idwt2d(q, f)
+    assert back.dtype == np.longdouble
+    assert np.abs(back - img).max() <= 1e-14 * np.abs(img).max()
+
+
 def test_round_trip_peak_memory_1d():
     """The tracemalloc peak of a 10-level db4 round trip of 2^16 samples
     stays within 3.01 signal sizes, the figure of the per-tap kernel this
     one replaced: blocking keeps every temporary cache-sized."""
-    f = builtin_filter("db4")
-    x = RNG.standard_normal(1 << 16)
-    idwt1d(dwt1d(x, f, 10), f)
-    tracemalloc.start()
-    try:
-        idwt1d(dwt1d(x, f, 10), f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.01 * x.nbytes
+    f, x = builtin_filter("db4"), RNG.standard_normal(1 << 16)
+    assert peak_bytes(lambda: idwt1d(dwt1d(x, f, 10), f)) <= 3.01 * x.nbytes
+
+
+def test_round_trip_peak_memory_1d_in_the_largest_blocks():
+    """A full-depth db4 round trip of 2^20 samples, whose top levels run in
+    blocks of 2^15 and 2^14 outputs, stays within 3.01 signal sizes too."""
+    f, x = builtin_filter("db4"), RNG.standard_normal(1 << 20)
+    assert subband._block(x.size, x.itemsize) == 4 * subband._BLOCK
+    assert peak_bytes(lambda: idwt1d(dwt1d(x, f, 18), f)) <= 3.01 * x.nbytes
 
 
 def _signal(rng, n: int, kind: str) -> np.ndarray:
