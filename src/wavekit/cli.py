@@ -5,9 +5,10 @@ Exit statuses: 0 success, 1 a verification verdict came back negative,
 sizes or levels), 3 numeric failures (degenerate eigenproblems, inadmissible
 wavelets, unresolvable quadrature). argparse's own usage errors also exit 2.
 Flag misuse (a flag the command or transform mode refuses, or one it lacks)
-an output path that is a directory or lies in none, and two outputs that
-name one file exit 2 before any input is read or file written, so a refused
-command leaves no file behind.
+an output path that is a directory or lies in none, two outputs that name
+one file and an output that names an input (``--in``, a ``--filter`` file or
+the filter file of ``--wavelet cascade:<file>:<J>``) exit 2 before any input
+is read or file written, so a refused command leaves no file behind.
 """
 from __future__ import annotations
 
@@ -71,11 +72,16 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _is_filter_file(token: str) -> bool:
+    """Whether a filter token names a file: a builtin name never does."""
+    return token not in BUILTIN_NAMES and os.path.isfile(token)
+
+
 def _resolve_filter(token: str) -> FilterSpec:
     """Builtin name first, then a filter file path."""
     if token in BUILTIN_NAMES:
         return builtin_filter(token)
-    if os.path.isfile(token):
+    if _is_filter_file(token):
         return read_filter_file(token)
     known = ", ".join(BUILTIN_NAMES)
     raise CatalogError(
@@ -83,10 +89,14 @@ def _resolve_filter(token: str) -> FilterSpec:
     )
 
 
+def _cascade_parts(token: str):
+    """(filter, ":", J) of a cascade:<filter>:<J> wavelet token, else None."""
+    return token[len("cascade:"):].rpartition(":") if token.startswith("cascade:") else None
+
+
 def _resolve_wavelet(token: str):
-    if token.startswith("cascade:"):
-        body = token[len("cascade:"):]
-        filter_token, sep, level_text = body.rpartition(":")
+    if (parts := _cascade_parts(token)) is not None:
+        filter_token, sep, level_text = parts
         if not sep or not filter_token:
             raise FormatError(
                 f"wavelet {token!r}: cascade form is cascade:<filter>:<J>"
@@ -146,13 +156,17 @@ def _recon_path(out: str) -> str:
 
 def _check_outputs(args) -> None:
     """Refuse every output path that names no file, names a directory or lies
-    in no directory, and any two outputs that name one file, so that no
-    command writes one file and then fails on, or overwrites it with, the
-    next."""
+    in no directory, any two outputs that name one file, and any output that
+    names a file the command reads, so that no command writes one file and
+    then fails on, or overwrites it with, the next, or replaces its input."""
     paths = {f"--{name}": getattr(args, name, None) for name in ("out", "preview", "heatmap")}
     if getattr(args, "invert", False):
         paths["the --invert reconstruction"] = _recon_path(args.out)
-    seen = {}
+    cascade = _cascade_parts(getattr(args, "wavelet", None) or "") or ("",)
+    reads = {"--in": getattr(args, "input", None), "--filter": getattr(args, "filter", None),
+             "--wavelet": cascade[0]}  # the files of filter tokens, by _resolve_filter's rule
+    seen = {os.path.realpath(p): f for f, p in reversed(reads.items())
+            if p and (f == "--in" or _is_filter_file(p))}
     for flag, path in ((k, p) for k, p in paths.items() if p is not None):
         folder, name = os.path.split(path)
         if not name or os.path.isdir(path):

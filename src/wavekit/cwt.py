@@ -19,10 +19,12 @@ or any subset of it), ``cwt`` is an FFT cross-correlation with psi at the
 2n - 1 sample lags and ``icwt`` the matching convolution summed over scales
 (Torrence & Compo 1998, "A Practical Guide to Wavelet Analysis"), both on one
 ladder of kernel spectra held on the wavelet: O(S n log n) time for S scales,
-3S + 2 FFTs per round trip, work memory of one block of scales plus the held
+3S + 2 FFTs per round trip, work memory of a few blocks of scales plus the held
 ladder. Every FFT here pads to the next 2^a 3^b 5^c 7^d (``_smooth_length``)
 of what it must hold: the 2n - 1 lags of n = 1,100 take 2,205 points, not
-4,096. Other shift grids take a dense (shifts x n) kernel per scale. All
+4,096. Other shift grids take a dense (shifts x n) kernel per scale. One plan,
+``_plan``, picks the path and the FFT length for both directions and charges
+what either may allocate against the byte budget before anything is. All
 evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed;
 the ladder and ``admissibility`` read psi as 0 outside its ``support``.
 
@@ -82,6 +84,15 @@ _ADMISSIBILITY_RADIUS = 64.0
 #: Bytes of kernel spectra per block of scales and per held ladder.
 _BLOCK_BYTES = 1 << 19
 _LADDER_BYTES = 1 << 22
+
+#: What ``_plan`` charges for the work of each path. FFT path: arrays the size
+#: of one block's complex spectra (the signal's spectrum, the last block's
+#: spectra and product, and psi on the block's lags or the FFT's padded copy
+#: and output); the traced peaks of real and complex data at n = 2^18 read 6.5.
+#: Dense path: bytes per (shift, sample) pair (the offsets, their quotient by
+#: r and psi's own work); the catalog and sampled wavelets trace 40.
+_FFT_BLOCKS = 7
+_PAIR_BYTES = 48
 
 #: Most shifts k one level of ``parseval_ratio`` may take: about 13 s at the
 #: 0.1 us per k its blocks ran at (a box on 600 samples, haar_psi, j = 17).
@@ -241,14 +252,12 @@ def wavelet_from_samples(sf: SampledFunction, name: str = "sampled") -> Analyzin
     Each sample value extends over [x_k, x_k + dx); everything outside the
     sampled interval evaluates to zero.
     """
-    vals = sf.values
+    vals = np.pad(sf.values, (0, 1))  # index -1 reads the 0 past the end
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        idx = np.floor((x - sf.x_min) / sf.dx).astype(int)
-        ok = (idx >= 0) & (idx < vals.size)
-        out = np.zeros(x.shape, dtype=vals.dtype)
-        out[ok] = vals[idx[ok]]
-        return out
+        idx = np.floor((x - sf.x_min) / sf.dx)
+        idx = np.where((idx >= 0) & (idx < sf.size), idx, -1).astype(np.intp)
+        return vals[idx]
 
     return AnalyzingWavelet(
         name=name,
@@ -291,7 +300,7 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     Raises AdmissibilityError when the mean is not numerically zero (the
     integral diverges at w = 0), ResolutionError when the spectrum has not
     decayed by the Nyquist frequency (the estimate would be meaningless), and
-    SizeError before the FFT past the budget (24 bytes a point, 36 complex).
+    SizeError before the FFT past the budget (24 bytes a point, 40 complex).
     """
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ParameterError(f"refine must be a positive integer, got {refine!r}")
@@ -344,7 +353,7 @@ def _estimate_admissibility(psi: AnalyzingWavelet, refine: int) -> float:
     # 67,074 = 2·3·7·1597 points (level-8 db4) transform slower than 67,200.
     pad = int(np.ceil(max(_ADMISSIBILITY_RADIUS, 2.0 * width) / dx))
     n = _smooth_length(xs.size + 2 * pad)
-    per_point = 36 if np.iscomplexobj(vals) else 24  # traced: 20.4 bytes real, 26 to 34 complex
+    per_point = 40 if np.iscomplexobj(vals) else 24  # traced: up to 23.4 real, 36.9 complex
     _charge(f"admissibility of {psi.name!r} on {n} FFT points", per_point * n)
     if np.iscomplexobj(vals):  # |psi_hat| at k dw for k = 1, 2, ... and at -k dw
         power = np.abs(dx * np.fft.fft(vals, n)) ** 2
@@ -433,6 +442,7 @@ class CwtCoefficients:
         if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 1:
             raise SizeError(f"the signal needs a positive sample count, got {self.n_samples!r}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "n_samples", int(self.n_samples))
 
     @property
     def scales(self) -> np.ndarray:
@@ -452,13 +462,23 @@ def _scaled_kernel(psi: AnalyzingWavelet, offsets: np.ndarray, r: float) -> np.n
     return psi.evaluate(offsets / r) / np.sqrt(r)
 
 
-def _sample_indices(xs: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray | None:
-    """Index into ``xs`` of every shift, or None if some shift is not a sample."""
-    idx = np.rint((shifts - xs[0]) / dx)
-    if idx[0] < 0 or idx[-1] >= xs.size:
-        return None
-    idx = idx.astype(np.intp)
-    return idx if np.array_equal(xs[idx], shifts) else None
+def _plan(what: str, x_min: float, dx: float, n: int, grid: CwtGrid):
+    """The set-up ``cwt`` and ``icwt`` share for ``grid`` on the n samples
+    x_min + k dx: the sample index k of every shift, or None where some shift
+    is not a sample (the dense path), and the FFT length _smooth_length(2n - 1)
+    (2,205 points at n = 1,100: any length >= 2n - 1 wraps no lag onto the n
+    outputs). First it charges what either direction peaks at: the complex
+    S x shifts result, plus on the FFT path the 2n - 1 lags, the held ladder
+    and ``_FFT_BLOCKS`` arrays the size of one block of scales' complex
+    spectra, on the dense path ``_PAIR_BYTES`` per (shift, sample) pair."""
+    count, m = grid.shape
+    k = np.rint((grid.shifts - x_min) / dx)
+    on_samples = 0 <= k[0] and k[-1] < n and np.array_equal(x_min + dx * k, grid.shifts)
+    length = _smooth_length(2 * n - 1)
+    fft_work = 16 * n + _LADDER_BYTES + _FFT_BLOCKS * max(_BLOCK_BYTES, 16 * length)
+    work = fft_work if on_samples else _PAIR_BYTES * m * n
+    _charge(f"{what} of {n} samples on a {count} x {m} grid", 16 * count * m + work)
+    return (k.astype(np.intp) if on_samples else None), length
 
 
 def _kernel_spectra(
@@ -466,7 +486,7 @@ def _kernel_spectra(
 ):
     """Yield (scale slice, spectra, (forward, inverse, dtype)) per block of scales.
 
-    Row i of ``spectra`` is the FFT at ``length``, the caller's
+    Row i of ``spectra`` is the FFT at ``length``, the plan's
     ``_smooth_length(2n - 1)`` (2,205 points at n = 1,100), of psi_{r_i}
     at the lags (1 - n) dx ... (n - 1) dx, stored from column 0: real FFTs
     when data and kernels are real. A block is one ``_scaled_kernel`` call on
@@ -499,6 +519,7 @@ def _kernel_spectra(
             fft = np.fft.rfft, np.fft.irfft, np.float64
         spectra = fft[0](kernels, length)
         spectra.setflags(write=False)
+        del kernels
         kept += spectra.nbytes
         blocks = blocks + [(rows, spectra, fft)] if kept <= _LADDER_BYTES else None
         yield rows, spectra, fft
@@ -515,7 +536,7 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     When every shift is a sample point of f, each row is the FFT
     cross-correlation of the weighted samples with psi_r at the 2n - 1 lags
     (0 outside r * support), a block of scales at a time: 2S + 1 FFTs (S + 1
-    on a held ladder), work memory of one block plus the ladder held for
+    on a held ladder), work memory of a few blocks plus the ladder held for
     ``icwt``. Other shift grids take a dense (shifts x n) kernel per scale,
     psi untruncated on purpose: cut at the support, the paths' different
     rounding of x - s turns edge values (the mexican hat's psi(8) = -8e-13)
@@ -523,7 +544,9 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps, and SizeError, before allocating, when the
-    complex S x shifts result and one block pass the byte budget.
+    plan's charge passes the byte budget: the complex S x shifts result plus
+    the work of its path (``_plan``), which covers the traced peak of either
+    direction.
     """
     smallest = float(grid.scales[0])
     if smallest * psi.width < 4.0 * f.dx:
@@ -531,26 +554,20 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
             f"scale {smallest:g} leaves fewer than 4 samples across the "
             f"wavelet support (dx = {f.dx:g}); shrink dx or raise the scale"
         )
-    xs = f.xs
-    idx = _sample_indices(xs, f.dx, grid.shifts)
-    n, (count, m) = f.size, grid.shape
-    length = _smooth_length(2 * n - 1)  # any length >= 2n - 1 wraps no lag onto the n outputs
-    need = 16 * count * m + (16 * m * n if idx is None else max(_BLOCK_BYTES, 16 * length))
-    _charge(f"cwt of {n} samples on a {count} x {m} grid", need)
+    idx, length = _plan("cwt", f.x_min, f.dx, f.size, grid)
     weighted = f.values * f.trapezoid_weights()
     if idx is None:
-        offsets = xs[None, :] - grid.shifts[:, None]
+        offsets = f.xs[None, :] - grid.shifts[:, None]
         matrix = np.stack(
             [np.conj(_scaled_kernel(psi, offsets, float(r))) @ weighted for r in grid.scales]
         )
     else:
         # Column t of the circular cross-correlation pairs sample k with lag
         # k - t, so sample m reads t = m - (n - 1) mod length.
-        cols = (idx - (n - 1)) % length
+        cols = (idx - (f.size - 1)) % length
         matrix = None
-        for rows, spectra, (forward, inverse, dtype) in _kernel_spectra(
-            psi, n, length, f.dx, grid.scales, np.iscomplexobj(weighted)
-        ):
+        blocks = _kernel_spectra(psi, f.size, length, f.dx, grid.scales, np.iscomplexobj(weighted))
+        for rows, spectra, (forward, inverse, dtype) in blocks:
             if matrix is None:
                 signal = forward(weighted, length)
                 matrix = np.empty(grid.shape, dtype)
@@ -573,34 +590,32 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
     coefficients is spread onto the samples, transformed in one FFT, times
     the kernel spectra (held from a ``cwt`` on the same grid) and summed over
     scales before one inverse FFT: S + 1 FFTs on a held ladder (2S + 1
-    otherwise), work memory of one block plus the held ladder. Other shift
-    grids take a dense (shifts x n) kernel per scale.
+    otherwise), work memory of a few blocks plus the held ladder. Other shift
+    grids take a dense (shifts x n) kernel per scale, on a sample grid built
+    only then.
+
+    Raises SizeError, before allocating or evaluating psi, when the charge
+    of the same plan as ``cwt`` passes the byte budget.
     """
+    idx, length = _plan("icwt", c.x_min, c.dx, c.n_samples, c.grid)
     constant = admissibility(psi)
-    xs = c.sample_grid()
     wr = _trapezoid_weights(np.diff(c.scales))
     ws = _trapezoid_weights(np.diff(c.shifts))
-    idx = _sample_indices(xs, c.dx, c.shifts)
     if idx is None:
-        offsets = xs[None, :] - c.shifts[:, None]
-        out = 0.0
-        for i, r in enumerate(c.scales):
-            kernel = _scaled_kernel(psi, offsets, float(r))
-            out += (wr[i] / (r * r)) * ((c.matrix[i] * ws) @ kernel)
+        offsets = c.sample_grid()[None, :] - c.shifts[:, None]
+        out = sum((wr[i] / (r * r)) * ((c.matrix[i] * ws) @ _scaled_kernel(psi, offsets, float(r)))
+                  for i, r in enumerate(c.scales))
     else:
-        n = xs.size
-        length = _smooth_length(2 * n - 1)  # as in cwt
         dtype = np.result_type(c.matrix, ws)
         total = 0.0
-        for rows, spectra, (forward, inverse, _) in _kernel_spectra(
-            psi, n, length, c.dx, c.scales, np.iscomplexobj(c.matrix)
-        ):
-            spread = np.zeros((spectra.shape[0], n), dtype)
+        blocks = _kernel_spectra(psi, c.n_samples, length, c.dx, c.scales, np.iscomplexobj(c.matrix))
+        for rows, spectra, (forward, inverse, _) in blocks:
+            spread = np.zeros((spectra.shape[0], c.n_samples), dtype)
             spread[:, idx] = c.matrix[rows] * ws
             product = forward(spread, length)
             product *= spectra
             total = total + (wr[rows] / c.scales[rows] ** 2) @ product
-        out = inverse(total, length)[n - 1 : 2 * n - 1]
+        out = inverse(total, length)[c.n_samples - 1 : 2 * c.n_samples - 1]
     return SampledFunction(x_min=c.x_min, dx=c.dx, values=out * (2.0 / constant))
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -745,15 +746,17 @@ def test_cli_filter_start_counts_mod_n(tmp_path):
 
 # Each flag's values: the good ones, then the bad ones (malformed, missing and
 # wrong-kind files, unwritable outputs, outputs that may name the file of
-# another output, and zero, negative, huge, NaN and non-numeric numbers).
+# another output or of an input, and zero, negative, huge, NaN and
+# non-numeric numbers).
 _FUZZ_FLAGS = {
     "--filter": (("haar", "db4", "in/f.txt", "stretched_haar"),
                  ("nosuch", "in/bad.txt", "in/hat.txt", "in/empty.txt", "in/missing.txt", "in")),
     "--in": (("in/x.csv", "in/i.pgm", "in/x.pyr", "in/i.pyr"),
              ("in/short.csv", "in/zero.csv", "in/bad.txt", "in/empty.txt", "in/missing.txt", "in")),
-    "--out": (("o.pyr", "o.csv", "o.pgm"), ("none/o.csv", "in", "", "in/")),
-    "--preview": (("p.pgm",), ("none/p.pgm", "in", "", "o.pyr", "./o.pgm")),
-    "--heatmap": (("h.pgm",), ("none/h.pgm", "in", "", "o.csv", "o.recon.csv")),
+    "--out": (("o.pyr", "o.csv", "o.pgm"),
+              ("none/o.csv", "in", "", "in/", "in/x.csv", "in/i.pgm", "in/x.pyr", "in/f.txt")),
+    "--preview": (("p.pgm",), ("none/p.pgm", "in", "", "o.pyr", "./o.pgm", "in/i.pgm")),
+    "--heatmap": (("h.pgm",), ("none/h.pgm", "in", "", "o.csv", "o.recon.csv", "in/x.csv")),
     "--levels": (("1", "2"), ("0", "-1", "99", "3.5", "abc")),
     "--quantize": (("0.5",), ("0", "-1", "nan", "inf", "1e-320", "abc")),
     "--tol": (("1e-10", "0"), ("-1", "nan", "inf", "abc")),
@@ -822,11 +825,56 @@ def _tree(folder: Path) -> dict:
     return {str(p.relative_to(folder)): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
 
 
+def _read_dyadic(path: str) -> None:
+    assert {len(row.split(",")) for row in Path(path).read_text().splitlines()} == {2}
+
+
+def _read_scalogram(path: str) -> None:
+    rows = [row.split(",") for row in Path(path).read_text().splitlines()]
+    assert (rows[0][0], rows[1][0]) == ("scales", "shifts")
+    assert [len(row) for row in rows[2:]] == [len(rows[1]) - 1] * (len(rows[0]) - 1)
+
+
+def _read_back(argv: list[str]) -> set:
+    """Read each file a command line that exited 0 names as what its command
+    writes there: a container, a PGM image, a signal, x,value rows or a
+    scalogram. Returns their paths."""
+    from wavekit.cli import _recon_path
+
+    flag = dict(zip(argv, argv[1:]))
+    written = []
+    if argv[0] == "transform":
+        readers = {"dwt1d": read_pyramid_container, "dwt2d": read_pyramid_container,
+                   "idwt1d": read_signal_csv, "idwt2d": read_pgm}
+        written.append((flag["--out"], readers[argv[1]]))
+        written += [(flag["--preview"], read_pgm)] if "--preview" in flag else []
+    elif argv[0] == "cascade":
+        written.append((flag["--out"], _read_dyadic))
+    elif argv[0] == "cwt":
+        written += [(flag["--out"], _read_scalogram)] if "--out" in flag else []
+        written += [(flag["--heatmap"], read_pgm)] if "--heatmap" in flag else []
+        written += [(_recon_path(flag["--out"]), read_signal_csv)] if "--invert" in argv else []
+    for path, read in written:
+        read(path)
+    return {os.path.normpath(path) for path, _ in written}
+
+
+def _reads(argv: list[str]) -> set:
+    """The paths of the files a command line may read: --in, --filter and the
+    filter of a cascade wavelet."""
+    flag = dict(zip(argv, argv[1:]))
+    wavelet = flag.get("--wavelet", "")
+    cascade = wavelet[len("cascade:"):].rpartition(":")[0] if wavelet.startswith("cascade:") else None
+    return {os.path.normpath(p) for p in (flag.get("--in"), flag.get("--filter"), cascade) if p}
+
+
 def test_generated_command_lines_keep_the_exit_contract(tmp_path, monkeypatch, capsys):
     """500 seeded command lines, run in-process: none ends in a traceback;
     each exits 0, 1, 2 or 3; a refusal (2 or 3) prints exactly one error
     line (for argparse's usage errors, a usage text and one error line) and
-    leaves the folder as it found it, inputs and outputs alike."""
+    leaves the folder as it found it, inputs and outputs alike. A line that
+    exits 0 changes no file it reads, and each output it names reads back as
+    what its command writes there."""
     from wavekit.cli import main
 
     monkeypatch.chdir(tmp_path)
@@ -851,7 +899,11 @@ def test_generated_command_lines_keep_the_exit_contract(tmp_path, monkeypatch, c
             errors = [line for line in err.splitlines() if "error:" in line]
             assert len(errors) == 1 and err.rstrip("\n").endswith(errors[0]), (argv, err)
             assert after == before, argv
-        assert {k: after[k] for k in before} == before, argv  # no input is overwritten
+        # A file changes only as an output of a line that exits 0, never as one it reads.
+        changed = {name for name, data in before.items() if after.get(name) != data}
+        assert changed <= (_read_back(argv) if status == 0 else set()) - _reads(argv), argv
+        for name in changed:
+            (tmp_path / name).write_bytes(before[name])
         for name in set(after) - set(before):
             (tmp_path / name).unlink()
     assert statuses == {0, 1, 2, 3}
@@ -920,6 +972,46 @@ def test_two_outputs_that_name_one_file_are_refused_before_any_work(tmp_path, mo
     write_signal_csv("x.csv", np.sin(np.arange(64.0) / 3))
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.recon.csv").symlink_to(tmp_path / "link.csv")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "dwt1d", "--in", "x.csv", "--filter", "db4", "--out", "x.csv"],
+         "cannot write 'x.csv': --in and --out name one file"),
+        (["cascade", "--filter", "f.txt", "--resolution", "3", "--out", "f.txt"],
+         "cannot write 'f.txt': --filter and --out name one file"),
+        (["cwt", "--in", "x.csv", "--wavelet", "mexican_hat", "--scales", "1:8:2",
+          "--heatmap", "x.csv"], "cannot write 'x.csv': --in and --heatmap name one file"),
+        (["transform", "idwt1d", "--in", "x.pyr", "--filter", "f.txt", "--out", "sub/../f.txt"],
+         "cannot write 'sub/../f.txt': --filter and --out name one file"),
+        (["cwt", "--in", "x.csv", "--wavelet", "cascade:f.txt:3", "--scales", "4:16:2",
+          "--out", "link.txt"], "cannot write 'link.txt': --wavelet and --out name one file"),
+    ],
+    ids=["dwt1d-in-out", "cascade-filter-out", "cwt-in-heatmap", "idwt1d-filter-out-resolved",
+         "cwt-cascade-filter-out-link"],
+)
+def test_an_output_that_names_an_input_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                   argv, message):
+    """An output that resolves to a file the command reads (--in, a --filter
+    file or the filter file of a cascade wavelet), by name, through another
+    folder or by a link, exits 2 with one error line and leaves every file
+    as it was."""
+    from wavekit import builtin_filter, dwt1d
+    from wavekit.cli import main
+    from wavekit.io import write_pyramid_container
+
+    monkeypatch.chdir(tmp_path)
+    x = np.sin(np.arange(64.0) / 3)
+    write_signal_csv("x.csv", x)
+    write_pyramid_container("x.pyr", dwt1d(x, builtin_filter("db4"), 2), "db4")
+    (tmp_path / "f.txt").write_text(f"name: x\nstart: 0\ncoeffs: {_DB4_TAPS}\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(tmp_path / "f.txt")
     before = _tree(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

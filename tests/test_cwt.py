@@ -908,9 +908,10 @@ def test_replaced_wavelet_holds_no_ladder():
 
 def test_round_trip_peak_memory():
     """The tracemalloc peak of an n = 1024, 73-scale round trip on a fresh
-    wavelet stays within 5.1 result sizes (5.06 measured): the S x n result,
+    wavelet stays within 4.7 result sizes (4.61 measured): the S x n result,
     the held ladder (73 rows of 1025 complex bins, 2.0 result sizes) and one
-    block of scales' kernels, spectra and products."""
+    block of scales' spectra and products; a block's kernels are dropped
+    once transformed."""
     f = SampledFunction(0.0, 1.0, RNG.standard_normal(1024))
     grid = CwtGrid(geometric_scales(1.0, 512.0, 8), f.xs)
     assert grid.scales.size == 73
@@ -922,25 +923,134 @@ def test_round_trip_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.1 * 73 * 1024 * 8
+    assert peak <= 4.7 * 73 * 1024 * 8
+
+
+def traced(fn):
+    """The result of one call of ``fn`` and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def plan_charge(n, grid, on_samples):
+    """What cwt and icwt charge for ``grid`` on n samples: the complex result,
+    plus on the FFT path the 2n - 1 lags, the held ladder and _FFT_BLOCKS
+    blocks of complex spectra, on the dense path _PAIR_BYTES a (shift,
+    sample) pair."""
+    count, m = grid.shape
+    if on_samples:
+        block = max(CWT_MODULE._BLOCK_BYTES, 16 * _smooth_length(2 * n - 1))
+        work = 16 * n + CWT_MODULE._LADDER_BYTES + CWT_MODULE._FFT_BLOCKS * block
+    else:
+        work = CWT_MODULE._PAIR_BYTES * m * n
+    return 16 * count * m + work
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])
 def test_cwt_over_byte_budget_is_refused_before_allocating(monkeypatch, offset):
-    """cwt charges its complex result and one block of scales (one dense
-    shifts x n kernel off the samples) and raises SizeError past the budget,
-    before evaluating psi."""
+    """cwt and icwt charge one plan: at that budget both run, and a byte
+    less refuses each with SizeError before psi is evaluated."""
     f = windowed_sine(n=64)
     grid = CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs + offset)
-    block = CWT_MODULE._BLOCK_BYTES if offset == 0.0 else 16 * 64 * 64
-    need = 16 * grid.scales.size * 64 + block
+    psi = named_wavelet("mexican_hat")
+    c = cwt(f, psi, grid)
+    fresh = dataclasses.replace(psi)
+    admissibility(psi)
+    admissibility(fresh)
+    need = plan_charge(64, grid, offset == 0.0)
     monkeypatch.setattr(errors, "_BYTE_BUDGET", need)
-    cwt(f, named_wavelet("mexican_hat"), grid)
+    assert cwt(f, named_wavelet("mexican_hat"), grid).matrix.tobytes() == c.matrix.tobytes()
+    assert icwt(c, fresh).values.tobytes() == icwt(c, psi).values.tobytes()
     monkeypatch.setattr(errors, "_BYTE_BUDGET", need - 1)
-    psi, count = counting(named_wavelet("mexican_hat"))
-    with pytest.raises(SizeError, match="budget"):
-        cwt(f, psi, grid)
+    counted, count = counting(psi)
+    with pytest.raises(SizeError, match="^cwt of 64 samples on a 9 x 64 grid .* budget"):
+        cwt(f, counted, grid)
+    with pytest.raises(SizeError, match="^icwt of 64 samples on a 9 x 64 grid .* budget"):
+        icwt(c, counted)
     assert count[0] == 0
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])
+def test_icwt_of_an_absurd_sample_count_is_refused_before_allocating(offset):
+    """Coefficients that claim 10^13 samples are refused by the byte budget
+    before icwt builds their sample grid (72.8 TiB) or evaluates psi."""
+    grid = CwtGrid(np.array([1.0, 2.0]), np.array([0.0, 1.0]) + offset)
+    c = CwtCoefficients(np.ones((2, 2)), grid, 0.0, 1.0, 10**13)
+    psi, count = counting(named_wavelet("mexican_hat"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="^icwt of 10000000000000 samples .* budget"):
+            icwt(c, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count[0] == 0 and peak < 1 << 16
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])
+def test_icwt_takes_a_numpy_sample_count(offset):
+    """A numpy integer sample count is held as an int and inverts as one."""
+    grid = CwtGrid(np.array([2.0, 4.0]), np.arange(16.0) + offset)
+    matrix = RNG.standard_normal(grid.shape)
+    c = CwtCoefficients(matrix, grid, 0.0, 1.0, np.int64(16))
+    assert type(c.n_samples) is int
+    psi = named_wavelet("mexican_hat")
+    expect = icwt(CwtCoefficients(matrix, grid, 0.0, 1.0, 16), psi).values
+    assert icwt(c, psi).values.tobytes() == expect.tobytes()
+
+
+class _Unweighted(SampledFunction):
+    def trapezoid_weights(self):
+        raise AssertionError("cwt went on past its charge")
+
+
+def test_dense_grid_past_the_budget_is_refused():
+    """4 scales of 5,999 shifts between 6,000 samples peak at about 1.4 GiB
+    on the dense path: both directions are refused at the 1 GiB budget,
+    before cwt weights the signal or icwt evaluates psi."""
+    f = _Unweighted(0.0, 1.0, np.ones(6000))
+    grid = CwtGrid(geometric_scales(2.0, 16.0, 1), f.xs[:-1] + 0.5)
+    assert grid.shape == (4, 5999)
+    assert plan_charge(6000, grid, False) > errors._BYTE_BUDGET
+    psi, count = counting(named_wavelet("mexican_hat"))
+    with pytest.raises(SizeError, match="^cwt of 6000 samples on a 4 x 5999 grid .* budget"):
+        cwt(f, psi, grid)
+    c = CwtCoefficients(np.zeros(grid.shape), grid, 0.0, 1.0, 6000)
+    with pytest.raises(SizeError, match="^icwt of 6000 samples on a 4 x 5999 grid .* budget"):
+        icwt(c, psi)
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "path, sizes",
+    [("fft", [(300, 40), (5000, 60), (1 << 15, 2)]), ("dense", [(64, 3), (200, 24), (500, 4)])],
+    ids=["fft", "dense"],
+)
+def test_plan_charge_covers_the_traced_peak_of_either_direction(path, sizes, complex_data):
+    """The plan's charge is at least the tracemalloc peak of cwt on a fresh
+    wavelet, of the icwt after it and of an icwt on a fresh copy, for the
+    mexican hat and a complex sampled wavelet. The FFT sizes take one block
+    of many scales, blocks of three past the ladder cap, and one-scale
+    blocks of 1 MiB with a held ladder; the peaks read up to 0.84 of the
+    charge on either path."""
+    rng = np.random.default_rng(len(sizes))
+    for n, scales in sizes:
+        values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_data else 0.0)
+        f = SampledFunction(0.0, 1.0, values)
+        grid = CwtGrid(np.geomspace(4.0, n / 4, scales), f.xs if path == "fft" else f.xs[:-1] + 0.5)
+        charge = plan_charge(n, grid, path == "fft")
+        for psi in (named_wavelet("mexican_hat"), morlet_sampled()):
+            fresh = dataclasses.replace(psi)
+            admissibility(psi)
+            admissibility(fresh)
+            c, peak = traced(lambda: cwt(f, psi, grid))
+            assert peak <= charge, (n, scales, psi.name, "cwt")
+            for held in (psi, fresh):
+                assert traced(lambda: icwt(c, held))[1] <= charge, (n, scales, psi.name, "icwt")
 
 
 def test_geometric_scales_over_byte_budget_is_refused():
