@@ -493,13 +493,15 @@ def _kernel_spectra(
     the lags in its r * supports and the nearest beyond each end (0 elsewhere)
     and one FFT along the last axis, about ``_BLOCK_BYTES`` of spectra. The
     wavelet holds the last ladder that fits ``_LADDER_BYTES``, so the
-    ``icwt`` after a ``cwt`` on the same grid evaluates no psi.
+    ``icwt`` after a ``cwt`` on the same grid evaluates no psi; a call that
+    misses drops the held ladder first, so no call holds two.
     """
     key = (n, dx, scales.tobytes(), complex_data)
     held = psi._ladder.get(key)
     if held is not None:
         yield from held
         return
+    psi._ladder.clear()  # a call holds one ladder at a time, as the plan charges
     lags = dx * np.arange(1 - n, n)
     step = max(1, _BLOCK_BYTES // (16 * length))
     blocks, kept = [], 0
@@ -524,7 +526,6 @@ def _kernel_spectra(
         blocks = blocks + [(rows, spectra, fft)] if kept <= _LADDER_BYTES else None
         yield rows, spectra, fft
     if blocks is not None:
-        psi._ladder.clear()
         # Complex kernels take complex FFTs for real and complex data alike.
         for kind in (False, True) if complex_kernel else (complex_data,):
             psi._ladder[key[:-1] + (kind,)] = blocks

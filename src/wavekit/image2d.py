@@ -25,6 +25,16 @@ for storage.
 
 Both passes over a strip run in the blocks ``subband._block`` gives the
 whole image: at 2048 wide, 16 rows a block for the column pass, 32 for rows.
+
+Strips write rows no other strip writes, so a step runs them on up to two
+workers (``_on_workers``): the caller takes the first half and one helper
+thread, started for the step and joined before it returns, the rest, each
+with its own strip temporaries. The helper starts only where the process
+may run on two CPUs and its temporaries and gather buffer take at most a
+fifth of the step's output (``_workers``): float64 squares from 976^2,
+complex ones from 902^2, so 1024^2 and 2048^2 but not 512^2. Strips and
+blocks are those of one worker, so every band is the one worker's to the
+bit.
 """
 from __future__ import annotations
 
@@ -43,21 +53,28 @@ __all__ = [
     "snap_to_lattice",
 ]
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _check_chain, _check_levels, _checked, _merge, _split
+from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split
 
 #: Most samples of each strip temporary of a 2-d step (512 KiB of float64): 32
-#: rows of a 2048-wide image, 128 of a 512-wide one. With the passes' blocks
-#: sized from the image, a 2048^2 db4 step took 12.4 / 10.3 ms forward /
-#: inverse at 32 rows, 12.5 / 10.2 at 64 and 13.1 / 10.7 in one strip (best
-#: of 15, 1 BLAS thread). At 2^17 a 512^2 image is one strip, and its
-#: 6-level round trip peaks at 3.32 image sizes (tracemalloc), against 2.82
-#: at 2^16.
+#: rows of a 2048-wide image, 128 of a 512-wide one. Each of a step's two
+#: workers holds its own pair, full size. Strips of 2^15, two workers on
+#: every step, lost the second worker's gain (a 2048^2 db4 round trip took
+#: 66-69 ms, median of 15, against 65-67 on one worker and 54-55 at 2^16
+#: under ``_workers``) and took a 512^2 dwt2d to 1.646 image sizes, over
+#: the tests' 1.6. With the passes' blocks sized from the image, a 2048^2
+#: db4 step took 12.4 / 10.3 ms forward / inverse at 32 rows, 12.5 / 10.2
+#: at 64 and 13.1 / 10.7 in one strip (best of 15, 1 BLAS thread, one
+#: worker). At 2^17 a 512^2 image is one strip, and its 6-level round trip
+#: peaks at 3.32 image sizes (tracemalloc), against 2.82 at 2^16.
 _STRIP = 1 << 16
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class Quantizer:
 def _split2d(img: np.ndarray, f: FilterSpec) -> list:
     """The planes (a, v, h, d) of one step of ``img``: for each strip of k
     output rows, the column pass (y, no factor) writes k rows of the two
-    column bands into the strip's two k x M temporaries, and the row pass
+    column bands into the worker's two k x M temporaries, and the row pass
     (x, the factor 2) of each temporary writes rows i0..i0+k of two planes.
     Separable passes commute, so the pass that reads neighbouring rows
     always reads ``img`` itself and no strip needs a halo."""
@@ -154,12 +171,17 @@ def _split2d(img: np.ndarray, f: FilterSpec) -> list:
     planes = [np.empty((n // 2, m // 2), dtype) for _ in "avhd"]
     a, v, h, d = planes
     k = min(n // 2, max(1, _STRIP // m))
-    strips = np.empty((2, k, m), dtype)
-    for i0 in range(0, n // 2, k):
-        rows = slice(i0, min(i0 + k, n // 2))
-        lo, hi = _split(img, f, 0, 1.0, strips[:, : rows.stop - i0], i0, n * m)
-        _split(lo, f, 1, 2.0, (a[rows], h[rows]), samples=n * m)
-        _split(hi, f, 1, 2.0, (v[rows], d[rows]), samples=n * m)
+    _kernel_taps(f, False, 1.0, img.dtype)  # cached before a helper reads them
+    _kernel_taps(f, False, 2.0, dtype)
+
+    def strips(temps, starts):
+        for i0 in starts:
+            rows = slice(i0, min(i0 + k, n // 2))
+            lo, hi = _split(img, f, 0, 1.0, temps[:, : rows.stop - i0], i0, n * m)
+            _split(lo, f, 1, 2.0, (a[rows], h[rows]), samples=n * m)
+            _split(hi, f, 1, 2.0, (v[rows], d[rows]), samples=n * m)
+
+    _on_workers(strips, range(0, n // 2, k), (2, k, m), dtype, n * m)
     return planes
 
 
@@ -167,20 +189,69 @@ def _merge2d(planes, f: FilterSpec) -> np.ndarray:
     """Adjoint of :func:`_split2d` on the planes (a, v, h, d), in their
     result dtype with the filter: for each strip of 2k output rows, the
     column merges (y, the factor 2) of (a, v) and of (h, d) write the
-    strip's two 2k x M/2 temporaries, and the row merge (x, no factor) of
+    worker's two 2k x M/2 temporaries, and the row merge (x, no factor) of
     the two writes the strip's rows of the image."""
     a, v, h, d = map(np.ascontiguousarray, planes)  # read once per strip
     (n, m), dtype = a.shape, np.result_type(a, v, h, d, f.h.dtype, np.float64)
     out = np.empty((2 * n, 2 * m), dtype)
     k = min(n, max(1, _STRIP // (2 * m)))
-    strips = np.empty((2, 2 * k, m), dtype)
-    for i0 in range(0, n, k):
-        rows = min(k, n - i0)
-        lo, hi = strips[:, : 2 * rows]
-        _merge((a, v), f, 0, 2.0, lo, i0, out.size)
-        _merge((h, d), f, 0, 2.0, hi, i0, out.size)
-        _merge((lo, hi), f, 1, 1.0, out[2 * i0 : 2 * (i0 + rows)], samples=out.size)
+    _kernel_taps(f, True, 2.0, dtype)  # cached before a helper reads them
+    _kernel_taps(f, True, 1.0, dtype)
+
+    def strips(temps, starts):
+        for i0 in starts:
+            rows = min(k, n - i0)
+            lo, hi = temps[:, : 2 * rows]
+            _merge((a, v), f, 0, 2.0, lo, i0, out.size)
+            _merge((h, d), f, 0, 2.0, hi, i0, out.size)
+            _merge((lo, hi), f, 1, 1.0, out[2 * i0 : 2 * (i0 + rows)], samples=out.size)
+
+    _on_workers(strips, range(0, n, k), (2, 2 * k, m), dtype, out.size)
     return out
+
+
+def _workers(temps: int, samples: int, itemsize: int) -> int:
+    """Workers for the strips of a step with ``samples`` output samples of
+    ``itemsize`` bytes and strip temporaries of ``temps`` samples: 2 where
+    a second worker's temporaries and gather buffer (two of the kernel's
+    blocks) take at most a fifth of the output and the process may run on
+    more than one CPU, else 1. Two workers then add at most 0.4 output sizes
+    to the step's four planes, within the 1.45 image sizes the tests allow a
+    1024^2 dwt2d. A 1024^2 float64 step takes the helper (2^17 + 2^16
+    samples against a fifth of 2^20); a 512^2 one, whose temporaries are
+    half its output, does not, nor does any step below about 976^2."""
+    if 5 * (temps + 2 * _block(samples, itemsize)) > samples:
+        return 1
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return min(2, len(cpus))
+
+
+def _on_workers(strips, starts: range, shape: tuple, dtype, samples: int) -> None:
+    """``strips(temps, part)`` over ``starts``, the first rows of a step's
+    strips, on the workers ``_workers`` gives, each with its own strip
+    temporaries ``temps`` of ``shape``: the caller runs the first half of
+    the strips and, on two workers, one helper thread the rest, joined
+    before this returns. Strips write disjoint rows, so the result is the
+    one worker's to the bit; an exception in the helper is raised here,
+    after the join."""
+    if _workers(math.prod(shape), samples, np.dtype(dtype).itemsize) == 1:
+        return strips(np.empty(shape, dtype), starts)
+    cut, failed = (len(starts) + 1) // 2, []
+
+    def helper():
+        try:
+            strips(np.empty(shape, dtype), starts[cut:])
+        except BaseException as exc:  # re-raised in the caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        strips(np.empty(shape, dtype), starts[:cut])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def dwt2d_step(img, f: FilterSpec) -> QuadDecomp:

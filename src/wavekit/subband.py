@@ -424,7 +424,8 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
         if f.h.dtype.char not in _OPERATOR_CODES or not 1 <= levels <= max_levels(n, f):
             return None
         rows = np.eye(n, dtype=np.result_type(f.h.dtype, np.float64))
-        held = sum(v.nbytes for k, v in f._tap_cache.items() if k[0] == "pyramid")
+        # A snapshot: another thread sharing f may insert while this sums.
+        held = sum(v.nbytes for k, v in f._tap_cache.copy().items() if k[0] == "pyramid")
         if held + rows.nbytes > _OPERATOR_BYTES:
             return None
         bands = []

@@ -873,7 +873,7 @@ def test_held_ladder_serves_interleaved_grids():
 
 def test_ladder_over_the_cap_is_not_held(monkeypatch):
     """A ladder whose spectra pass the cap is computed block by block and
-    dropped; the wavelet keeps the ladder it held, and icwt recomputes."""
+    dropped, and so is the ladder the wavelet held; icwt recomputes."""
     f = windowed_sine(n=64)
     psi, count = counting(named_wavelet("mexican_hat"))
     admissibility(psi)
@@ -887,10 +887,39 @@ def test_ladder_over_the_cap_is_not_held(monkeypatch):
     big = CwtGrid(geometric_scales(1.0, 16.0, 2), f.xs)
     before = count[0]
     c = cwt(f, psi, big)
-    assert psi._ladder == held
+    assert psi._ladder == {}
     rec = icwt(c, psi)
     assert count[0] - before == 2 * support_lag_count(psi, f.size, f.dx, big.scales)
     _assert_close(rec.values, dense_icwt_values(c, psi))
+
+
+def test_a_call_on_another_grid_holds_one_ladder_within_its_charge():
+    """A cwt on a new grid drops the ladder the wavelet held before it
+    computes its own: with tracemalloc running since the first call, the
+    second call's peak stays within its own plan charge (ladders of 100 to
+    127 complex rows of 2,048 bins, up to 3.97 MiB, each under the 4 MiB
+    cap; holding both took the 127-row case to 11.2 MiB against 9.5), and
+    it evaluates psi and gives results as on a fresh wavelet, bit for
+    bit."""
+    f = SampledFunction(0.0, 1.0, RNG.standard_normal(1024) + 1j * RNG.standard_normal(1024))
+    for scales in (100, 127):
+        first = CwtGrid(np.geomspace(4.0, 200.0, scales), f.xs)
+        second = CwtGrid(np.geomspace(4.5, 220.0, scales), f.xs)
+        psi, count = counting(named_wavelet("mexican_hat"))
+        tracemalloc.start()
+        try:
+            cwt(f, psi, first)
+            tracemalloc.reset_peak()
+            before = count[0]
+            c = cwt(f, psi, second)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan_charge(f.size, second, True)
+        assert count[0] - before == support_lag_count(psi, f.size, f.dx, second.scales)
+        assert c.matrix.tobytes() == cwt(f, named_wavelet("mexican_hat"), second).matrix.tobytes()
+        (held,) = psi._ladder.values()
+        assert sum(spectra.nbytes for _, spectra, _ in held) <= CWT_MODULE._LADDER_BYTES
 
 
 def test_replaced_wavelet_holds_no_ladder():

@@ -483,3 +483,169 @@ def test_every_pass_runs_at_the_block_of_its_image(side, block):
         seen = kernel_blocks(patch)
         idwt2d(_one_level(dwt2d_step(img, f)), f)
     assert len(seen) >= 6 and set(seen) == {block}
+
+
+def _kernel_callers(patch: pytest.MonkeyPatch, workers: int | None = None) -> list[bool]:
+    """Whether each filter-bank kernel call made while ``patch`` is active
+    ran in the main thread, in the list returned; with ``workers``, every
+    2-d step runs on that many workers."""
+    import threading
+
+    import wavekit.image2d as image2d
+    import wavekit.subband as subband
+
+    if workers is not None:
+        patch.setattr(image2d, "_workers", lambda *args: workers)
+    seen, rule = [], subband._block
+    main = threading.main_thread()
+    patch.setattr(subband, "_block", lambda *args: seen.append(threading.current_thread() is main) or rule(*args))
+    return seen
+
+
+@pytest.mark.parametrize("rows", (None, 3))
+@pytest.mark.parametrize("shape", ((1024, 1024), (2048, 1024), (1024, 2048)))
+def test_two_workers_give_the_one_worker_bits(shape, rows):
+    """The steps of a float64, float32 and complex128 image, and their
+    inverses, on two workers (the caller and one helper) are bit-identical
+    to one worker's, in strips of the default size, which split these
+    images evenly, and of three rows, which leave a short last strip and,
+    on 1024 rows, an odd count of them (171); the kernel runs as often, so
+    no strip runs twice, and both workers run strips."""
+    import wavekit.image2d as image2d
+
+    f = builtin_filter("db4")
+    x = RNG.standard_normal(shape)
+    for img in (x, x.astype(np.float32), x + 1j * x[::-1]):
+        results, callers = [], []
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(image2d, "_STRIP", rows * shape[1])
+                seen = _kernel_callers(patch, workers)
+                planes = image2d._split2d(img, f)
+                results.append((*planes, image2d._merge2d(planes, f)))
+            callers.append(seen)
+        assert [set(seen) for seen in callers] == [{True}, {True, False}]
+        assert len(callers[0]) == len(callers[1])
+        for one, two in zip(*results):
+            assert one.dtype == two.dtype and np.array_equal(one, two)
+
+
+def test_an_error_in_the_helper_is_raised_in_the_caller(monkeypatch):
+    """A strip that raises in the helper thread raises in the caller of
+    dwt2d and of idwt2d, after the join, and no thread outlives a call,
+    whether it returns or raises."""
+    import threading
+
+    import wavekit.image2d as image2d
+
+    class HelperFailed(Exception):
+        pass
+
+    def failing(fn):
+        def run(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailed(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return run
+
+    f = builtin_filter("db4")
+    img = RNG.standard_normal((1024, 1024))
+    before = threading.active_count()
+    monkeypatch.setattr(image2d, "_workers", lambda *args: 2)
+    p = dwt2d(img, f, 2)
+    back = idwt2d(p, f)
+    assert threading.active_count() == before
+    for name, call in (("_split", lambda: dwt2d(img, f, 2)), ("_merge", lambda: idwt2d(p, f))):
+        with monkeypatch.context() as patch:
+            patch.setattr(image2d, name, failing(getattr(image2d, name)))
+            with pytest.raises(HelperFailed, match=name):
+                call()
+        assert threading.active_count() == before
+    assert np.abs(back - img).max() <= 1e-12
+
+
+def test_round_trip_peak_memory_2d_on_two_workers(monkeypatch):
+    """On a machine of two CPUs or more, a 6-level db4 round trip of a
+    1024 x 1024 image runs its top steps on two workers, each with its own
+    strip temporaries and gather buffer, and still peaks within 2.9 image
+    sizes (2.63 at this commit)."""
+    import os
+
+    f = builtin_filter("db4")
+    img = RNG.standard_normal((1024, 1024))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = _kernel_callers(monkeypatch)
+    assert peak_bytes(lambda: idwt2d(dwt2d(img, f, 6), f)) <= 2.9 * img.nbytes
+    assert False in seen
+
+
+@pytest.mark.parametrize("side, dtype, workers", [
+    (512, np.float64, 1), (960, np.float64, 1), (976, np.float64, 2), (1024, np.float64, 2),
+    (900, np.complex128, 1), (902, np.complex128, 2), (2048, np.complex128, 2),
+])
+def test_the_helper_starts_where_its_bytes_are_a_fifth_of_the_step(monkeypatch, side, dtype, workers):
+    """On two CPUs, a step of a side x side image takes the helper where its
+    strip temporaries and gather buffer take at most a fifth of the output:
+    float64 squares from 976^2, complex ones from 902^2. On one CPU no step
+    does."""
+    import os
+
+    import wavekit.image2d as image2d
+
+    k = min(side // 2, image2d._STRIP // side)
+    rule = lambda: image2d._workers(2 * k * side, side * side, np.dtype(dtype).itemsize)  # noqa: E731
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert rule() == workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert rule() == 1
+
+
+def test_threads_sharing_a_filter_get_the_one_thread_bits(monkeypatch):
+    """Four threads share one filter whose caches start empty, each running
+    five rounds of 2-d round trips whose steps take a helper of their own (ten workers on
+    two cores or fewer) and short 1-d round trips on the cached operators,
+    with the interpreter switching threads every microsecond. Every thread
+    ends within its timeout and every result is the one thread's, bit for
+    bit."""
+    import dataclasses
+    import sys
+    import threading
+
+    import wavekit.image2d as image2d
+    from wavekit.subband import dwt1d, idwt1d
+
+    monkeypatch.setattr(image2d, "_workers", lambda *args: 2)
+    monkeypatch.setattr(image2d, "_STRIP", 16 * 256)  # eight strips at 256^2
+    img, x = RNG.standard_normal((256, 256)), RNG.standard_normal(64)
+
+    def work(f):
+        p = dwt2d(img, f, 3)
+        short = [dwt1d(x, f, lev) for lev in (1, 2, 3)]
+        return [p.approx, *(b for t in p.details for b in (t.h, t.v, t.d)), idwt2d(p, f),
+                *(q.approx for q in short), *(idwt1d(q, f) for q in short)]
+
+    want = work(dataclasses.replace(builtin_filter("db4")))
+    shared = dataclasses.replace(builtin_filter("db4"))
+    results = [None] * 4
+
+    def run(i):
+        results[i] = [work(shared) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for rounds in results:
+        assert rounds is not None
+        for got in rounds:
+            assert len(got) == len(want)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))

@@ -824,6 +824,27 @@ def test_short_pyramid_bands_share_one_buffer():
     assert fresh._tap_cache["pyramid", 64, 3] is not op
 
 
+def test_operator_bytes_are_summed_over_a_snapshot_of_the_cache():
+    """The bytes of the operators cached on a filter are summed over a
+    snapshot of its cache, so another thread sharing the filter may insert
+    while they are summed: here a cache whose item view inserts an entry at
+    each step. Each depth's operator is built and cached all the same."""
+
+    class Inserting(dict):
+        def items(self):
+            for item in super().items():
+                self["taps", len(self)] = None  # as a thread sharing the filter might
+                yield item
+
+    f = dataclasses.replace(builtin_filter("db4"))
+    f.__dict__["_tap_cache"] = Inserting()
+    x = RNG.standard_normal(64)
+    for lev in (1, 2, 3):
+        assert subband._pyramid_operator(f, 64, lev, x.dtype) is not None
+        assert_allclose(idwt1d(dwt1d(x, f, lev), f), x, atol=1e-13)
+    assert sorted(k for k in f._tap_cache if k[0] == "pyramid") == [("pyramid", 64, lev) for lev in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("n", (16, 64, subband._OPERATOR_MAX_N))
 def test_gates_hold_below_the_operator_threshold(n):
     """The operator path runs every gate of the kernel path: depth past
