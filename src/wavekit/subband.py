@@ -33,9 +33,14 @@ runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and depth the
 pyramid is one n x n matrix M, built by the kernel and cached on the filter
 (``_pyramid_operator``), so a call is its gates and one product. A cached M
 vouches for the gates on the length and depth, so ``dwt1d`` looks it up before
-any; ``idwt1d`` runs the chain rule. A 64-sample db4 round trip takes about
-8 us (timeit, one BLAS thread). The other callers (``analysis_step``,
-``synthesis_step``, ``cuntz_check``, the 2-d pyramid) run the kernel.
+any. The product c that ``dwt1d`` returns vouches for the chain rule: its bands
+are consecutive views of c, which the pyramid holds (``Pyramid1D._flat``), so
+while a pyramid's ``details`` and ``approx`` are still those views ``idwt1d``
+inverts c itself, with no chain rule and no concatenation. Every other pyramid
+(built by hand, copied, unpickled or with a field swapped) runs the chain rule
+once. A 64-sample db4 round trip takes about 5 us (timeit, one BLAS thread).
+The other callers (``analysis_step``, ``synthesis_step``, ``cuntz_check``, the
+2-d pyramid) run the kernel.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +67,7 @@ from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeErr
 from .filters import FilterSpec, derive_highpass
 
 _SQRT2 = float(np.sqrt(2.0))
+_FLOAT64 = np.dtype(np.float64)
 
 #: Fewest outputs per channel in one block of ``_polyphase_product`` (64 KiB
 #: of float64, with a gather buffer about twice that): the block of every pass
@@ -115,10 +121,21 @@ class Pyramid1D:
     ``details[l]`` holds the level-(l+1) details of length n / 2^(l+1);
     ``approx`` holds the deepest averages. Total coefficient count equals the
     original signal length.
+
+    A pyramid that ``dwt1d`` computed as one product also holds that
+    product, the coefficient vector c whose consecutive views are its bands,
+    in the private field ``_flat`` = (details, approx, c); others hold None.
+    ``idwt1d`` inverts c itself while ``details`` and ``approx`` are still
+    those objects, so values written into the bands count, but a band's
+    ``shape`` or ``dtype`` attribute set in place does not. ``_flat`` is
+    not a parameter of ``__init__`` and takes no part in equality or repr;
+    copies, pickles and ``dataclasses.replace`` leave it out, so no second
+    copy of the coefficients travels with them.
     """
 
     details: tuple[np.ndarray, ...]
     approx: np.ndarray
+    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         details = tuple(np.atleast_1d(np.asarray(z)) for z in self.details)
@@ -127,11 +144,16 @@ class Pyramid1D:
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "approx", np.atleast_1d(np.asarray(self.approx)))
 
+    def __getstate__(self) -> dict:  # what copy and pickle keep: no _flat
+        return {"details": self.details, "approx": self.approx}
+
     @classmethod
-    def _of(cls, details: tuple, approx: np.ndarray) -> Pyramid1D:
-        """The pyramid of ``dwt1d``'s own 1-d bands, taken as they are."""
+    def _of(cls, details: tuple, approx: np.ndarray, c: np.ndarray | None = None) -> Pyramid1D:
+        """The pyramid of ``dwt1d``'s own 1-d bands, taken as they are, and
+        the vector c they are views of, if they are."""
         p = object.__new__(cls)
-        p.__dict__.update(details=details, approx=approx)
+        flat = None if c is None else (details, approx, c)
+        p.__dict__.update(details=details, approx=approx, _flat=flat)
         return p
 
     @property
@@ -414,7 +436,9 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
     then the averages), so the pyramid of x is x @ M and, the synthesis
     being the adjoint, its inverse is conj(M) @ c. The kernel builds M, one
     ``_split`` of the rows per level. It is read-only, in the filter's result
-    dtype, and cached in ``f._tap_cache`` under ("pyramid", n, levels).
+    dtype, and cached in ``f._tap_cache`` under ("pyramid", n, levels), after
+    the slices of c that are the bands, under ("cuts", n, levels), so a
+    cached M has its cuts.
     """
     if n > _OPERATOR_MAX_N or dtype.char not in _OPERATOR_CODES:
         return None
@@ -432,6 +456,8 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
         for _ in range(levels):
             rows, z = _split(rows, f, 1, _SQRT2)
             bands.append(z)
+        ends = [n - (n >> lev) for lev in range(levels + 1)] + [n]
+        f._tap_cache["cuts", n, levels] = [slice(a, b) for a, b in zip(ends, ends[1:])]
         op = f._tap_cache[key] = np.concatenate((*bands, rows), axis=1)
         op.setflags(write=False)
     return op
@@ -443,7 +469,9 @@ def _operator_product(op: np.ndarray, v: np.ndarray, adjoint: bool) -> np.ndarra
     and imaginary parts of v are the two rows (columns, for the adjoint) of
     one matrix-matrix product: a complex matrix-vector product at n = 64 took
     2 to 8 ms under OpenBLAS 0.3.31 with two threads on 2 cores, against 3 us
-    on one thread, and a product of mixed dtypes casts M on every call."""
+    on one thread, and a product of mixed dtypes casts M on every call.
+    ``dwt1d`` and ``idwt1d`` make a float64 product with a float64 M
+    themselves, a call and a dtype test less."""
     if op.dtype.kind != "c" and v.dtype.kind != "c":
         v = v.astype(op.dtype, copy=False)
         return op.dot(v) if adjoint else v.dot(op)
@@ -493,9 +521,10 @@ def _check_levels(n_lev, admissible: int, what: str) -> None:
 
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
     """Full pyramid: split the averages n_lev times, as ``analysis_step``
-    does once. Up to ``_OPERATOR_MAX_N`` samples that is one product with
-    the cached ``_pyramid_operator``, and the bands are views of its result;
-    the gates run only when a 1-d array and an integer depth find none.
+    does once. Up to ``_OPERATOR_MAX_N`` samples that is one product c with
+    the cached ``_pyramid_operator``, and the bands are views of c, which the
+    pyramid holds for ``idwt1d``; the gates run only when a 1-d array and an
+    integer depth find none.
 
     A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
@@ -507,9 +536,9 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
         _check_levels(n_lev, max_levels(x.size, f), f"length {x.size}")
         op = None if fast else _pyramid_operator(f, x.size, n_lev, x.dtype)
     if op is not None:
-        c, n = _operator_product(op, x, adjoint=False), x.size
-        details = [c[n - (n >> (lev - 1)) : n - (n >> lev)] for lev in range(1, n_lev + 1)]
-        return Pyramid1D._of(tuple(details), c[n - (n >> n_lev) :])
+        c = x.dot(op) if x.dtype is op.dtype is _FLOAT64 else _operator_product(op, x, adjoint=False)
+        *details, approx = [c[cut] for cut in f._tap_cache["cuts", x.size, n_lev]]
+        return Pyramid1D._of(tuple(details), approx, c)
     details = []
     for _ in range(n_lev):
         x, z = _split(x, f, 0, _SQRT2)
@@ -521,7 +550,16 @@ def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
     """Invert ``dwt1d``. The averages must be nonempty and 1-d, and each
     level's details as long as the averages they merge with. Up to
     ``_OPERATOR_MAX_N`` samples the inverse is the adjoint product
-    conj(M) @ c of the cached ``_pyramid_operator``."""
+    conj(M) @ c of the cached ``_pyramid_operator``. A pyramid whose fields
+    are still the bands ``dwt1d`` cut from its product c (``Pyramid1D._flat``)
+    skips the chain rule, which that layout implies, and the concatenation:
+    its inverse is conj(M) @ c of c itself."""
+    flat = p._flat
+    if flat is not None and flat[0] is p.details and flat[1] is p.approx:
+        c = flat[2]
+        op = _pyramid_operator(f, c.size, len(p.details), c.dtype)
+        if op is not None:
+            return op.dot(c) if c.dtype is op.dtype is _FLOAT64 else _operator_product(op, c, adjoint=True)
     levels = [(z,) for z in p.details]
     (n,), dtype = _check_chain(p.approx, levels, 1)
     op = _pyramid_operator(f, n, len(levels), dtype)

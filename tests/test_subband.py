@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import inspect
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -920,9 +923,9 @@ def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
         assert all(_same_bits(a, b) for a, b in bands)
 
 
-def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp_path):
-    """synthesis_step, idwt1d on the operator path and on the kernel, idwt2d
-    and the container writer each run the chain rule exactly once."""
+def _chain_rules(monkeypatch) -> list:
+    """The arguments of every chain-rule run, in subband, image2d and io,
+    while ``monkeypatch`` is active."""
     import wavekit.image2d as image2d
     import wavekit.io as io
 
@@ -934,20 +937,156 @@ def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp
 
     for module in (subband, image2d, io):
         monkeypatch.setattr(module, "_check_chain", counted)
+    return calls
+
+
+def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp_path):
+    """idwt1d of a pyramid dwt1d made as one product runs no chain rule: the
+    layout of that product implies it. Every other inverse runs it exactly
+    once: idwt1d of a pyramid off the kernel (n = 512), of the same short
+    pyramid with the operator path off, of a user-built copy and of a
+    dataclasses.replace copy, and synthesis_step, idwt2d and the container
+    writer, of the short pyramid too."""
+    import wavekit.image2d as image2d
+    import wavekit.io as io
+
+    calls = _chain_rules(monkeypatch)
     f = builtin_filter("db4")
     x = RNG.standard_normal(64)
-    p = dwt1d(x, f, 2)
+    p, long = dwt1d(x, f, 2), dwt1d(RNG.standard_normal(512), f, 2)
+    assert p._flat is not None and long._flat is None
     q = image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2)
-    for run in (
-        lambda: synthesis_step(analysis_step(x, f), f),
-        lambda: idwt1d(p, f),
-        lambda: _on_the_kernel(monkeypatch, lambda: idwt1d(p, f)),
-        lambda: image2d.idwt2d(q, f),
-        lambda: io.write_pyramid_container(str(tmp_path / "p.pyr"), q, "db4"),
-    ):
+    runs = {
+        0: [lambda: idwt1d(p, f)],
+        1: [
+            lambda: synthesis_step(analysis_step(x, f), f),
+            lambda: idwt1d(long, f),
+            lambda: _on_the_kernel(monkeypatch, lambda: idwt1d(p, f)),
+            lambda: idwt1d(Pyramid1D(details=p.details, approx=p.approx), f),
+            lambda: idwt1d(dataclasses.replace(p), f),
+            lambda: image2d.idwt2d(q, f),
+            lambda: io.write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
+            lambda: io.write_pyramid_container(str(tmp_path / "p.pyr"), p, "db4"),
+        ],
+    }
+    for count, calls_of in runs.items():
+        for run in calls_of:
+            calls.clear()
+            run()
+            assert len(calls) == count
+
+
+@pytest.mark.parametrize("kind", ("float64", "complex", "float32", "int64", "bool"))
+def test_vouched_inverse_matches_the_concatenating_path(monkeypatch, lattice_filters, kind):
+    """idwt1d of dwt1d's own pyramid inverts the held product without the
+    chain rule, and equals bit for bit the inverse of the same bands taken
+    through the chain rule and concatenated (a user-built pyramid), for
+    haar, db4, two lattice filters (starts 0 and -3) and a complex filter,
+    at every depth up to max_levels of n = 16, 64 and the threshold."""
+    rng = np.random.default_rng(20261020)
+    cplx = np.array([0.3 + 0.2j, 0.5, -0.1j, 0.2, 0.1 - 0.1j])
+    filters = [
+        builtin_filter("haar"),
+        builtin_filter("db4"),
+        FilterSpec("lat", lattice_filters[17], 0),
+        FilterSpec("lat8", lattice_filters[19], -3),
+        FilterSpec("cplx", cplx, 1, normalized=False),
+    ]
+    calls = _chain_rules(monkeypatch)
+    for f in filters:
+        for n in (16, 64, subband._OPERATOR_MAX_N):
+            x = _signal(rng, n, kind)
+            for lev in range(1, max_levels(n, f) + 1):
+                f = dataclasses.replace(f)  # an empty cache, so the cap never intervenes
+                p = dwt1d(x, f, lev)
+                assert p._flat is not None and p._flat[2].base is None
+                calls.clear()
+                back = idwt1d(p, f)
+                assert calls == []
+                user = Pyramid1D(details=p.details, approx=p.approx)
+                assert _same_bits(back, idwt1d(user, f))
+                assert len(calls) == 1
+                ref = _on_the_kernel(monkeypatch, lambda: idwt1d(user, f))
+                _assert_close_relative(back, ref)
+
+
+def test_vouched_inverse_honours_in_place_edits():
+    """The bands of dwt1d's pyramid are views of the held product, so a value
+    written into a band in place reaches the inverse."""
+    f = builtin_filter("db4")
+    x = RNG.standard_normal(64)
+    p = dwt1d(x, f, 3)
+    before = idwt1d(p, f)
+    p.details[0][5] += 1.0
+    p.details[2][:] = 0.0
+    p.approx[:] *= 2.0
+    after = idwt1d(p, f)
+    assert not np.array_equal(after, before)
+    assert _same_bits(after, idwt1d(Pyramid1D(details=p.details, approx=p.approx), f))
+
+
+def test_copies_and_swapped_fields_take_the_concatenating_path(monkeypatch):
+    """dataclasses.replace, copy.copy, copy.deepcopy, a pickle round trip, a
+    user-built pyramid and a field swapped with object.__setattr__ hold no
+    product idwt1d can vouch for: each runs the chain rule once and gives
+    its result, or its error for a broken chain. The held product is no
+    parameter of Pyramid1D and not in its repr."""
+    calls = _chain_rules(monkeypatch)
+    f = builtin_filter("db4")
+    x = RNG.standard_normal(64) + 1j * RNG.standard_normal(64)
+    p = dwt1d(x, f, 3)
+    assert list(inspect.signature(Pyramid1D).parameters) == ["details", "approx"]
+    assert "_flat" not in repr(p)
+    ref = idwt1d(Pyramid1D(details=p.details, approx=p.approx), f)
+    copies = {
+        "replace": dataclasses.replace(p),
+        "copy": copy.copy(p),
+        "deepcopy": copy.deepcopy(p),
+        "pickle": pickle.loads(pickle.dumps(p)),
+        "user-built": Pyramid1D(details=p.details, approx=p.approx),
+    }
+    for name, q in copies.items():
+        assert q._flat is None and "_flat" not in q.__dict__, name
         calls.clear()
-        run()
+        assert _same_bits(idwt1d(q, f), ref), name
+        assert len(calls) == 1, name
+
+    def swapped(field, value):
+        q = dwt1d(x, f, 3)
+        object.__setattr__(q, field, value)
+        return q
+
+    same = [swapped("details", p.details), swapped("approx", p.approx.copy())]
+    broken = [
+        swapped("details", (p.details[0][:-1], *p.details[1:])),
+        swapped("approx", np.ones(0)),
+        swapped("approx", p.approx.astype(object)),
+        swapped("details", (*p.details[:2], np.arange(p.approx.size).astype("datetime64[D]"))),
+    ]
+    for q in same:
+        calls.clear()
+        assert _same_bits(idwt1d(q, f), ref)
         assert len(calls) == 1
+    for q in broken:
+        user = Pyramid1D(details=q.details, approx=q.approx)
+        calls.clear()
+        assert _refusal(lambda: idwt1d(q, f)) == _refusal(lambda: idwt1d(user, f)) is not None
+        assert len(calls) == 2
+
+
+def test_pickle_of_a_short_pyramid_carries_its_bands_once():
+    """A pickle of dwt1d's pyramid is the size of the same bands' user-built
+    pyramid, under the coefficients' bytes plus 1 KiB: the held product does
+    not travel with it, and the copy comes back without it."""
+    f = builtin_filter("db4")
+    for x in (RNG.standard_normal(256), RNG.standard_normal(64) + 1j * RNG.standard_normal(64)):
+        p = dwt1d(x, f, 3)
+        blob = pickle.dumps(p)
+        assert len(blob) == len(pickle.dumps(Pyramid1D(details=p.details, approx=p.approx)))
+        assert len(blob) < sum(b.nbytes for b in (*p.details, p.approx)) + 1024
+        back = pickle.loads(blob)
+        assert "_flat" not in back.__dict__
+        assert all(_same_bits(a, b) for a, b in zip((*back.details, back.approx), (*p.details, p.approx)))
 
 
 def _same_bits(a, b) -> bool:
