@@ -14,9 +14,10 @@ whole space, which ``cuntz_check`` verifies on this same kernel.
 Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along
 one axis) or its adjoint ``_merge``, at every output or, into arrays the caller
 passes, at a range of them: the 2-d step runs them strip by strip. Every
-analysis passes one input gate, ``_checked``; every inverse, and the container
-writer of :mod:`wavekit.io`, first passes ``_check_chain``, the one rule for
-how the bands chain. Both run one kernel, ``_polyphase_product``, the polyphase
+analysis passes one input gate, ``_checked``, and every pyramid the one rule
+for how the bands chain, ``_check_chain``: a ``Pyramid1D`` when it is built, an
+image pyramid in ``idwt2d``, and both in the container writer of
+:mod:`wavekit.io`. Both run one kernel, ``_polyphase_product``, the polyphase
 form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
 ``_split`` states it: it gathers a block of outputs, sized by the one rule
 ``_block``, once and makes each band one matmul, written straight into the
@@ -28,19 +29,18 @@ level rule is stated once, in ``max_levels`` (and ``image2d.max_levels_2d``);
 ``_check_levels`` accepts exactly the depths 1..max. ``subband_matrices`` is
 the tests' oracle.
 
-A short signal, up to ``_OPERATOR_MAX_N`` samples, skips the per-level kernel
-runs in ``dwt1d`` and ``idwt1d``: for a fixed filter, length and depth the
-pyramid is one n x n matrix M, built by the kernel and cached on the filter
-(``_pyramid_operator``), so a call is its gates and one product. A cached M
-vouches for the gates on the length and depth, so ``dwt1d`` looks it up before
-any. The product c that ``dwt1d`` returns vouches for the chain rule: its bands
-are consecutive views of c, which the pyramid holds (``Pyramid1D._flat``), so
-while a pyramid's ``details`` and ``approx`` are still those views ``idwt1d``
-inverts c itself, with no chain rule and no concatenation. Every other pyramid
-(built by hand, copied, unpickled or with a field swapped) runs the chain rule
-once. A 64-sample db4 round trip takes about 5 us (timeit, one BLAS thread).
-The other callers (``analysis_step``, ``synthesis_step``, ``cuntz_check``, the
-2-d pyramid) run the kernel.
+A 1-d pyramid is one coefficient vector c = Wx of n samples, its bands
+consecutive views of c: the details of level 1, ..., of the last level, then
+the averages. ``dwt1d`` writes each level's details into c, and
+``Pyramid1D(details, approx)`` runs the chain rule once and copies the bands
+into a new c, so ``idwt1d`` runs none; a band swapped in with
+``object.__setattr__`` is not supported. Up to ``_OPERATOR_MAX_N`` samples the
+pyramid of a fixed filter, length and depth is one n x n matrix M, built by the
+kernel and cached on the filter (``_pyramid_operator``): ``dwt1d`` is its gates,
+which a cached M vouches for, so it looks M up before any, and x @ M, and
+``idwt1d`` is conj(M) @ c. A 64-sample db4 round trip takes about 5 us (timeit,
+one BLAS thread). The other callers (``analysis_step``, ``synthesis_step``,
+``cuntz_check``, the 2-d pyramid) run the kernel.
 """
 from __future__ import annotations
 
@@ -92,8 +92,9 @@ _ROWS = 8
 _OPERATOR_MAX_N = 256
 
 #: Most bytes the pyramid operators cached on one filter may hold: four
-#: float64 operators at n = 256, or 64 at n = 64. A call whose operator
-#: would not fit runs the kernel.
+#: float64 operators at n = 256, or 64 at n = 64. An operator that would not
+#: fit evicts the oldest first, so a call's path, and its bits, depend on its
+#: length, depth and dtype alone.
 _OPERATOR_BYTES = 1 << 21
 _OPERATOR_CODES = "?" + np.typecodes["AllInteger"] + "efdFD"  #: data that fits in complex128
 
@@ -118,42 +119,45 @@ class SubbandPair:
 class Pyramid1D:
     """Multilevel decomposition: details per level plus the final averages.
 
-    ``details[l]`` holds the level-(l+1) details of length n / 2^(l+1);
-    ``approx`` holds the deepest averages. Total coefficient count equals the
-    original signal length.
-
-    A pyramid that ``dwt1d`` computed as one product also holds that
-    product, the coefficient vector c whose consecutive views are its bands,
-    in the private field ``_flat`` = (details, approx, c); others hold None.
-    ``idwt1d`` inverts c itself while ``details`` and ``approx`` are still
-    those objects, so values written into the bands count, but a band's
-    ``shape`` or ``dtype`` attribute set in place does not. ``_flat`` is
-    not a parameter of ``__init__`` and takes no part in equality or repr;
-    copies, pickles and ``dataclasses.replace`` leave it out, so no second
-    copy of the coefficients travels with them.
+    ``details[l]`` holds the level-(l+1) details of length n / 2^(l+1) and
+    ``approx`` the deepest averages: consecutive views, in that order, of one
+    C-contiguous array of the n coefficients, the private field ``_c``. The
+    constructor runs the chain rule once, so bands that do not chain raise
+    here, and copies them into a new array of their common dtype; copies,
+    pickles and ``dataclasses.replace`` rebuild through it. Pyramids of equal
+    depths and coefficients are equal. Values written into the bands in place
+    count; a field swapped with ``object.__setattr__`` is not supported.
     """
 
     details: tuple[np.ndarray, ...]
     approx: np.ndarray
-    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        details = tuple(np.atleast_1d(np.asarray(z)) for z in self.details)
+        details = [np.atleast_1d(np.asarray(z)) for z in self.details]
         if not details:
             raise ShapeError("a pyramid needs at least one detail level")
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "approx", np.atleast_1d(np.asarray(self.approx)))
+        approx = np.atleast_1d(np.asarray(self.approx))
+        _, dtype = _check_chain(approx, [(z,) for z in details], 1)
+        self._of(np.concatenate((*details, approx), dtype=dtype), len(details), self)
 
-    def __getstate__(self) -> dict:  # what copy and pickle keep: no _flat
-        return {"details": self.details, "approx": self.approx}
+    def __reduce__(self):  # copies and pickles rebuild through the constructor
+        return type(self), (self.details, self.approx)
+
+    def __eq__(self, other):  # equal depths and coefficients; a copy holds a new c
+        return type(other) is type(self) and self.levels == other.levels and np.array_equal(self._c, other._c)
 
     @classmethod
-    def _of(cls, details: tuple, approx: np.ndarray, c: np.ndarray | None = None) -> Pyramid1D:
-        """The pyramid of ``dwt1d``'s own 1-d bands, taken as they are, and
-        the vector c they are views of, if they are."""
-        p = object.__new__(cls)
-        flat = None if c is None else (details, approx, c)
-        p.__dict__.update(details=details, approx=approx, _flat=flat)
+    def _of(cls, c: np.ndarray, levels: int, p: Pyramid1D | None = None) -> Pyramid1D:
+        """``p``, or a new pyramid, holding c and the views of it that
+        ``dwt1d`` lays out as its bands: no chain rule, no copy."""
+        n, a, details = c.size, 0, []
+        for lev in range(1, levels + 1):
+            b = n - (n >> lev)
+            details.append(c[a:b])
+            a = b
+        p = object.__new__(cls) if p is None else p
+        p.__dict__.update(details=tuple(details), approx=c[a:], _c=c)
         return p
 
     @property
@@ -165,7 +169,7 @@ class Pyramid1D:
         return 2 * self.details[0].size
 
     def coefficient_count(self) -> int:
-        return self.approx.size + sum(d.size for d in self.details)
+        return self._c.size
 
 
 @dataclass(frozen=True)
@@ -413,8 +417,7 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...]
                     f"detail level {level} has shape {band.shape}, expected {shape}"
                 )
             dtypes.add(band.dtype)
-        # A 1-d display takes a sixth of the comprehension's time.
-        shape = (2 * shape[0],) if ndim == 1 else tuple([2 * n for n in shape])
+        shape = tuple([2 * n for n in shape])
     try:  # one dtype needs no promotion; the kind test below refuses it alike
         dtype = dtypes.pop() if len(dtypes) == 1 else np.result_type(*dtypes)
     except TypeError:  # no common dtype, e.g. datetimes among numbers
@@ -427,18 +430,16 @@ def _check_chain(approx: np.ndarray, levels, ndim: int) -> tuple[tuple[int, ...]
 def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray | None:
     """The n x n matrix M of the ``levels``-deep pyramid of n samples, or
     None when n is over ``_OPERATOR_MAX_N``, data of ``dtype`` or the taps
-    do not fit in complex128, ``max_levels`` refuses the depth (so a cached
-    M vouches for every gate on n and the depth), or M would take the
-    operators cached on ``f`` past ``_OPERATOR_BYTES``.
+    do not fit in complex128, or ``max_levels`` refuses the depth (so a
+    cached M vouches for every gate on n and the depth).
 
     Row i of M is the pyramid of the unit impulse e_i, its bands side by side
-    in ``Pyramid1D`` order (details of level 1, ..., of level ``levels``,
-    then the averages), so the pyramid of x is x @ M and, the synthesis
+    in ``Pyramid1D`` order, so the pyramid of x is x @ M and, the synthesis
     being the adjoint, its inverse is conj(M) @ c. The kernel builds M, one
     ``_split`` of the rows per level. It is read-only, in the filter's result
     dtype, and cached in ``f._tap_cache`` under ("pyramid", n, levels), after
-    the slices of c that are the bands, under ("cuts", n, levels), so a
-    cached M has its cuts.
+    the oldest operators cached there that it would push past
+    ``_OPERATOR_BYTES`` are evicted.
     """
     if n > _OPERATOR_MAX_N or dtype.char not in _OPERATOR_CODES:
         return None
@@ -448,16 +449,17 @@ def _pyramid_operator(f: FilterSpec, n: int, levels: int, dtype) -> np.ndarray |
         if f.h.dtype.char not in _OPERATOR_CODES or not 1 <= levels <= max_levels(n, f):
             return None
         rows = np.eye(n, dtype=np.result_type(f.h.dtype, np.float64))
-        # A snapshot: another thread sharing f may insert while this sums.
-        held = sum(v.nbytes for k, v in f._tap_cache.copy().items() if k[0] == "pyramid")
-        if held + rows.nbytes > _OPERATOR_BYTES:
-            return None
+        # A snapshot, oldest first: another thread sharing f may insert or evict meanwhile.
+        held = [(k, v.nbytes) for k, v in f._tap_cache.copy().items() if k[0] == "pyramid"]
+        excess = sum(b for _, b in held) + rows.nbytes - _OPERATOR_BYTES
+        for k, b in held:
+            if excess > 0:
+                f._tap_cache.pop(k, None)
+                excess -= b
         bands = []
         for _ in range(levels):
             rows, z = _split(rows, f, 1, _SQRT2)
             bands.append(z)
-        ends = [n - (n >> lev) for lev in range(levels + 1)] + [n]
-        f._tap_cache["cuts", n, levels] = [slice(a, b) for a, b in zip(ends, ends[1:])]
         op = f._tap_cache[key] = np.concatenate((*bands, rows), axis=1)
         op.setflags(write=False)
     return op
@@ -521,10 +523,10 @@ def _check_levels(n_lev, admissible: int, what: str) -> None:
 
 def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
     """Full pyramid: split the averages n_lev times, as ``analysis_step``
-    does once. Up to ``_OPERATOR_MAX_N`` samples that is one product c with
-    the cached ``_pyramid_operator``, and the bands are views of c, which the
-    pyramid holds for ``idwt1d``; the gates run only when a 1-d array and an
-    integer depth find none.
+    does once, each level's details written into the pyramid's coefficient
+    array. Up to ``_OPERATOR_MAX_N`` samples that array is one product
+    x @ M with the cached ``_pyramid_operator``; the gates run only when a
+    1-d array and an integer depth find none.
 
     A depth beyond ``max_levels(len(x), f)`` raises LevelError.
     """
@@ -537,34 +539,30 @@ def dwt1d(x, f: FilterSpec, n_lev: int) -> Pyramid1D:
         op = None if fast else _pyramid_operator(f, x.size, n_lev, x.dtype)
     if op is not None:
         c = x.dot(op) if x.dtype is op.dtype is _FLOAT64 else _operator_product(op, x, adjoint=False)
-        *details, approx = [c[cut] for cut in f._tap_cache["cuts", x.size, n_lev]]
-        return Pyramid1D._of(tuple(details), approx, c)
-    details = []
-    for _ in range(n_lev):
-        x, z = _split(x, f, 0, _SQRT2)
-        details.append(z)
-    return Pyramid1D._of(tuple(details), x)
+        return Pyramid1D._of(c, n_lev)
+    c = np.empty(x.size, _kernel_taps(f, False, _SQRT2, x.dtype)[1].dtype)
+    p, spare = Pyramid1D._of(c, n_lev), np.empty(x.size // 2, c.dtype)
+    # The averages alternate between spare and the tail of c no band fills yet (a
+    # peak of 1.76 signal sizes at 2^16, not 2.01); a level reading it copies z in.
+    for lev, z in enumerate(p.details, 1):
+        m = z.size
+        outs = [spare[:m], z if lev == 1 else spare[m : 2 * m]] if lev % 2 else [c[-m:], z]
+        x = _split(x, f, 0, _SQRT2, outs=outs)[0]
+        if outs[1] is not z:
+            z[...] = outs[1]
+    if n_lev % 2:
+        p.approx[...] = x
+    return p
 
 
 def idwt1d(p: Pyramid1D, f: FilterSpec) -> np.ndarray:
-    """Invert ``dwt1d``. The averages must be nonempty and 1-d, and each
-    level's details as long as the averages they merge with. Up to
-    ``_OPERATOR_MAX_N`` samples the inverse is the adjoint product
-    conj(M) @ c of the cached ``_pyramid_operator``. A pyramid whose fields
-    are still the bands ``dwt1d`` cut from its product c (``Pyramid1D._flat``)
-    skips the chain rule, which that layout implies, and the concatenation:
-    its inverse is conj(M) @ c of c itself."""
-    flat = p._flat
-    if flat is not None and flat[0] is p.details and flat[1] is p.approx:
-        c = flat[2]
-        op = _pyramid_operator(f, c.size, len(p.details), c.dtype)
-        if op is not None:
-            return op.dot(c) if c.dtype is op.dtype is _FLOAT64 else _operator_product(op, c, adjoint=True)
-    levels = [(z,) for z in p.details]
-    (n,), dtype = _check_chain(p.approx, levels, 1)
-    op = _pyramid_operator(f, n, len(levels), dtype)
+    """Invert ``dwt1d``: the adjoint product conj(M) @ c of the cached
+    ``_pyramid_operator`` up to ``_OPERATOR_MAX_N`` samples, else a merge
+    per level. The pyramid's bands passed the chain rule when it was built."""
+    c = p._c
+    op = _pyramid_operator(f, c.size, len(p.details), c.dtype)
     if op is not None:
-        return _operator_product(op, np.concatenate((*p.details, p.approx)), adjoint=True)
+        return op.dot(c) if c.dtype is op.dtype is _FLOAT64 else _operator_product(op, c, adjoint=True)
     x = p.approx
     for z in reversed(p.details):
         x = _merge((x, z), f, 0, _SQRT2)

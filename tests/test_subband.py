@@ -16,7 +16,7 @@ import wavekit.subband as subband
 from wavekit.errors import DomainError, LevelError, ParameterError, ShapeError, SizeError
 from wavekit.filters import FilterSpec, builtin_filter
 from wavekit.image2d import dwt2d, idwt2d, max_levels_2d
-from wavekit.io import write_pyramid_container
+from wavekit.io import read_pyramid_container, write_pyramid_container
 from wavekit.subband import (
     _SQRT2,
     Pyramid1D,
@@ -143,11 +143,11 @@ def test_dwt1d_level_validation():
 
 
 def test_idwt1d_shape_chain_checked():
+    """Bands that do not chain raise when the pyramid is built."""
     f = builtin_filter("haar")
     p = dwt1d(RNG.standard_normal(16), f, 2)
-    broken = Pyramid1D(details=(p.details[0], p.details[0]), approx=p.approx)
-    with pytest.raises(ShapeError):
-        idwt1d(broken, f)
+    with pytest.raises(ShapeError, match=r"detail level 2 has shape \(8,\), expected \(4,\)"):
+        Pyramid1D(details=(p.details[0], p.details[0]), approx=p.approx)
 
 
 def test_pyramid_needs_a_level():
@@ -175,7 +175,7 @@ def test_empty_bands_are_refused():
     with pytest.raises(ShapeError, match="nonempty 1-d"):
         synthesis_step(SubbandPair(y=np.ones(0), z=np.ones(0)), f)
     with pytest.raises(ShapeError, match="nonempty 1-d"):
-        idwt1d(Pyramid1D(details=(np.ones(0),), approx=np.ones(0)), f)
+        Pyramid1D(details=(np.ones(0),), approx=np.ones(0))
 
 
 @pytest.mark.parametrize(
@@ -189,35 +189,29 @@ def test_empty_bands_are_refused():
 )
 def test_non_numeric_signals_and_bands_are_refused(x):
     """Only bool, integer, float and complex data pass the gate: strings and
-    object arrays, even of floats, raise DomainError before any filtering."""
+    object arrays, even of floats, raise DomainError before any filtering,
+    and a pyramid of such bands raises it when it is built."""
     f = builtin_filter("haar")
     for call in (lambda: dwt1d(x, f, 1), lambda: analysis_step(x, f)):
         with pytest.raises(DomainError):
             call()
     p = dwt1d(np.ones(8), f, 1)
-    for broken in (
-        Pyramid1D(details=(x[:4],), approx=p.approx),
-        Pyramid1D(details=p.details, approx=x[:4]),
-    ):
-        with pytest.raises(DomainError):
-            idwt1d(broken, f)
+    for details, approx in (((x[:4],), p.approx), (p.details, x[:4])):
+        with pytest.raises(DomainError, match="bands must be numeric"):
+            Pyramid1D(details=details, approx=approx)
 
 
 @pytest.mark.parametrize("where", ("detail", "approx"))
 def test_datetime_band_has_no_common_dtype_with_numbers(where):
     """numpy promotes no datetime64 with a float (a TypeError, where strings
     among numbers promote to a string dtype); the chain rule reports that as
-    a non-numeric band."""
+    a non-numeric band when the pyramid is built."""
     f = builtin_filter("haar")
     dates = np.arange(4).astype("datetime64[D]")
     p = dwt1d(np.ones(8), f, 1)
-    broken = (
-        Pyramid1D(details=(dates,), approx=p.approx)
-        if where == "detail"
-        else Pyramid1D(details=p.details, approx=dates)
-    )
+    details, approx = ((dates,), p.approx) if where == "detail" else (p.details, dates)
     with pytest.raises(DomainError, match="bands must be numeric"):
-        idwt1d(broken, f)
+        Pyramid1D(details=details, approx=approx)
 
 
 def test_bool_and_integer_signals_pass_the_gate():
@@ -711,6 +705,15 @@ def test_round_trip_peak_memory_1d_in_the_largest_blocks():
     assert peak_bytes(lambda: idwt1d(dwt1d(x, f, 18), f)) <= 3.01 * x.nbytes
 
 
+@pytest.mark.parametrize("log2n", (16, 20))
+def test_forward_peak_memory_1d(log2n):
+    """dwt1d alone, full-depth db4, writes its bands into the pyramid's one
+    array, the averages alternating between a spare half signal and the
+    array's unfilled tail: its traced peak stays within 2.01 signal sizes."""
+    f, x = builtin_filter("db4"), RNG.standard_normal(1 << log2n)
+    assert peak_bytes(lambda: dwt1d(x, f, max_levels(x.size, f))) <= 2.01 * x.nbytes
+
+
 def _signal(rng, n: int, kind: str) -> np.ndarray:
     if kind == "complex":
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -851,9 +854,9 @@ def test_operator_bytes_are_summed_over_a_snapshot_of_the_cache():
 @pytest.mark.parametrize("n", (16, 64, subband._OPERATOR_MAX_N))
 def test_gates_hold_below_the_operator_threshold(n):
     """The operator path runs every gate of the kernel path: depth past
-    max_levels, non-numeric signals and bands, a broken chain and empty
-    averages raise as before, and a pyramid built from lists inverts like
-    the one built from arrays."""
+    max_levels and non-numeric signals raise as before; non-numeric bands,
+    a broken chain and empty averages raise when the pyramid is built; and a
+    pyramid built from lists inverts like the one built from arrays."""
     f = dataclasses.replace(builtin_filter("haar"))  # no operators cached by earlier tests
     top = max_levels(n, f)
     x = RNG.standard_normal(n)
@@ -864,11 +867,11 @@ def test_gates_hold_below_the_operator_threshold(n):
     with pytest.raises(DomainError):
         dwt1d(np.full(n, "a"), f, 1)
     with pytest.raises(DomainError):
-        idwt1d(Pyramid1D(details=p.details, approx=np.full(p.approx.size, None, dtype=object)), f)
+        Pyramid1D(details=p.details, approx=np.full(p.approx.size, None, dtype=object))
     with pytest.raises(ShapeError, match="detail level 2"):
-        idwt1d(Pyramid1D(details=(p.details[0], p.details[0], *p.details[2:]), approx=p.approx), f)
+        Pyramid1D(details=(p.details[0], p.details[0], *p.details[2:]), approx=p.approx)
     with pytest.raises(ShapeError, match="nonempty 1-d"):
-        idwt1d(Pyramid1D(details=p.details, approx=np.ones(0)), f)
+        Pyramid1D(details=p.details, approx=np.ones(0))
     listed = Pyramid1D(details=tuple(z.tolist() for z in p.details), approx=p.approx.tolist())
     assert np.array_equal(idwt1d(listed, f), idwt1d(p, f))
     assert_allclose(idwt1d(p, f), x, atol=1e-13)
@@ -886,10 +889,11 @@ def _refusal(call):
 @pytest.mark.parametrize("n", (16, 64, subband._OPERATOR_MAX_N))
 def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
     """With the operators of the admissible depths cached, and an over-deep
-    and a too-short pyramid inverted first (they may leave no operator for
-    dwt1d to find), every bad input raises the class and message it raises
-    with the threshold at 0. Depths 2.0 and "2" miss a cached key that 2
-    would hit; np.int64 and True depths are accepted, on the operator path."""
+    and a too-short pyramid inverted first, every bad input raises the class
+    and message it raises with the threshold at 0: a bad signal or depth in
+    dwt1d, bad bands when the pyramid is built. Depths 2.0 and "2" miss a
+    cached key that 2 would hit; np.int64 and True depths are accepted, on
+    the operator path."""
     f = dataclasses.replace(builtin_filter("db4"))
     top = max_levels(n, f)
     x = RNG.standard_normal(n)
@@ -900,7 +904,6 @@ def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
     p = good[top]
     dates = np.arange(p.approx.size).astype("datetime64[D]")
     bad_level = (p.details[0][:-1], *p.details[1:])
-    listed = Pyramid1D(details=[z.tolist() for z in bad_level], approx=list(p.approx))
     calls = [
         *(lambda lev=lev: dwt1d(x, f, lev) for lev in (2.0, "2", 0, -1, top + 1)),
         lambda: dwt1d(x.reshape(2, -1), f, 1),
@@ -908,10 +911,10 @@ def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
         lambda: dwt1d(x[:2], f, 1),
         lambda: dwt1d(np.full(n, "a"), f, 1),
         lambda: dwt1d(x.astype(object), f, 1),
-        lambda: idwt1d(Pyramid1D(details=bad_level, approx=p.approx), f),
-        lambda: idwt1d(Pyramid1D(details=(*p.details[:-1], dates), approx=p.approx), f),
-        lambda: idwt1d(Pyramid1D(details=p.details, approx=np.ones(0)), f),
-        lambda: idwt1d(listed, f),
+        lambda: Pyramid1D(details=bad_level, approx=p.approx),
+        lambda: Pyramid1D(details=(*p.details[:-1], dates), approx=p.approx),
+        lambda: Pyramid1D(details=p.details, approx=np.ones(0)),
+        lambda: Pyramid1D(details=[z.tolist() for z in bad_level], approx=list(p.approx)),
     ]
     refusals = [_refusal(call) for call in calls]
     assert None not in refusals
@@ -940,33 +943,75 @@ def _chain_rules(monkeypatch) -> list:
     return calls
 
 
-def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp_path):
-    """idwt1d of a pyramid dwt1d made as one product runs no chain rule: the
-    layout of that product implies it. Every other inverse runs it exactly
-    once: idwt1d of a pyramid off the kernel (n = 512), of the same short
-    pyramid with the operator path off, of a user-built copy and of a
-    dataclasses.replace copy, and synthesis_step, idwt2d and the container
-    writer, of the short pyramid too."""
+def test_every_route_to_a_pyramid_holds_its_bands_in_one_array(monkeypatch, tmp_path):
+    """However a 1-d pyramid is built (dwt1d on the operator path and on the
+    kernel at n = 512; the constructor from arrays, lists and mixed dtypes;
+    copy, deepcopy, pickle and dataclasses.replace; the container reader),
+    its bands are consecutive views, in order, of one C-contiguous array of
+    signal_length samples in the bands' common dtype, shared with no other
+    pyramid; idwt1d inverts it with no chain rule; and its pickle carries
+    the bands once; it equals a pyramid of the same depth and coefficients
+    and no other. dwt1d runs no chain rule, the constructor, synthesis_step,
+    idwt2d and the container writer one each. The constructor's signature
+    and the repr name only details and approx."""
     import wavekit.image2d as image2d
-    import wavekit.io as io
 
     calls = _chain_rules(monkeypatch)
     f = builtin_filter("db4")
     x = RNG.standard_normal(64)
-    p, long = dwt1d(x, f, 2), dwt1d(RNG.standard_normal(512), f, 2)
-    assert p._flat is not None and long._flat is None
+    short, long = dwt1d(x, f, 3), dwt1d(RNG.standard_normal(512), f, 3)
+    written = tmp_path / "p.pyr"
+    write_pyramid_container(str(written), short, "db4")
+    narrow = short.details[0].astype(np.float32)
+    routes = {
+        "operator": short,
+        "kernel": long,
+        "arrays": Pyramid1D(details=short.details, approx=short.approx),
+        "lists": Pyramid1D(details=[z.tolist() for z in short.details], approx=short.approx.tolist()),
+        "mixed": Pyramid1D(details=(narrow, *short.details[1:]), approx=short.approx.astype(np.int8)),
+        "copy": copy.copy(short),
+        "deepcopy": copy.deepcopy(long),
+        "pickle": pickle.loads(pickle.dumps(short)),
+        "replace": dataclasses.replace(long),
+        "container": read_pyramid_container(str(written))[0],
+    }
+    promoted = Pyramid1D(
+        details=(narrow.astype(np.float64), *short.details[1:]), approx=short.approx.astype(np.int8).astype(np.float64)
+    )
+    twins = {64: short, 512: long, "mixed": promoted}
+    refs = {key: idwt1d(twin, f) for key, twin in twins.items()}
+    assert list(inspect.signature(Pyramid1D).parameters) == ["details", "approx"]
+    assert repr(short).startswith("Pyramid1D(details=") and "_c=" not in repr(short)
+    held = []
+    for name, p in routes.items():
+        c = p.approx.base
+        assert c is not None and c.base is None and c.flags.c_contiguous, name
+        assert c.shape == (p.signal_length,) and c.dtype == np.float64, name
+        assert not any(np.shares_memory(c, other) for other in held), name
+        held.append(c)
+        at = 0
+        for band in (*p.details, p.approx):
+            assert band.base is c and np.shares_memory(band, c[at : at + band.size]), name
+            assert band.__array_interface__["data"][0] == c[at:].__array_interface__["data"][0], name
+            at += band.size
+        assert at == c.size, name
+        calls.clear()
+        back = idwt1d(p, f)
+        assert calls == [], name
+        key = "mixed" if name == "mixed" else c.size
+        assert _same_bits(back, refs[key]), name
+        assert p == twins[key] and p != (long if c.size == 64 else short) and p != c, name
+        blob = pickle.dumps(p)
+        assert c.nbytes < len(blob) < c.nbytes + 1024, name
     q = image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2)
     runs = {
-        0: [lambda: idwt1d(p, f)],
+        0: [lambda: dwt1d(x, f, 3), lambda: dwt1d(RNG.standard_normal(512), f, 3)],
         1: [
+            lambda: Pyramid1D(details=short.details, approx=short.approx),
             lambda: synthesis_step(analysis_step(x, f), f),
-            lambda: idwt1d(long, f),
-            lambda: _on_the_kernel(monkeypatch, lambda: idwt1d(p, f)),
-            lambda: idwt1d(Pyramid1D(details=p.details, approx=p.approx), f),
-            lambda: idwt1d(dataclasses.replace(p), f),
             lambda: image2d.idwt2d(q, f),
-            lambda: io.write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
-            lambda: io.write_pyramid_container(str(tmp_path / "p.pyr"), p, "db4"),
+            lambda: write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
+            lambda: write_pyramid_container(str(tmp_path / "p.pyr"), short, "db4"),
         ],
     }
     for count, calls_of in runs.items():
@@ -974,40 +1019,6 @@ def test_each_inverse_and_container_write_checks_the_chain_once(monkeypatch, tmp
             calls.clear()
             run()
             assert len(calls) == count
-
-
-@pytest.mark.parametrize("kind", ("float64", "complex", "float32", "int64", "bool"))
-def test_vouched_inverse_matches_the_concatenating_path(monkeypatch, lattice_filters, kind):
-    """idwt1d of dwt1d's own pyramid inverts the held product without the
-    chain rule, and equals bit for bit the inverse of the same bands taken
-    through the chain rule and concatenated (a user-built pyramid), for
-    haar, db4, two lattice filters (starts 0 and -3) and a complex filter,
-    at every depth up to max_levels of n = 16, 64 and the threshold."""
-    rng = np.random.default_rng(20261020)
-    cplx = np.array([0.3 + 0.2j, 0.5, -0.1j, 0.2, 0.1 - 0.1j])
-    filters = [
-        builtin_filter("haar"),
-        builtin_filter("db4"),
-        FilterSpec("lat", lattice_filters[17], 0),
-        FilterSpec("lat8", lattice_filters[19], -3),
-        FilterSpec("cplx", cplx, 1, normalized=False),
-    ]
-    calls = _chain_rules(monkeypatch)
-    for f in filters:
-        for n in (16, 64, subband._OPERATOR_MAX_N):
-            x = _signal(rng, n, kind)
-            for lev in range(1, max_levels(n, f) + 1):
-                f = dataclasses.replace(f)  # an empty cache, so the cap never intervenes
-                p = dwt1d(x, f, lev)
-                assert p._flat is not None and p._flat[2].base is None
-                calls.clear()
-                back = idwt1d(p, f)
-                assert calls == []
-                user = Pyramid1D(details=p.details, approx=p.approx)
-                assert _same_bits(back, idwt1d(user, f))
-                assert len(calls) == 1
-                ref = _on_the_kernel(monkeypatch, lambda: idwt1d(user, f))
-                _assert_close_relative(back, ref)
 
 
 def test_vouched_inverse_honours_in_place_edits():
@@ -1025,68 +1036,29 @@ def test_vouched_inverse_honours_in_place_edits():
     assert _same_bits(after, idwt1d(Pyramid1D(details=p.details, approx=p.approx), f))
 
 
-def test_copies_and_swapped_fields_take_the_concatenating_path(monkeypatch):
-    """dataclasses.replace, copy.copy, copy.deepcopy, a pickle round trip, a
-    user-built pyramid and a field swapped with object.__setattr__ hold no
-    product idwt1d can vouch for: each runs the chain rule once and gives
-    its result, or its error for a broken chain. The held product is no
-    parameter of Pyramid1D and not in its repr."""
-    calls = _chain_rules(monkeypatch)
+@pytest.mark.parametrize("n", (64, 256))
+def test_a_call_gives_the_same_bits_whatever_the_cache_holds(n):
+    """Each dwt1d and idwt1d call at n, on real and on complex data, gives
+    the same bits on a fresh db4 and on one whose cache has already held
+    the operator of every admitted depth of every other length up to the
+    threshold: an operator that would pass the byte cap evicts the oldest,
+    so a call's path depends on its length, depth and dtype alone."""
+    rng = np.random.default_rng(20261021)
     f = builtin_filter("db4")
-    x = RNG.standard_normal(64) + 1j * RNG.standard_normal(64)
-    p = dwt1d(x, f, 3)
-    assert list(inspect.signature(Pyramid1D).parameters) == ["details", "approx"]
-    assert "_flat" not in repr(p)
-    ref = idwt1d(Pyramid1D(details=p.details, approx=p.approx), f)
-    copies = {
-        "replace": dataclasses.replace(p),
-        "copy": copy.copy(p),
-        "deepcopy": copy.deepcopy(p),
-        "pickle": pickle.loads(pickle.dumps(p)),
-        "user-built": Pyramid1D(details=p.details, approx=p.approx),
-    }
-    for name, q in copies.items():
-        assert q._flat is None and "_flat" not in q.__dict__, name
-        calls.clear()
-        assert _same_bits(idwt1d(q, f), ref), name
-        assert len(calls) == 1, name
-
-    def swapped(field, value):
-        q = dwt1d(x, f, 3)
-        object.__setattr__(q, field, value)
-        return q
-
-    same = [swapped("details", p.details), swapped("approx", p.approx.copy())]
-    broken = [
-        swapped("details", (p.details[0][:-1], *p.details[1:])),
-        swapped("approx", np.ones(0)),
-        swapped("approx", p.approx.astype(object)),
-        swapped("details", (*p.details[:2], np.arange(p.approx.size).astype("datetime64[D]"))),
-    ]
-    for q in same:
-        calls.clear()
-        assert _same_bits(idwt1d(q, f), ref)
-        assert len(calls) == 1
-    for q in broken:
-        user = Pyramid1D(details=q.details, approx=q.approx)
-        calls.clear()
-        assert _refusal(lambda: idwt1d(q, f)) == _refusal(lambda: idwt1d(user, f)) is not None
-        assert len(calls) == 2
-
-
-def test_pickle_of_a_short_pyramid_carries_its_bands_once():
-    """A pickle of dwt1d's pyramid is the size of the same bands' user-built
-    pyramid, under the coefficients' bytes plus 1 KiB: the held product does
-    not travel with it, and the copy comes back without it."""
-    f = builtin_filter("db4")
-    for x in (RNG.standard_normal(256), RNG.standard_normal(64) + 1j * RNG.standard_normal(64)):
-        p = dwt1d(x, f, 3)
-        blob = pickle.dumps(p)
-        assert len(blob) == len(pickle.dumps(Pyramid1D(details=p.details, approx=p.approx)))
-        assert len(blob) < sum(b.nbytes for b in (*p.details, p.approx)) + 1024
-        back = pickle.loads(blob)
-        assert "_flat" not in back.__dict__
-        assert all(_same_bits(a, b) for a, b in zip((*back.details, back.approx), (*p.details, p.approx)))
+    warm = dataclasses.replace(f)
+    for m in range(2 * f.length, subband._OPERATOR_MAX_N + 1, 2):
+        for lev in range(1, max_levels(m, f) + 1):
+            if m != n:
+                dwt1d(np.zeros(m), warm, lev)
+    assert _operator_bytes(warm) > subband._OPERATOR_BYTES // 2
+    for kind in ("float64", "complex"):
+        x = _signal(rng, n, kind)
+        for lev in range(1, max_levels(n, f) + 1):
+            fresh = dataclasses.replace(f)
+            ref, p = dwt1d(x, fresh, lev), dwt1d(x, warm, lev)
+            assert all(_same_bits(a, b) for a, b in zip((*p.details, p.approx), (*ref.details, ref.approx)))
+            assert _same_bits(idwt1d(p, warm), idwt1d(ref, fresh))
+            assert _operator_bytes(warm) <= subband._OPERATOR_BYTES
 
 
 def _same_bits(a, b) -> bool:
