@@ -22,9 +22,14 @@ ladder of kernel spectra held on the wavelet: O(S n log n) time for S scales,
 3S + 2 FFTs per round trip, work memory of a few blocks of scales plus the held
 ladder. Every FFT here pads to the next 2^a 3^b 5^c 7^d (``_smooth_length``)
 of what it must hold: the 2n - 1 lags of n = 1,100 take 2,205 points, not
-4,096. Other shift grids take a dense (shifts x n) kernel per scale. One plan,
-``_plan``, picks the path and the FFT length for both directions and charges
-what either may allocate against the byte budget before anything is. All
+4,096. On the usual grid, every sample a shift in order, neither direction
+gathers or scatters: ``cwt`` copies each block's correlation out in two slices,
+and ``icwt`` transforms the weighted coefficients straight to the FFT length,
+whose zero padding places them; a subset of the samples takes one gather or
+scatter per block. Other shift grids take a dense (shifts x n) kernel per
+scale. One plan, ``_plan``, picks the path and the FFT length for both
+directions and charges what either may allocate against the byte budget
+before anything is. All
 evaluate psi through ``_scaled_kernel``, so no analytic spectrum is needed;
 the ladder and ``admissibility`` read psi as 0 outside its ``support``.
 
@@ -53,7 +58,7 @@ __all__ = [
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -70,6 +75,7 @@ from .errors import (
     _charge,
 )
 from .filters import FilterSpec
+from .subband import _value_eq
 
 #: Zero-mean gate: |integral psi| must not exceed this times ||psi||_1.
 _MEAN_TOLERANCE = 1e-6
@@ -87,8 +93,9 @@ _LADDER_BYTES = 1 << 22
 
 #: What ``_plan`` charges for the work of each path. FFT path: arrays the size
 #: of one block's complex spectra (the signal's spectrum, the last block's
-#: spectra and product, and psi on the block's lags or the FFT's padded copy
-#: and output); the traced peaks of real and complex data at n = 2^18 read 6.5.
+#: spectra and product, psi on the block's lags, its kernels at the FFT's length
+#: and dtype, and the FFT's output); the traced peaks of real and complex data
+#: at n = 2^18 read up to 5.8.
 #: Dense path: bytes per (shift, sample) pair (the offsets, their quotient by
 #: r and psi's own work); the catalog and sampled wavelets trace 40.
 _FFT_BLOCKS = 7
@@ -114,6 +121,8 @@ class SampledFunction:
     x_min: float
     dx: float
     values: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values))
@@ -201,19 +210,25 @@ def _trapezoid_weights(steps: np.ndarray, single: float = 0.0) -> np.ndarray:
     rather than an arbitrary scale factor."""
     if steps.size == 0:
         return np.array([single])
-    w = np.append(0.5 * steps, 0.0)
-    w[1:] += 0.5 * steps
+    half = 0.5 * steps
+    w = np.empty(half.size + 1, half.dtype)
+    w[:-1] = half
+    w[-1] = 0.0
+    w[1:] += half
     return w
 
 
 def _mexican_hat(x: np.ndarray) -> np.ndarray:
     # Past |x| = 44.7 the exponential is already 0; the clamp keeps x * x from
-    # overflowing to inf, and inf * 0 from making NaN, at |x| >= 1.4e154. Three
-    # arrays live at once, as in the unclamped expression (tracemalloc peaks).
-    xx = np.minimum(x * x, 2000.0)
-    gauss = np.exp(-0.5 * xx)
-    xx = 1.0 - xx
-    return xx * gauss
+    # overflowing to inf, and inf * 0 from making NaN, at |x| >= 1.4e154. Two
+    # new arrays, written in place; x itself is only read.
+    xx = np.multiply(x, x, out=np.empty_like(x))  # out=: arrays for a 0-d x too
+    np.minimum(xx, 2000.0, out=xx)
+    gauss = np.multiply(xx, -0.5, out=np.empty_like(xx))
+    np.exp(gauss, out=gauss)
+    np.subtract(1.0, xx, out=xx)
+    xx *= gauss
+    return xx
 
 
 def _haar_psi(x: np.ndarray) -> np.ndarray:
@@ -309,6 +324,7 @@ def admissibility(psi: AnalyzingWavelet, refine: int = 1) -> float:
     return _estimate_admissibility(psi, refine)
 
 
+@lru_cache(maxsize=256)
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c 7^d >= n."""
     best = 1 << (n - 1).bit_length()
@@ -384,6 +400,8 @@ class CwtGrid:
     scales: np.ndarray
     shifts: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         r = np.atleast_1d(np.asarray(self.scales, dtype=float))
         s = np.atleast_1d(np.asarray(self.shifts, dtype=float))
@@ -430,6 +448,8 @@ class CwtCoefficients:
     x_min: float
     dx: float
     n_samples: int
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -490,8 +510,9 @@ def _kernel_spectra(
     ``_smooth_length(2n - 1)`` (2,205 points at n = 1,100), of psi_{r_i}
     at the lags (1 - n) dx ... (n - 1) dx, stored from column 0: real FFTs
     when data and kernels are real. A block is one ``_scaled_kernel`` call on
-    the lags in its r * supports and the nearest beyond each end (0 elsewhere)
-    and one FFT along the last axis, about ``_BLOCK_BYTES`` of spectra. The
+    the lags in its r * supports and the nearest beyond each end (0 elsewhere
+    up to ``length``, in the FFT's dtype) and one FFT along the last axis,
+    about ``_BLOCK_BYTES`` of spectra. The
     wavelet holds the last ladder that fits ``_LADDER_BYTES``, so the
     ``icwt`` after a ``cwt`` on the same grid evaluates no psi; a call that
     misses drops the held ladder first, so no call holds two.
@@ -511,15 +532,15 @@ def _kernel_spectra(
         a, b = np.searchsorted(lags, (min(ends), max(ends))).tolist()  # every r * support,
         a, b = max(a - 1, 0), min(b + 1, lags.size)  # and the nearest lag beyond each end
         part = _scaled_kernel(psi, lags[a:b], scales[rows, None])
-        kernels = part if b - a == lags.size else np.zeros((part.shape[0], lags.size), part.dtype)
-        kernels[:, a:b] = part  # a no-op when the block spans every lag
-        del part
-        complex_kernel = np.iscomplexobj(kernels)
+        complex_kernel = np.iscomplexobj(part)
         if complex_data or complex_kernel:
             fft = np.fft.fft, np.fft.ifft, np.complex128
         else:
             fft = np.fft.rfft, np.fft.irfft, np.float64
-        spectra = fft[0](kernels, length)
+        kernels = np.zeros((part.shape[0], length), fft[2])  # the FFT's length and dtype: it pads
+        kernels[:, a:b] = part  # and casts nothing
+        del part
+        spectra = fft[0](kernels)
         spectra.setflags(write=False)
         del kernels
         kept += spectra.nbytes
@@ -538,10 +559,12 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
     cross-correlation of the weighted samples with psi_r at the 2n - 1 lags
     (0 outside r * support), a block of scales at a time: 2S + 1 FFTs (S + 1
     on a held ladder), work memory of a few blocks plus the ladder held for
-    ``icwt``. Other shift grids take a dense (shifts x n) kernel per scale,
-    psi untruncated on purpose: cut at the support, the paths' different
-    rounding of x - s turns edge values (the mexican hat's psi(8) = -8e-13)
-    into jumps that take their agreement at dx = 0.1 to its 1e-12 bound.
+    ``icwt``. On every sample the correlation is copied out in two slices,
+    on a subset gathered. Other shift grids take a dense (shifts x n) kernel
+    per scale, psi untruncated on purpose: cut at the support, the paths'
+    different rounding of x - s turns edge values (the mexican hat's psi(8) =
+    -8e-13) into jumps that take their agreement at dx = 0.1 to its 1e-12
+    bound.
 
     Raises ResolutionError when any scale squeezes the wavelet support onto
     fewer than 4 grid steps, and SizeError, before allocating, when the
@@ -564,17 +587,25 @@ def cwt(f: SampledFunction, psi: AnalyzingWavelet, grid: CwtGrid) -> CwtCoeffici
         )
     else:
         # Column t of the circular cross-correlation pairs sample k with lag
-        # k - t, so sample m reads t = m - (n - 1) mod length.
-        cols = (idx - (f.size - 1)) % length
+        # k - t, so sample m reads t = m - (n - 1) mod length: on every sample,
+        # the last n - 1 columns and then column 0.
+        n = f.size
+        cols = None if idx.size == n else (idx - (n - 1)) % length
         matrix = None
-        blocks = _kernel_spectra(psi, f.size, length, f.dx, grid.scales, np.iscomplexobj(weighted))
+        blocks = _kernel_spectra(psi, n, length, f.dx, grid.scales, np.iscomplexobj(weighted))
         for rows, spectra, (forward, inverse, dtype) in blocks:
             if matrix is None:
                 signal = forward(weighted, length)
                 matrix = np.empty(grid.shape, dtype)
             product = np.conj(spectra)
             product *= signal
-            matrix[rows] = inverse(product, length)[:, cols]
+            wrapped = inverse(product, length)
+            if cols is None:
+                matrix[rows, : n - 1] = wrapped[:, length - n + 1 :]
+                matrix[rows, n - 1] = wrapped[:, 0]
+            else:
+                matrix[rows] = wrapped[:, cols]
+            del wrapped  # not held while the next block's product is built
     return CwtCoefficients(matrix, grid, f.x_min, f.dx, f.size)
 
 
@@ -588,7 +619,8 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
     function (degenerate quadrature) rather than an error.
 
     When every shift is a sample point, a block of scales' weighted
-    coefficients is spread onto the samples, transformed in one FFT, times
+    coefficients is spread onto the samples (on every sample, by the FFT's
+    own zero padding), transformed in one FFT, times
     the kernel spectra (held from a ``cwt`` on the same grid) and summed over
     scales before one inverse FFT: S + 1 FFTs on a held ladder (2S + 1
     otherwise), work memory of a few blocks plus the held ladder. Other shift
@@ -611,8 +643,11 @@ def icwt(c: CwtCoefficients, psi: AnalyzingWavelet) -> SampledFunction:
         total = 0.0
         blocks = _kernel_spectra(psi, c.n_samples, length, c.dx, c.scales, np.iscomplexobj(c.matrix))
         for rows, spectra, (forward, inverse, _) in blocks:
-            spread = np.zeros((spectra.shape[0], c.n_samples), dtype)
-            spread[:, idx] = c.matrix[rows] * ws
+            if idx.size == c.n_samples:  # every sample: the FFT's zero padding spreads them
+                spread = c.matrix[rows] * ws
+            else:
+                spread = np.zeros((spectra.shape[0], c.n_samples), dtype)
+                spread[:, idx] = c.matrix[rows] * ws
             product = forward(spread, length)
             product *= spectra
             total = total + (wr[rows] / c.scales[rows] ** 2) @ product
@@ -685,6 +720,11 @@ def _auto_k_range(
     return int(k_lo), int(k_hi)
 
 
+def _conj(a: np.ndarray) -> np.ndarray:
+    """conj(a), with no copy of a real array."""
+    return np.conj(a) if np.iscomplexobj(a) else a
+
+
 def parseval_ratio(
     f: SampledFunction,
     psi: AnalyzingWavelet,
@@ -726,7 +766,7 @@ def parseval_ratio(
         # grid lies inside them; the padded values are 0.
         pad = w if w < n else 0
         scaled_xs = scale * (f.x_min + f.dx * np.arange(-pad, n + pad))
-        values = np.pad(f.values, pad)
+        values = np.pad(f.values, pad) if pad else f.values
         for block_lo in range(k_lo, k_hi + 1, 256):
             ks = np.arange(block_lo, min(block_lo + 256, k_hi + 1))
             # The first sample of each support's window, less one for rounding.
@@ -735,11 +775,11 @@ def parseval_ratio(
             if w < n:
                 ks, idx = ks[meets], (starts[meets].astype(np.intp) + w)[:, None] + np.arange(w)
                 block = psi.evaluate(scaled_xs[idx] - ks[:, None])
-                coeffs = amp * np.einsum("kt,kt->k", np.conj(block), values[idx])
+                coeffs = amp * np.einsum("kt,kt->k", _conj(block), values[idx])
             else:  # rows off the grid stay 0: the product's rounding depends on its row count
                 part = psi.evaluate(scaled_xs[None, :] - ks[meets, None])
                 block = np.zeros((ks.size, n), part.dtype)
                 block[meets] = part
-                coeffs = amp * (np.conj(block) @ values)
+                coeffs = amp * (_conj(block) @ values)
             total += float((np.abs(coeffs) ** 2).sum())
     return total / norm_sq

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .filters import FilterSpec
-from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split
+from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split, _value_eq
 
 #: Most samples of each strip temporary of a 2-d step (512 KiB of float64): 32
 #: rows of a 2048-wide image, 128 of a 512-wide one. Each of a step's two
@@ -86,6 +86,8 @@ class QuadDecomp:
     v: np.ndarray
     d: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         for name in ("a", "h", "v", "d"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
@@ -102,6 +104,8 @@ class LevelDetail:
     v: np.ndarray
     d: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         for name in ("h", "v", "d"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
@@ -117,6 +121,8 @@ class ImagePyramid:
 
     details: tuple[LevelDetail, ...]
     approx: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "details", tuple(self.details))

@@ -328,14 +328,16 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     the blocks follow ``_layout``, one CSV row per plane row, so a 1-d block
     holds one value per line.
     """
+    # The inverses' chain rule, before the file is opened: what is written reads
+    # back. A Pyramid1D ran it when it was built.
     if isinstance(pyramid, Pyramid1D):
         levels, ndim = [(z,) for z in pyramid.details], 1
+        shape = (pyramid.signal_length,)
     elif isinstance(pyramid, ImagePyramid):
         levels, ndim = [(t.h, t.v, t.d) for t in pyramid.details], 2
+        shape, _ = _check_chain(pyramid.approx, levels, ndim)
     else:
         raise FormatError(f"cannot serialize {type(pyramid).__name__} as a pyramid")
-    # The inverses' chain rule, before the file is opened: what is written reads back.
-    shape, _ = _check_chain(pyramid.approx, levels, ndim)
     size = f"len: {shape[0]}" if ndim == 1 else f"dims: {shape[0]}x{shape[1]}"
     planes = [p.reshape(len(p), -1) for bands in (*levels, (pyramid.approx,)) for p in bands]
     lines = [

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +97,17 @@ _OPERATOR_MAX_N = 256
 #: length, depth and dtype alone.
 _OPERATOR_BYTES = 1 << 21
 _OPERATOR_CODES = "?" + np.typecodes["AllInteger"] + "efdFD"  #: data that fits in complex128
+
+
+def _value_eq(self, other) -> bool:
+    """``==`` of a frozen container of arrays, as its ``__eq__``: the same
+    type and, field by field, equal shapes and values (``np.array_equal``)
+    for arrays and ``==`` for the rest. The arrays are mutable, so the class
+    stays unhashable."""
+    return type(other) is type(self) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,31 @@ def test_norm_matches_closed_form():
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cwt_containers_compare_by_value_and_stay_unhashable():
+    """Sampled functions, grids and coefficients built twice from equal
+    arrays compare equal, and unequal when one value, a shape or a scalar
+    field differs, or to another type; hash() raises TypeError, since the
+    arrays are mutable."""
+    f = windowed_sine(n=64)
+    grid = CwtGrid(geometric_scales(2.0, 16.0, 2), f.xs)
+    c = cwt(f, named_wavelet("mexican_hat"), grid)
+    twins = [
+        (f, SampledFunction(0.0, 1.0, f.values.copy())),
+        (grid, CwtGrid(grid.scales.copy(), f.xs)),
+        (c, CwtCoefficients(c.matrix.copy(), CwtGrid(grid.scales, grid.shifts), 0.0, 1.0, 64)),
+    ]
+    others = [
+        [SampledFunction(0.0, 1.0, f.values[:-1]), SampledFunction(0.5, 1.0, f.values), dataclasses.replace(f, dx=2.0)],
+        [CwtGrid(grid.scales, f.xs[:-1]), CwtGrid(grid.scales * 2.0, f.xs)],
+        [CwtCoefficients(-c.matrix, grid, 0.0, 1.0, 64), dataclasses.replace(c, n_samples=65)],
+    ]
+    for (one, same), unequal in zip(twins, others):
+        assert one == same and not one != same
+        assert all(one != other for other in unequal) and one != object()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(one)
+
+
 def test_one_trapezoid_rule_and_its_single_points():
     """One rule for every trapezoid sum: half of each step to either end. A
     lone sample keeps its step, so its norm is |v| sqrt(dx); a lone scale or
@@ -161,6 +186,24 @@ def test_mexican_hat_far_out_is_zero_not_nan():
     assert not np.isnan(values).any()
     x = np.linspace(-8.0, 8.0, 16001)
     assert psi.evaluate(x).tobytes() == ((1.0 - x * x) * np.exp(-0.5 * x * x)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array(0.7), np.linspace(-50.0, 50.0, 1001), np.linspace(-9.0, 9.0, 24).reshape(4, 6)],
+    ids=["0-d", "1-d", "2-d"],
+)
+def test_mexican_hat_leaves_its_argument_and_keeps_the_closed_form_bits(x):
+    """The catalog's mexican hat computes in place on its own arrays: its
+    argument is unchanged, and its result has the argument's shape and the
+    exact bytes of (1 - x^2) exp(-x^2 / 2) wherever x^2 stays below the
+    2,000 clamp."""
+    kept = x.copy()
+    got = CWT_MODULE._mexican_hat(x)
+    assert x.tobytes() == kept.tobytes()
+    expect = np.asarray((1.0 - x * x) * np.exp(-0.5 * x * x))
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_haar_psi_values():
@@ -696,7 +739,7 @@ def agreement_case(name):
     return SampledFunction(-1.7, 0.1, real), named_wavelet("mexican_hat"), geometric_scales(0.05, 6.4, 4)
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3, pytest.param(None, id="run")])
 @pytest.mark.parametrize(
     "case",
     [
@@ -709,12 +752,13 @@ def agreement_case(name):
     ],
 )
 def test_fft_path_matches_dense_kernel(case, stride):
-    """Shifts on the samples (all of them, or every third from the second)
-    take the FFT correlation, which evaluates psi only on the lags near each
-    block's supports and agrees with the dense kernel to 1e-12 of each row's
-    peak."""
+    """Shifts on the samples take the FFT correlation, which evaluates psi
+    only on the lags near each block's supports and agrees with the dense
+    kernel to 1e-12 of each row's peak, in both directions: on every sample
+    (stride 1, where neither direction gathers or scatters), on every third
+    from the second, and on the run of all samples but the first."""
     f, psi, scales = agreement_case(case)
-    grid = CwtGrid(scales=scales, shifts=f.xs[1::stride] if stride > 1 else f.xs)
+    grid = CwtGrid(scales=scales, shifts={1: f.xs, 3: f.xs[1::3], None: f.xs[1:]}[stride])
     counted, count = counting(psi)
     c = cwt(f, counted, grid)
     assert count[0] == support_lag_count(psi, f.size, f.dx, scales)
@@ -744,6 +788,28 @@ def test_unaligned_shifts_keep_dense_kernel(offset):
     assert count[0] == grid.scales.size * grid.shifts.size * f.size
     np.testing.assert_array_equal(c.matrix, dense_cwt_matrix(f, psi, grid))
     np.testing.assert_array_equal(icwt(c, psi).values, dense_icwt_values(c, psi))
+
+
+@pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", ["mexican_hat", "cascade:db4:8"])
+@pytest.mark.parametrize("n", [255, 256, 1100])
+def test_subset_grids_give_the_every_sample_columns_bit_for_bit(n, name, complex_signal):
+    """cwt on every third sample, and on a contiguous run of samples, gathers
+    its columns from the same correlation that the every-sample grid copies
+    whole: each column has the every-sample grid's bits, on a fresh wavelet
+    as on the one holding the ladder."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_signal else 0.0)
+    f = SampledFunction(-0.5, 0.75, values)
+    psi = named_wavelet(name) if name == "mexican_hat" else wavelet_from_filter(builtin_filter("db4"), 8)
+    scales = geometric_scales(1.5, n * f.dx / 4, 4)
+    whole = cwt(f, psi, CwtGrid(scales, f.xs)).matrix
+    for picks in (np.arange(0, n, 3), np.arange(n // 5, n - n // 3)):
+        grid = CwtGrid(scales, f.xs[picks])
+        for held in (psi, dataclasses.replace(psi)):
+            got = cwt(f, held, grid).matrix
+            assert got.dtype == whole.dtype
+            assert got.tobytes() == np.ascontiguousarray(whole[:, picks]).tobytes()
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["fft", "dense"])

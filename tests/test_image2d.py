@@ -141,6 +141,27 @@ def test_image_pyramid_needs_a_level():
         ImagePyramid(details=(), approx=np.zeros((2, 2)))
 
 
+def test_image_containers_compare_by_value_and_stay_unhashable():
+    """Two image pyramids, level triples or step outputs from separate calls
+    on equal input compare equal, and unequal when a plane's values or shape
+    differ, or to another type; hash() raises TypeError, since the planes are
+    mutable arrays."""
+    f = builtin_filter("db4")
+    image = RNG.standard_normal((16, 16))
+    p, q = dwt2d(image, f, 1), dwt2d(image.copy(), f, 1)
+    step = dwt2d_step(image, f)
+    pairs = [
+        (p, q, dwt2d(image + 1.0, f, 1)),
+        (p.details[0], q.details[0], LevelDetail(p.details[0].h[:4], p.details[0].v, p.details[0].d)),
+        (step, dwt2d_step(image.copy(), f), QuadDecomp(step.a, step.h, step.v, -step.d)),
+    ]
+    for one, same, other in pairs:
+        assert one == same and not one != same
+        assert one != other and one != object()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(one)
+
+
 def test_idwt2d_plane_chain_checked():
     f = builtin_filter("haar")
     p = dwt2d(RNG.standard_normal((8, 8)), f, 2)

@@ -951,9 +951,10 @@ def test_every_route_to_a_pyramid_holds_its_bands_in_one_array(monkeypatch, tmp_
     signal_length samples in the bands' common dtype, shared with no other
     pyramid; idwt1d inverts it with no chain rule; and its pickle carries
     the bands once; it equals a pyramid of the same depth and coefficients
-    and no other. dwt1d runs no chain rule, the constructor, synthesis_step,
-    idwt2d and the container writer one each. The constructor's signature
-    and the repr name only details and approx."""
+    and no other. dwt1d and the writer of a 1-d container run no chain rule;
+    the constructor, synthesis_step, idwt2d and the writer of a 2-d container
+    one each. The constructor's signature and the repr name only details and
+    approx."""
     import wavekit.image2d as image2d
 
     calls = _chain_rules(monkeypatch)
@@ -1005,13 +1006,16 @@ def test_every_route_to_a_pyramid_holds_its_bands_in_one_array(monkeypatch, tmp_
         assert c.nbytes < len(blob) < c.nbytes + 1024, name
     q = image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2)
     runs = {
-        0: [lambda: dwt1d(x, f, 3), lambda: dwt1d(RNG.standard_normal(512), f, 3)],
+        0: [
+            lambda: dwt1d(x, f, 3),
+            lambda: dwt1d(RNG.standard_normal(512), f, 3),
+            lambda: write_pyramid_container(str(tmp_path / "p.pyr"), short, "db4"),
+        ],
         1: [
             lambda: Pyramid1D(details=short.details, approx=short.approx),
             lambda: synthesis_step(analysis_step(x, f), f),
             lambda: image2d.idwt2d(q, f),
             lambda: write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
-            lambda: write_pyramid_container(str(tmp_path / "p.pyr"), short, "db4"),
         ],
     }
     for count, calls_of in runs.items():
