@@ -16,15 +16,18 @@ whose true solution is discontinuous) a DegeneracyError reports the
 dimension instead of silently picking a vector.
 
 Each refinement doubles the grid by evaluating the identity at the new
-midpoints, so computed values satisfy it at every level. A level-J midpoint
-reads phi only at odd level-J samples, and a level-J wavelet sample reads it
-only at even ones, which are phi at level J - 1. Cut into rows of 2^(J-1)
+midpoints, so computed values satisfy it at every level. One step does this
+on bare arrays (values, level, x0): ``refine`` checks its input's grid and
+takes it once, and the cascade takes it J times from the integer values and
+wraps only the result. A level-J midpoint reads phi only at odd level-J
+samples, which fill their rows exactly, and a level-J wavelet sample reads
+it only at even ones, which are phi at level J - 1. Cut into rows of 2^(J-1)
 samples, one row per unit of x, those samples give every row of outputs,
 half a unit apart, as one product with a small banded two-scale matrix
 M[b, a] = 2 c_{b-a} of the taps c (``_two_scale_eval``; the matrix comes
 from the transfer operator's builder and is cached on the filter). At J = 0
 the same rule reads the integer samples. The samples of a level-J grid are
-charged against the byte budget before anything is allocated.
+charged against the byte budget once, before anything is allocated.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from .errors import (
     SizeError,
     _charge,
 )
-from .filters import FilterSpec, derive_highpass, qmf_check
+from .filters import FilterSpec, _value_eq, derive_highpass, qmf_check
 from .transfer import EIGENVALUE_BUCKET, _two_scale_matrix, _unit_eigenspace
 
 #: Samples of the grid's dtype charged per sample of the (L-1) 2^J + 1 grid
@@ -73,6 +76,8 @@ class DyadicFunction:
     level: int
     values: np.ndarray
     kind: str = "phi"
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values)))
@@ -136,40 +141,49 @@ def integer_values(f: FilterSpec, experimental: bool = False) -> np.ndarray:
             "eigenvalue-1 eigenvector has (numerically) zero sum and cannot "
             "be normalized to integral one"
         )
-    v = v / total + 0.0  # clear negative zeros
-    return np.pad(v, (first, f.length - first - v.size))
+    out = np.zeros(f.length, dtype=v.dtype)
+    out[first : first + v.size] = v / total + 0.0  # clear negative zeros
+    return out
 
 
 def _two_scale_eval(
-    c: FilterSpec, phi: DyadicFunction, x_first: float, count: int, level: int
+    c: FilterSpec, values: np.ndarray, level: int, x0: float, x_first: float, count: int, out_level: int
 ) -> np.ndarray:
-    """out[m] = 2 sum_t c_t phi(2 x_m - c.start - t) at x_m = x_first + m/2^level,
-    phi read as zero off its grid, for level = phi.level + 1, or level 0 on a
-    level-0 phi (every other output of level 1).
+    """out[m] = 2 sum_t c_t phi(2 x_m - c.start - t) at x_m = x_first + m/2^out_level,
+    phi(x0 + k/2^level) = values[k] and zero off that grid, for out_level =
+    level + 1, or out_level 0 on a level-0 phi (every other output of level 1).
 
-    Cut into rows of R = 2^phi.level samples, phi's row a starts at
-    phi.x0 + a and output row b at x_first + b/2. Sample r of output row b
-    reads sample r of the phi rows that start at 2 (x_first + b/2) - c.start
-    - t, so the output rows are M @ (phi's rows), with M the two-scale matrix
-    of c on those row starts, cached on c. 2 x_first - c.start - phi.x0 must
-    be an integer.
+    Cut into rows of R = 2^level samples, phi's row a starts at x0 + a and
+    output row b at x_first + b/2. Sample r of output row b reads sample r of
+    the phi rows that start at 2 (x_first + b/2) - c.start - t, so the output
+    rows are M @ (phi's rows), with M the two-scale matrix of c on those row
+    starts, cached on c. 2 x_first - c.start - x0 must be an integer.
     """
-    stride = 1 << (phi.level + 1 - level)
+    stride = 1 << (level + 1 - out_level)
     count = stride * (count - 1) + 1
-    per_row = 1 << phi.level
-    n_in = -(-phi.values.size // per_row)
+    per_row = 1 << level
+    n_in = -(-values.size // per_row)
     n_out = -(-count // per_row)
-    key = ("cascade", round(2 * x_first - c.start - phi.x0), n_out, n_in)
+    key = ("cascade", round(2 * x_first - c.start - x0), n_out, n_in)
     M = c._tap_cache.get(key)
     if M is None:
-        M = _two_scale_matrix(
-            c.h, c.start, x_first + np.arange(n_out) / 2, phi.x0 + np.arange(n_in)
-        )
+        M = _two_scale_matrix(c.h, c.start, x_first + np.arange(n_out) / 2, x0 + np.arange(n_in))
         M.setflags(write=False)
         c._tap_cache[key] = M
-    rows = np.zeros((n_in, per_row), dtype=phi.values.dtype)
-    rows.reshape(-1)[: phi.values.size] = phi.values
-    return (M @ rows).reshape(-1)[:count:stride]
+    pad = n_in * per_row - values.size  # 0 in a refinement step; a wavelet may need zeros
+    rows = np.concatenate((values, np.zeros(pad, values.dtype))) if pad else np.ascontiguousarray(values)
+    return (M @ rows.reshape(n_in, per_row)).reshape(-1)[:count:stride]
+
+
+def _refine_step(f: FilterSpec, values: np.ndarray, level: int, x0: float) -> np.ndarray:
+    """phi's level + 1 samples from its level samples ``values`` from x0: each
+    one kept, the midpoints filled from the odd ones (all of them at level 0)."""
+    out = np.empty(2 * values.size - 1, dtype=np.promote_types(values.dtype, f.h.dtype))
+    out[0::2] = values
+    step = 2.0 ** -level
+    src = (values, 0, x0) if level == 0 else (values[1::2], level - 1, x0 + step)
+    out[1::2] = _two_scale_eval(f, *src, x0 + step / 2, values.size - 1, level)
+    return out
 
 
 def _level_grid(f: FilterSpec, J: int, kind: str = "phi") -> tuple[float, int]:
@@ -200,12 +214,7 @@ def refine(phi: DyadicFunction, f: FilterSpec) -> DyadicFunction:
             f"level-{J} grid for this filter needs {expected} samples, got "
             f"{phi.values.size}"
         )
-    out = np.empty(2 * expected - 1, dtype=np.result_type(phi.values.dtype, f.h.dtype))
-    out[0::2] = phi.values
-    # Above J = 0 the midpoints read phi's odd samples only.
-    src = phi if J == 0 else DyadicFunction(phi.x0 + phi.step, J - 1, phi.values[1::2])
-    out[1::2] = _two_scale_eval(f, src, phi.x0 + phi.step / 2, expected - 1, J)
-    return DyadicFunction(x0=phi.x0, level=J + 1, values=out, kind=phi.kind)
+    return DyadicFunction(phi.x0, J + 1, _refine_step(f, phi.values, J, phi.x0))
 
 
 def _checked_grid(f: FilterSpec, resolution) -> int:
@@ -223,10 +232,11 @@ def _checked_grid(f: FilterSpec, resolution) -> int:
 
 
 def _refined(f: FilterSpec, resolution: int, experimental: bool) -> DyadicFunction:
-    phi = DyadicFunction(float(f.start), 0, integer_values(f, experimental))
-    for _ in range(resolution):
-        phi = refine(phi, f)
-    return phi
+    """phi at level ``resolution``: the integer values refined on bare arrays."""
+    x0, values = float(f.start), integer_values(f, experimental)
+    for level in range(resolution):
+        values = _refine_step(f, values, level, x0)
+    return DyadicFunction(x0, resolution, values)
 
 
 def scaling_function(f: FilterSpec, resolution: int, experimental: bool = False) -> DyadicFunction:
@@ -245,5 +255,5 @@ def wavelet_function(f: FilterSpec, resolution: int, experimental: bool = False)
     J = _checked_grid(f, resolution)
     phi = _refined(f, max(J - 1, 0), experimental)
     x0, count = _level_grid(f, J, "psi")
-    values = _two_scale_eval(derive_highpass(f), phi, x0, count, J)
+    values = _two_scale_eval(derive_highpass(f), phi.values, phi.level, phi.x0, x0, count, J)
     return DyadicFunction(x0=x0, level=J, values=values, kind="psi")

@@ -74,8 +74,7 @@ from .errors import (
     SizeError,
     _charge,
 )
-from .filters import FilterSpec
-from .subband import _value_eq
+from .filters import FilterSpec, _value_eq
 
 #: Zero-mean gate: |integral psi| must not exceed this times ||psi||_1.
 _MEAN_TOLERANCE = 1e-6

@@ -29,7 +29,7 @@ __all__ = [
     "symbol_eval",
 ]
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +46,17 @@ _UNIT_CIRCLE_TOLERANCE = 1e-9
 _START_LIMIT = 1 << 52
 
 
+def _value_eq(self, other) -> bool:
+    """``==`` of a frozen container of arrays, as its ``__eq__``: the same
+    type and, field by field, equal shapes and values (``np.array_equal``)
+    for arrays and ``==`` for the rest. The arrays are mutable, so the class
+    stays unhashable."""
+    return type(other) is type(self) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """A named low-pass filter: coefficients ``h`` supported on
@@ -59,6 +70,8 @@ class FilterSpec:
     h: np.ndarray
     start: int = 0
     normalized: bool = True
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.h))
@@ -133,6 +146,8 @@ class QmfReport:
     max_residual: float
     tolerance: float
     passed: bool
+
+    __eq__ = _value_eq
 
 
 def _builtin_catalog() -> dict[str, FilterSpec]:

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .filters import FilterSpec
-from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split, _value_eq
+from .filters import FilterSpec, _value_eq
+from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split
 
 #: Most samples of each strip temporary of a 2-d step (512 KiB of float64): 32
 #: rows of a 2048-wide image, 128 of a 512-wide one. Each of a step's two

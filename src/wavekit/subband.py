@@ -59,12 +59,12 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, LevelError, ParameterError, ShapeError, SizeError, _charge
-from .filters import FilterSpec, derive_highpass
+from .filters import FilterSpec, _value_eq, derive_highpass
 
 _SQRT2 = float(np.sqrt(2.0))
 _FLOAT64 = np.dtype(np.float64)
@@ -99,23 +99,14 @@ _OPERATOR_BYTES = 1 << 21
 _OPERATOR_CODES = "?" + np.typecodes["AllInteger"] + "efdFD"  #: data that fits in complex128
 
 
-def _value_eq(self, other) -> bool:
-    """``==`` of a frozen container of arrays, as its ``__eq__``: the same
-    type and, field by field, equal shapes and values (``np.array_equal``)
-    for arrays and ``==`` for the rest. The arrays are mutable, so the class
-    stays unhashable."""
-    return type(other) is type(self) and all(
-        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    )
-
-
 @dataclass(frozen=True)
 class SubbandPair:
     """One analysis step's output: averages ``y`` and details ``z``."""
 
     y: np.ndarray
     z: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y))
@@ -199,6 +190,8 @@ class SubbandMatrices:
     synthesis_high: np.ndarray
     analysis_low: np.ndarray
     analysis_high: np.ndarray
+
+    __eq__ = _value_eq
 
 
 @dataclass(frozen=True)

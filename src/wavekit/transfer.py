@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, _charge
-from .filters import FilterSpec, qmf_check
+from .filters import FilterSpec, _value_eq, qmf_check
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class Autocorrelation:
 
     w: np.ndarray
     min_lag: int
+
+    __eq__ = _value_eq
 
     @property
     def lags(self) -> np.ndarray:
@@ -71,6 +73,8 @@ class TransferMatrix:
 
     matrix: np.ndarray
     half_order: int
+
+    __eq__ = _value_eq
 
     @property
     def modes(self) -> np.ndarray:
@@ -94,6 +98,8 @@ class OnbVerdict:
     bucket_multiplicity: int
     eigenvalues: np.ndarray
     tolerance: float
+
+    __eq__ = _value_eq
 
     @property
     def is_onb(self) -> bool:

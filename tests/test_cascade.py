@@ -338,6 +338,43 @@ def test_row_products_match_the_masked_loop(lattice_filters, which, level, start
     assert two_scale_residual(psi, g, phi) <= 1e-12
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30)
+@given(which=st.integers(0, 44), level=st.integers(0, 10), start=st.integers(-3, 3))
+@example(which=0, level=0, start=0)
+@example(which=39, level=10, start=-3)
+@example(which=41, level=10, start=2)
+@example(which=43, level=1, start=3)
+@example(which=44, level=10, start=0)
+def test_the_cascade_loop_matches_successive_refine_calls(
+    lattice_filters, complex_lattice_filters, which, level, start
+):
+    """scaling_function refines on bare arrays; its values are, bit for bit,
+    those of level successive public refine calls from the integer values,
+    and wavelet_function's are the wavelet rule on the phi those calls give
+    one level down, over lattice filters, complex lattice filters, the
+    odd-length B-spline and a complex experimental filter."""
+    h = (*lattice_filters, *complex_lattice_filters, *EXPERIMENTAL_FILTERS)[which]
+    experimental = which >= len(lattice_filters) + len(complex_lattice_filters)
+    f = FilterSpec("f", h, start)
+    by_refine = [DyadicFunction(f.start, 0, integer_values(f, experimental))]
+    for _ in range(level):
+        by_refine.append(refine(by_refine[-1], f))
+    phi = scaling_function(f, level, experimental)
+    assert (phi.x0, phi.level, phi.kind) == (f.start, level, "phi")
+    assert same_bits(phi.values, by_refine[level].values)
+
+    below = by_refine[max(level - 1, 0)]
+    x0, count = cascade._level_grid(f, level, "psi")
+    reference = cascade._two_scale_eval(derive_highpass(f), below.values, below.level, below.x0, x0, count, level)
+    psi = wavelet_function(f, level, experimental)
+    assert (psi.x0, psi.level, psi.kind) == (x0, level, "psi")
+    assert same_bits(psi.values, reference)
+
+
 def test_refine_refuses_a_wavelet():
     """A psi satisfies the wavelet identity, not the scaling one, so refining
     it would give wrong midpoints; a DyadicFunction built without a kind is a

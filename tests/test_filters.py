@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import complex_lattice_lowpass, lattice_lowpass, random_unitary
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wavekit.cascade import scaling_function
 from wavekit.errors import CatalogError, DomainError, ParameterError
 from wavekit.filters import (
     BUILTIN_NAMES,
@@ -14,6 +17,8 @@ from wavekit.filters import (
     qmf_check,
     symbol_eval,
 )
+from wavekit.subband import analysis_step, subband_matrices
+from wavekit.transfer import autocorrelation, build_transfer_matrix, lawton_test
 
 SQRT3 = np.sqrt(3.0)
 
@@ -250,3 +255,45 @@ def test_derive_highpass_returns_cached_spec():
     assert g.length == 4 and g.stop == 2
     assert not g.h.flags.writeable
     assert derive_highpass(f) is g
+
+
+#: Each container of arrays, built from a fresh db4 spec by the call that
+#: returns it.
+ARRAY_CONTAINERS = {
+    "FilterSpec": lambda f: FilterSpec(f.name, f.h.copy(), f.start),
+    "QmfReport": qmf_check,
+    "SubbandPair": lambda f: analysis_step(np.arange(16.0), f),
+    "SubbandMatrices": lambda f: subband_matrices(f, 8),
+    "DyadicFunction": lambda f: scaling_function(f, 3),
+    "Autocorrelation": autocorrelation,
+    "TransferMatrix": build_transfer_matrix,
+    "OnbVerdict": lawton_test,
+}
+
+
+def one_ulp_up(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose first real component is one ulp larger."""
+    b = np.array(a)
+    parts = b.reshape(-1).view(b.real.dtype)
+    parts[0] = np.nextafter(parts[0], np.inf)
+    return b
+
+
+@pytest.mark.parametrize("kind", ARRAY_CONTAINERS)
+def test_array_containers_compare_by_value_and_stay_unhashable(kind):
+    """Two separately built equal values compare equal, one ulp in one array
+    makes them unequal, and hash() raises TypeError, since the arrays are
+    mutable."""
+    db4 = builtin_filter("db4")
+    build = ARRAY_CONTAINERS[kind]
+    one, same = (build(FilterSpec("db4", db4.h, db4.start)) for _ in range(2))
+    assert type(one).__name__ == kind and one is not same
+    assert one == same and not one != same
+    name = next(
+        fld.name for fld in dataclasses.fields(one)
+        if isinstance(a := getattr(one, fld.name), np.ndarray) and np.issubdtype(a.dtype, np.inexact)
+    )
+    off = dataclasses.replace(same, **{name: one_ulp_up(getattr(same, name))})
+    assert one != off and not one == off and one != object()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one)
