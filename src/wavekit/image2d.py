@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 from .filters import FilterSpec, _value_eq
 from .subband import _block, _check_chain, _check_levels, _checked, _kernel_taps, _merge, _split
 
@@ -117,6 +117,9 @@ class ImagePyramid:
 
     ``details[l]`` holds level l+1 planes of shape (N/2^(l+1), M/2^(l+1)).
     The total coefficient count equals the pixel count of the source image.
+    The constructor runs the chain rule, so planes that do not chain, are empty
+    or are not numeric raise here; ``map_planes`` and ``dataclasses.replace``
+    rebuild through it, and a field swapped with ``object.__setattr__`` is not supported.
     """
 
     details: tuple[LevelDetail, ...]
@@ -129,6 +132,7 @@ class ImagePyramid:
         if not self.details:
             raise ShapeError("an image pyramid needs at least one detail level")
         object.__setattr__(self, "approx", np.asarray(self.approx))
+        _check_chain(self.approx, [(t.v, t.h, t.d) for t in self.details], 2)
 
     @property
     def levels(self) -> int:
@@ -304,13 +308,10 @@ def dwt2d(img, f: FilterSpec, n_lev: int) -> ImagePyramid:
 
 
 def idwt2d(p: ImagePyramid, f: FilterSpec) -> np.ndarray:
-    """Invert ``dwt2d``. The averages plane must be nonempty and 2-d, and
-    each level's planes of the shape of the averages they merge with."""
-    levels = [(t.v, t.h, t.d) for t in p.details]
-    _check_chain(p.approx, levels, 2)
+    """Invert ``dwt2d``; the pyramid was checked when it was built."""
     a = p.approx
-    for bands in reversed(levels):
-        a = _merge2d((a, *bands), f)
+    for t in reversed(p.details):
+        a = _merge2d((a, t.v, t.h, t.d), f)
     return a
 
 
@@ -319,9 +320,14 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def _to_indices(arr: np.ndarray, step: float) -> np.ndarray:
-    if np.iscomplexobj(arr):
-        return _round_half_away(arr.real / step) + 1j * _round_half_away(arr.imag / step)
-    return _round_half_away(arr / step)
+    """round(arr / step), refusing a step so small that a quotient overflows."""
+    with np.errstate(over="ignore"):
+        parts = (arr.real / step, arr.imag / step) if np.iscomplexobj(arr) else (arr / step,)
+    if not all(np.isfinite(q).all() for q in parts):
+        raise DomainError(f"quantizer step {step!r} is too small: some coefficient / step is not finite")
+    if len(parts) == 2:
+        return _round_half_away(parts[0]) + 1j * _round_half_away(parts[1])
+    return _round_half_away(parts[0])
 
 
 def quantize(p: ImagePyramid, q: Quantizer) -> ImagePyramid:

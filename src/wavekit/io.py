@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, FormatError
 from .filters import FilterSpec, _START_LIMIT
 from .image2d import ImagePyramid, LevelDetail, _rescale_for_display, _round_half_away
-from .subband import Pyramid1D, _check_chain
+from .subband import Pyramid1D
 
 _CONTAINER_MAGIC = "wavekit-pyr1"
 
@@ -328,17 +328,14 @@ def write_pyramid_container(path: str, pyramid, filter_name: str) -> None:
     the blocks follow ``_layout``, one CSV row per plane row, so a 1-d block
     holds one value per line.
     """
-    # The inverses' chain rule, before the file is opened: what is written reads
-    # back. A Pyramid1D ran it when it was built.
+    # Every pyramid ran the chain rule when it was built, so what is written reads back.
     if isinstance(pyramid, Pyramid1D):
-        levels, ndim = [(z,) for z in pyramid.details], 1
-        shape = (pyramid.signal_length,)
+        levels, shape = [(z,) for z in pyramid.details], (pyramid.signal_length,)
     elif isinstance(pyramid, ImagePyramid):
-        levels, ndim = [(t.h, t.v, t.d) for t in pyramid.details], 2
-        shape, _ = _check_chain(pyramid.approx, levels, ndim)
+        levels, shape = [(t.h, t.v, t.d) for t in pyramid.details], pyramid.image_shape
     else:
         raise FormatError(f"cannot serialize {type(pyramid).__name__} as a pyramid")
-    size = f"len: {shape[0]}" if ndim == 1 else f"dims: {shape[0]}x{shape[1]}"
+    size = f"len: {shape[0]}" if len(shape) == 1 else f"dims: {shape[0]}x{shape[1]}"
     planes = [p.reshape(len(p), -1) for bands in (*levels, (pyramid.approx,)) for p in bands]
     lines = [
         f"magic: {_CONTAINER_MAGIC}",

@@ -14,11 +14,10 @@ whole space, which ``cuntz_check`` verifies on this same kernel.
 Every step here and in :mod:`wavekit.image2d` is ``_split`` (analysis along
 one axis) or its adjoint ``_merge``, at every output or, into arrays the caller
 passes, at a range of them: the 2-d step runs them strip by strip. Every
-analysis passes one input gate, ``_checked``, and every pyramid the one rule
-for how the bands chain, ``_check_chain``: a ``Pyramid1D`` when it is built, an
-image pyramid in ``idwt2d``, and both in the container writer of
-:mod:`wavekit.io`. Both run one kernel, ``_polyphase_product``, the polyphase
-form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
+analysis passes one input gate, ``_checked``, and every pyramid and step pair,
+when it is built, the one rule for how the bands chain, ``_check_chain``; no
+inverse or writer runs it. Both run one kernel, ``_polyphase_product``, the
+polyphase form of the pyramid algorithm (Mallat 1989; Vaidyanathan 1993, ch. 6), as
 ``_split`` states it: it gathers a block of outputs, sized by the one rule
 ``_block``, once and makes each band one matmul, written straight into the
 caller's arrays. With one sample per row a row makes ``_ROWS`` outputs, a window times a banded block of the taps (one
@@ -101,7 +100,7 @@ _OPERATOR_CODES = "?" + np.typecodes["AllInteger"] + "efdFD"  #: data that fits 
 
 @dataclass(frozen=True)
 class SubbandPair:
-    """One analysis step's output: averages ``y`` and details ``z``."""
+    """One step's averages ``y`` and details ``z``; the constructor runs the chain rule."""
 
     y: np.ndarray
     z: np.ndarray
@@ -111,8 +110,7 @@ class SubbandPair:
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y))
         z = np.atleast_1d(np.asarray(self.z))
-        if y.ndim != 1 or z.ndim != 1 or y.size != z.size:
-            raise ShapeError("y and z must be 1-d arrays of equal length")
+        _check_chain(y, [(z,)], 1)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
 
@@ -499,8 +497,7 @@ def analysis_step(x, f: FilterSpec) -> SubbandPair:
 
 
 def synthesis_step(p: SubbandPair, f: FilterSpec) -> np.ndarray:
-    """Merge an averages/details pair back into a double-length signal."""
-    _check_chain(p.y, [(p.z,)], 1)
+    """Merge a pair, checked when it was built, back into a double-length signal."""
     return _merge((p.y, p.z), f, 0, _SQRT2)
 
 

@@ -267,6 +267,29 @@ def test_transform_2d_preview_and_quantize(tmp_path):
     assert np.allclose(np.mod(p.approx, 4.0), 0.0)
 
 
+@pytest.mark.parametrize("mode", ["dwt2d", "idwt2d"])
+def test_a_quantize_step_too_small_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, mode):
+    """--quantize 1e-320 makes quotients that overflow a double: the command
+    exits 2 with one error line naming the step, warns of nothing and leaves
+    the folder as it found it."""
+    from wavekit import builtin_filter, dwt2d
+    from wavekit.cli import main
+    from wavekit.io import write_pyramid_container
+
+    monkeypatch.chdir(tmp_path)
+    data = RNG.integers(0, 256, size=(16, 16)).astype(float)
+    write_pgm("i.pgm", data)
+    write_pyramid_container("i.pyr", dwt2d(data, builtin_filter("haar"), 2), "haar")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    source, out = ("i.pgm", "o.pyr") if mode == "dwt2d" else ("i.pyr", "o.pgm")
+    argv = ["transform", mode, "--in", source, "--out", out, "--quantize", "1e-320"]
+    argv += ["--filter", "haar", "--preview", "p.pgm"] if mode == "dwt2d" else []
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: quantizer step 1e-320") and len(err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_transform_preview_rejected_for_1d(tmp_path):
     sig = str(tmp_path / "x.csv")
     write_signal_csv(sig, RNG.standard_normal(16))

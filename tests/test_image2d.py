@@ -165,9 +165,8 @@ def test_image_containers_compare_by_value_and_stay_unhashable():
 def test_idwt2d_plane_chain_checked():
     f = builtin_filter("haar")
     p = dwt2d(RNG.standard_normal((8, 8)), f, 2)
-    broken = ImagePyramid(details=(p.details[0], p.details[0]), approx=p.approx)
     with pytest.raises(ShapeError):
-        idwt2d(broken, f)
+        ImagePyramid(details=(p.details[0], p.details[0]), approx=p.approx)
 
 
 def test_idwt2d_accepts_planes_given_as_lists(tmp_path):
@@ -193,9 +192,8 @@ def test_idwt2d_accepts_planes_given_as_lists(tmp_path):
 @pytest.mark.parametrize("shape", ((0, 0), (0, 4)))
 def test_idwt2d_refuses_empty_planes(shape):
     plane = np.zeros(shape)
-    p = ImagePyramid(details=(LevelDetail(h=plane, v=plane, d=plane),), approx=plane)
     with pytest.raises(ShapeError, match="nonempty 2-d"):
-        idwt2d(p, builtin_filter("haar"))
+        ImagePyramid(details=(LevelDetail(h=plane, v=plane, d=plane),), approx=plane)
 
 
 @pytest.mark.parametrize(
@@ -214,12 +212,62 @@ def test_non_numeric_images_and_planes_are_refused(plane):
     p = dwt2d(np.ones((8, 8)), f, 1)
     t = p.details[0]
     quarter = plane[:4, :4]
-    for broken in (
-        ImagePyramid(details=(LevelDetail(h=quarter, v=t.v, d=t.d),), approx=p.approx),
-        ImagePyramid(details=p.details, approx=quarter),
+    with pytest.raises(DomainError):
+        ImagePyramid(details=(LevelDetail(h=quarter, v=t.v, d=t.d),), approx=p.approx)
+    with pytest.raises(DomainError):
+        ImagePyramid(details=p.details, approx=quarter)
+
+
+def test_rebuilt_pyramids_rerun_the_chain_rule(monkeypatch):
+    """map_planes, quantize and dataclasses.replace rebuild through the
+    constructor, so each runs the chain rule once, and planes that no longer
+    chain, or are no longer numeric, raise there."""
+    import dataclasses
+
+    import wavekit.image2d as image2d
+
+    f = builtin_filter("haar")
+    p = dwt2d(RNG.standard_normal((8, 8)), f, 2)
+    for error, rebuild in (
+        (ShapeError, lambda: ImagePyramid(details=p.details, approx=p.approx.ravel())),
+        (ShapeError, lambda: dataclasses.replace(p, approx=np.ones((1, 1)))),
+        (ShapeError, lambda: p.map_planes(lambda a: a[:1])),
+        (DomainError, lambda: p.map_planes(lambda a: a.astype(object))),
     ):
-        with pytest.raises(DomainError):
-            idwt2d(broken, f)
+        with pytest.raises(error):
+            rebuild()
+    check, calls = image2d._check_chain, []
+    monkeypatch.setattr(image2d, "_check_chain", lambda *args: calls.append(args) or check(*args))
+    for rebuild in (
+        lambda: p.map_planes(np.negative),
+        lambda: quantize(p, Quantizer(0.5)),
+        lambda: dataclasses.replace(p),
+    ):
+        calls.clear()
+        rebuild()
+        assert len(calls) == 1
+
+
+def test_a_step_too_small_for_the_coefficients_is_refused():
+    """A step whose quotients overflow raises DomainError naming the step,
+    with no RuntimeWarning; a step whose quotients stay finite, even at
+    1e-300, snaps every coefficient to round(c / step) * step exactly."""
+    f = builtin_filter("haar")
+    p = dwt2d(RNG.standard_normal((8, 8)) * 4.0, f, 2)
+    complex_p = p.map_planes(lambda a: a - 1j * a[::-1])
+    for pyramid in (p, complex_p):
+        with pytest.raises(DomainError, match=r"quantizer step 1e-320 is too small"):
+            quantize(pyramid, Quantizer(1e-320))
+        for step in (1e-300, 0.25):
+            snapped = snap_to_lattice(pyramid, Quantizer(step))
+            for got, c in zip(
+                (snapped.approx, *(b for t in snapped.details for b in (t.h, t.v, t.d))),
+                (pyramid.approx, *(b for t in pyramid.details for b in (t.h, t.v, t.d))),
+            ):
+                parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
+                k = [np.sign(a / step) * np.floor(np.abs(a / step) + 0.5) for a in parts]
+                want = (k[0] + 1j * k[1] if len(k) == 2 else k[0]) * step
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_quantizer_validation():

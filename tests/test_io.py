@@ -318,11 +318,11 @@ def test_container_header_text(tmp_path):
 
 
 def test_container_writer_refuses_pyramids_that_do_not_chain(tmp_path):
-    """The writer applies the inverses' chain rule before it opens the file:
-    an image pyramid whose bands do not chain raises and leaves no file
-    behind, since it could not be read back. A 1-d pyramid that does not
-    chain, or that holds non-numeric bands, raises the same error when it
-    is built, so it never reaches the writer."""
+    """Every pyramid runs the inverses' chain rule when it is built, and the
+    writer runs none: an image or 1-d pyramid whose bands do not chain, or
+    that holds non-numeric bands, raises when it is built, so it never
+    reaches the writer and no file is left behind that could not be read
+    back."""
     ones = np.ones((4, 4))
     level = LevelDetail(h=ones, v=ones, d=ones)
     path = tmp_path / "p.pyr"

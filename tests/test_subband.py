@@ -223,8 +223,19 @@ def test_bool_and_integer_signals_pass_the_gate():
 
 
 def test_subband_pair_validates():
-    with pytest.raises(ShapeError):
-        SubbandPair(y=np.ones(3), z=np.ones(2))
+    """A pair runs the chain rule of a one-level pyramid when it is built,
+    and dataclasses.replace rebuilds through it."""
+    pair = analysis_step(np.arange(8.0), builtin_filter("haar"))
+    for error, build in (
+        (ShapeError, lambda: SubbandPair(y=np.ones(3), z=np.ones(2))),
+        (ShapeError, lambda: SubbandPair(y=np.ones(0), z=np.ones(0))),
+        (ShapeError, lambda: SubbandPair(y=np.ones((2, 2)), z=np.ones((2, 2)))),
+        (ShapeError, lambda: dataclasses.replace(pair, z=pair.z[:-1])),
+        (DomainError, lambda: SubbandPair(y=np.full(4, "a"), z=np.full(4, "b"))),
+        (DomainError, lambda: SubbandPair(y=np.ones(4), z=np.full(4, None, dtype=object))),
+    ):
+        with pytest.raises(error):
+            build()
 
 
 def test_matrices_slanted_structure():
@@ -927,10 +938,9 @@ def test_operator_path_refuses_like_the_kernel(monkeypatch, n):
 
 
 def _chain_rules(monkeypatch) -> list:
-    """The arguments of every chain-rule run, in subband, image2d and io,
-    while ``monkeypatch`` is active."""
+    """The arguments of every chain-rule run, in subband and image2d, while
+    ``monkeypatch`` is active."""
     import wavekit.image2d as image2d
-    import wavekit.io as io
 
     check, calls = subband._check_chain, []
 
@@ -938,7 +948,7 @@ def _chain_rules(monkeypatch) -> list:
         calls.append(args)
         return check(*args)
 
-    for module in (subband, image2d, io):
+    for module in (subband, image2d):
         monkeypatch.setattr(module, "_check_chain", counted)
     return calls
 
@@ -951,10 +961,10 @@ def test_every_route_to_a_pyramid_holds_its_bands_in_one_array(monkeypatch, tmp_
     signal_length samples in the bands' common dtype, shared with no other
     pyramid; idwt1d inverts it with no chain rule; and its pickle carries
     the bands once; it equals a pyramid of the same depth and coefficients
-    and no other. dwt1d and the writer of a 1-d container run no chain rule;
-    the constructor, synthesis_step, idwt2d and the writer of a 2-d container
-    one each. The constructor's signature and the repr name only details and
-    approx."""
+    and no other. Each constructor, of Pyramid1D, SubbandPair and
+    ImagePyramid, runs the chain rule once, so analysis_step and dwt2d run
+    one; dwt1d, synthesis_step, idwt2d and either writer run none. The
+    constructor's signature and the repr name only details and approx."""
     import wavekit.image2d as image2d
 
     calls = _chain_rules(monkeypatch)
@@ -1005,17 +1015,22 @@ def test_every_route_to_a_pyramid_holds_its_bands_in_one_array(monkeypatch, tmp_
         blob = pickle.dumps(p)
         assert c.nbytes < len(blob) < c.nbytes + 1024, name
     q = image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2)
+    pair = analysis_step(x, f)
     runs = {
         0: [
             lambda: dwt1d(x, f, 3),
             lambda: dwt1d(RNG.standard_normal(512), f, 3),
             lambda: write_pyramid_container(str(tmp_path / "p.pyr"), short, "db4"),
+            lambda: synthesis_step(pair, f),
+            lambda: image2d.idwt2d(q, f),
+            lambda: write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
         ],
         1: [
             lambda: Pyramid1D(details=short.details, approx=short.approx),
-            lambda: synthesis_step(analysis_step(x, f), f),
-            lambda: image2d.idwt2d(q, f),
-            lambda: write_pyramid_container(str(tmp_path / "q.pyr"), q, "db4"),
+            lambda: SubbandPair(y=pair.y, z=pair.z),
+            lambda: analysis_step(x, f),
+            lambda: image2d.ImagePyramid(details=q.details, approx=q.approx),
+            lambda: image2d.dwt2d(RNG.standard_normal((16, 16)), f, 2),
         ],
     }
     for count, calls_of in runs.items():
